@@ -22,12 +22,11 @@ def main():
                         help="node budget per search subtree")
     parser.add_argument("--wall-limit", type=float, default=None,
                         help="seconds per search subtree")
-    parser.add_argument("--jobs", type=int, default=2)
     args = parser.parse_args()
 
     budget = SearchBudget(max_nodes=args.max_nodes, wall_limit=args.wall_limit)
     start = time.monotonic()
-    result = exact_decide(gen_cycle(9), 5, 16, budget, jobs=args.jobs)
+    result = exact_decide(gen_cycle(9), 5, 16, budget)
     elapsed = time.monotonic() - start
     print(f"status={result.status} nodes={result.nodes} elapsed={elapsed:.0f}s")
     if result.status == "infeasible":

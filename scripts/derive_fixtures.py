@@ -4,48 +4,46 @@
 Emits Python literals for the tone-2 block table (cycle lengths 5, 6, 8, 9
 sharing the prefix (1,2),(3,4) with 5 colors) and for the exceptional cycle
 witnesses that have no published coloring.  The output is what lives in
-ttone/blocks.py; rerun after solver changes and diff.
+ttone/blocks.py; tests/test_blocks.py runs this script and checks that its
+output still equals the stored tables.
 """
 
 import sys
-from itertools import combinations
 
-from ttone.coloring import Coloring, label_mask, verify
+from ttone.coloring import Coloring, label_mask, label_stream, verify
 from ttone.exact import exact_decide
 from ttone.graphs import gen_cycle
 
 
 def prefix_cycle_coloring(n: int, t: int, k: int, prefix):
-    """Lex-least tone-t k-coloring of the n-cycle with prescribed first labels."""
-    labels = list(combinations(range(1, k + 1), t))
-    masks = [label_mask(c) for c in labels]
-    assigned = [None] * n
+    """Lex-least tone-t k-coloring of the n-cycle with prescribed first labels.
 
-    def ok(v, m):
-        for u in range(v):
-            sep = min(v - u, n - (v - u))
-            if sep <= t and (m & assigned[u]).bit_count() >= sep:
-                return False
-        return True
+    Backtracks over the vertices in index order; each vertex draws its
+    labels from label_stream, constrained by the earlier vertices within
+    cycle distance t.
+    """
+    masks = [label_mask(lab) for lab in prefix]
+    out = [tuple(lab) for lab in prefix]
 
     def dfs(v):
         if v == n:
             return True
-        for i, m in enumerate(masks):
-            if ok(v, m):
-                assigned[v] = m
-                if dfs(v + 1):
-                    return True
-        assigned[v] = None
+        cons = []
+        for u in range(v):
+            sep = min(v - u, n - (v - u))
+            if sep <= t:
+                cons.append((masks[u], sep - 1))
+        for m, lab, _ in label_stream(k, t, cons):
+            masks.append(m)
+            out.append(lab)
+            if dfs(v + 1):
+                return True
+            masks.pop()
+            out.pop()
         return False
 
-    for v, lab in enumerate(prefix):
-        assigned[v] = label_mask(lab)
     if not dfs(len(prefix)):
         raise SystemExit(f"no prefix-compatible coloring for n={n}, t={t}, k={k}")
-    out = []
-    for m in assigned:
-        out.append(tuple(c for c in range(1, k + 1) if (m >> (c - 1)) & 1))
     col = Coloring(t, k, dict(enumerate(out)))
     assert not verify(gen_cycle(n), col)
     return out

@@ -231,7 +231,7 @@ def cmd_verify(args) -> int:
 def cmd_tau(args) -> int:
     g = _load_graph(args.input)
     budget = SearchBudget(max_nodes=args.max_nodes, wall_limit=args.wall_limit)
-    result = tau(g, args.t, budget, jobs=args.jobs)
+    result = tau(g, args.t, budget)
     if result.status == "timeout":
         _emit(_json_line({"status": "timeout", "lower_bound": result.lower_bound,
                           "nodes": result.nodes}))
@@ -305,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", default=None)
     p.add_argument("--max-nodes", type=int, default=200_000_000)
     p.add_argument("--wall-limit", type=float, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--emit-witness", default=None, metavar="PATH")
     p.set_defaults(func=cmd_tau)
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from math import comb
 
 from .graphs import Graph, distances_within
 
@@ -62,15 +61,36 @@ class Coloring:
 
     @classmethod
     def from_json(cls, text: str) -> "Coloring":
+        """Parse without coercion: t, k and colors must be JSON integers,
+        labels lists, and vertex keys the canonical decimal of their id."""
         try:
-            payload = json.loads(text)
-            t = int(payload["t"])
-            k = int(payload["k"])
-            labels = {int(v): tuple(sorted(map(int, lab)))
-                      for v, lab in payload["labels"].items()}
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+            payload = json.loads(text, object_pairs_hook=_unique_keys)
+            t, k, raw = payload["t"], payload["k"], payload["labels"]
+            items = raw.items()
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise StructuralError(f"bad coloring JSON: {exc}") from exc
+        if type(t) is not int or type(k) is not int:     # bools are not ints here
+            raise StructuralError(f"bad coloring JSON: t={t!r}, k={k!r} must be integers")
+        labels = {}
+        for key, lab in items:
+            try:
+                v = int(key)
+            except ValueError:
+                v = None
+            if v is None or str(v) != key:
+                raise StructuralError(f"bad coloring JSON: vertex key {key!r}")
+            if type(lab) is not list or any(type(c) is not int for c in lab):
+                raise StructuralError(f"bad coloring JSON: vertex {key}: "
+                                      f"label {lab!r} is not a list of integers")
+            labels[v] = tuple(sorted(lab))
         return cls(t, k, labels)
+
+
+def _unique_keys(pairs) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise ValueError("duplicate key")
+    return obj
 
 
 @dataclass(frozen=True)
@@ -121,88 +141,108 @@ def verify(g: Graph, coloring: Coloring) -> list:
     return verify_partial(g, coloring)
 
 
-def is_valid(g: Graph, coloring: Coloring) -> bool:
-    return not verify(g, coloring)
-
-
 # ---------------------------------------------------------------------------
-# Extension
+# Label enumeration and extension
 # ---------------------------------------------------------------------------
 
-def _constraints_at(g: Graph, partial: Coloring, v: int):
-    """(mask, cap) pairs the label at v must respect: popcount(mask & L) <= cap."""
+def label_stream(k: int, t: int, cons, mx: int = None):
+    """Lazy lexicographic stream of the t-sets of [1..k] that respect cons.
+
+    Yields (mask, label, top) for each label L with popcount(mask & L) <= cap
+    for every (mask, cap) in cons.  Colors are chosen in increasing order
+    with running sharing counters, pruning any prefix that exceeds a cap;
+    cap-0 constraints are folded into one forbidden mask, and which
+    constraints each color touches is computed once up front.
+
+    With mx (the largest color used so far) the stream applies the search's
+    canonical color introduction as a reach bound: new colors above mx may
+    appear only as mx+1, mx+2, ... in that order, and top is mx plus the new
+    colors the label brings.  Without mx every color counts as introduced
+    and top is k.  One generator frame walks an explicit stack of chosen
+    colors, so deep labels cost no nested generator resumes.
+    """
+    zero = 0
+    masks = []
+    rem = []
+    for mask, cap in cons:
+        if cap:
+            masks.append(mask)
+            rem.append(cap)
+        else:
+            zero |= mask
+    hits = [None] * (k + 1)
+    for c in range(1, k + 1):
+        bit = 1 << (c - 1)
+        if not zero & bit:
+            hits[c] = [i for i, m in enumerate(masks) if m & bit]
+    if mx is None:
+        mx = k
+    chosen = []
+    mask = 0
+    above = 0               # colors of the prefix that are above mx
+    c = 0                   # last color tried at the current depth
+    last = t - 1
+    while True:
+        d = len(chosen)
+        hi = k - last + d   # leave room for the colors still to choose
+        if mx + above + 1 < hi:
+            hi = mx + above + 1
+        c += 1
+        while c <= hi:
+            h = hits[c]
+            if h is not None:
+                for i in h:
+                    if not rem[i]:
+                        break
+                else:
+                    break
+            c += 1
+        if c > hi:
+            if not d:
+                return
+            c = chosen.pop()
+            mask ^= 1 << (c - 1)
+            for i in hits[c]:
+                rem[i] += 1
+            if c > mx:
+                above -= 1
+            continue
+        if d == last:
+            yield (mask | 1 << (c - 1), (*chosen, c),
+                   mx + above + (c > mx))
+            continue
+        chosen.append(c)
+        mask |= 1 << (c - 1)
+        for i in h:
+            rem[i] -= 1
+        if c > mx:
+            above += 1
+
+
+def _stream_at(g: Graph, partial: Coloring, v: int):
+    """label_stream for v, constrained by the labeled vertices within t."""
+    if v in partial.labels:
+        raise StructuralError(f"vertex {v} already assigned")
     cons = []
     for u, d in distances_within(g, v, partial.t).items():
         lab = partial.labels.get(u)
         if lab is not None:
             cons.append((label_mask(lab), d - 1))
-    cons.sort(key=lambda mc: mc[1])
-    return cons
+    return label_stream(partial.k, partial.t, cons)
 
 
-def iter_available_labels(g: Graph, partial: Coloring, v: int, k=None):
-    """Lexicographic stream of labels assignable to v without any violation.
-
-    Depth-first over the colors not blocked by adjacent vertices, pruning a
-    branch as soon as some distance constraint's sharing cap is exceeded.
-    """
-    if v in partial.labels:
-        raise StructuralError(f"vertex {v} already assigned")
-    if k is None:
-        k = partial.k
-    t = partial.t
-    cons = _constraints_at(g, partial, v)
-    forbidden = 0
-    for mask, cap in cons:
-        if cap == 0:
-            forbidden |= mask
-    allowed = [c for c in range(1, k + 1) if not (forbidden >> (c - 1)) & 1]
-    tight = [(m, c) for m, c in cons if c > 0]
-    caps = [c for _, c in tight]
-    touches = []
-    for c in allowed:
-        bit = 1 << (c - 1)
-        touches.append([i for i, (m, _) in enumerate(tight) if m & bit])
-    counts = [0] * len(tight)
-    chosen = []
-
-    def walk(start):
-        if len(chosen) == t:
-            yield tuple(chosen)
-            return
-        for idx in range(start, len(allowed) - (t - len(chosen)) + 1):
-            hit = touches[idx]
-            if any(counts[i] >= caps[i] for i in hit):
-                continue
-            for i in hit:
-                counts[i] += 1
-            chosen.append(allowed[idx])
-            yield from walk(idx + 1)
-            chosen.pop()
-            for i in hit:
-                counts[i] -= 1
-
-    yield from walk(0)
+def available_labels(g: Graph, partial: Coloring, v: int) -> list:
+    """All labels assignable to v without any violation, in lexicographic order."""
+    return [label for _, label, _ in _stream_at(g, partial, v)]
 
 
-def available_labels(g: Graph, partial: Coloring, v: int, k=None) -> list:
-    """All labels assignable to v, in lexicographic order."""
-    return list(iter_available_labels(g, partial, v, k))
-
-
-def can_extend_2tone(k: int, deg: int, second_count: int) -> bool:
-    """Extension test for tone 2: C(k - 2*deg, 2) > second_count."""
-    free = k - 2 * deg
-    return (comb(free, 2) if free >= 2 else 0) > second_count
-
-
-def greedy_extend(g: Graph, partial: Coloring, v: int, k=None):
+def greedy_extend(g: Graph, partial: Coloring, v: int):
     """Assign the lexicographically least available label to v.
 
     Returns the label, or None when no label is available (the partial
     coloring is left untouched in that case).
     """
-    label = next(iter_available_labels(g, partial, v, k), None)
+    _, label, _ = next(_stream_at(g, partial, v), (None, None, None))
     if label is not None:
         partial.assign(v, label)
     return label

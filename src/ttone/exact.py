@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import sys
 import time
 from collections import deque
 from dataclasses import dataclass
 
 from .bounds import best_lower_bound
-from .coloring import Coloring, label_mask, verify
+from .coloring import Coloring, label_mask, label_stream, verify
 from .graphs import Graph, constraint_pairs
 
 
@@ -80,7 +79,8 @@ class _Searcher:
 
     Symmetry breaking: the first vertex gets colors 1..t, and any label may
     introduce new colors only as the next unused ones in increasing order
-    (color-introduction canonicalization), tested with one shift/popcount.
+    (color-introduction canonicalization), applied as label_stream's reach
+    bound.
     """
 
     def __init__(self, g: Graph, t: int, k: int):
@@ -108,78 +108,50 @@ class _Searcher:
             if time.monotonic() > self.deadline:
                 raise _Timeout
 
-    def candidates(self, i: int, mx: int) -> list:
-        """Labels allowed at position i given current assignments, lex order.
+    def stream(self, i: int, mx: int):
+        """label_stream for position i under the current assignments."""
+        assigned = self.assigned
+        return label_stream(self.k, self.t,
+                            [(assigned[j], cap) for j, cap in self.cons[i]], mx)
 
-        Colors are chosen in increasing order with running sharing counters,
-        pruning any prefix that exceeds a cap.  Canonical color introduction
-        becomes a reach bound: the next color may exceed the current maximum
-        mx by at most one more than the new colors already in this label.
-        Which constraints each color touches is computed once up front, so
-        the recursion only decrements counters.
-        """
-        zero = 0
-        masks = []
-        caps = []
-        for j, cap in self.cons[i]:
-            a = self.assigned[j]
-            if cap == 0:
-                zero |= a
-            else:
-                masks.append(a)
-                caps.append(cap)
-        k, t = self.k, self.t
-        ncons = len(masks)
-        hits = []
-        for c in range(1, k + 1):
-            if (zero >> (c - 1)) & 1:
-                hits.append(None)
-            else:
-                bit = 1 << (c - 1)
-                hits.append(tuple(ci for ci in range(ncons) if masks[ci] & bit))
-        rem = caps[:]
-        out = []
-        chosen = []
-
-        def walk(prev, above, mask):
-            if len(chosen) == t:
-                out.append((mask, tuple(chosen), mx + above))
-                return
-            reach = mx + above + 1
-            if reach > k:
-                reach = k
-            for c in range(prev + 1, reach + 1):
-                h = hits[c - 1]
-                if h is None:
-                    continue
-                for ci in h:
-                    if not rem[ci]:
-                        break
-                else:
-                    for ci in h:
-                        rem[ci] -= 1
-                    chosen.append(c)
-                    walk(c, above + (c > mx), mask | (1 << (c - 1)))
-                    chosen.pop()
-                    for ci in h:
-                        rem[ci] += 1
-
-        walk(0, 0, 0)
+    def firsts(self) -> list:
+        """Candidate labels of the second position after the canonical first."""
+        self.assigned[0] = label_mask(range(1, self.t + 1))
+        out = list(self.stream(1, self.t))
+        self.assigned[0] = 0
         return out
 
-    def dfs(self, i: int, mx: int, out: list) -> bool:
-        if i == self.g.n:
+    def dfs(self, start: int, mx: int, out: list) -> bool:
+        """Extend out (labels of positions < start) to a full assignment.
+
+        Iterative: one candidate stream per open position, so the depth of
+        the search never touches the interpreter's recursion limit.
+        """
+        n = self.g.n
+        if start == n:
             return True
-        for m, combo, mx2 in self.candidates(i, mx):
+        assigned = self.assigned
+        streams = [self.stream(start, mx)]
+        i = start
+        while True:
+            nxt = next(streams[-1], None)
+            if nxt is None:
+                streams.pop()
+                assigned[i] = 0
+                if not streams:
+                    return False
+                out.pop()
+                i -= 1
+                continue
             self.nodes += 1
             self._check_time()
-            self.assigned[i] = m
+            m, combo, top = nxt
+            assigned[i] = m
             out.append(combo)
-            if self.dfs(i + 1, mx2, out):
+            i += 1
+            if i == n:
                 return True
-            out.pop()
-        self.assigned[i] = 0
-        return False
+            streams.append(self.stream(i, top))
 
 
 def _run_subtree(searcher: _Searcher, first: tuple, budget: SearchBudget) -> DecideResult:
@@ -190,16 +162,12 @@ def _run_subtree(searcher: _Searcher, first: tuple, budget: SearchBudget) -> Dec
         searcher.deadline = time.monotonic() + budget.wall_limit
     t = searcher.t
     base = tuple(range(1, t + 1))
+    m, combo, mx = first
     searcher.assigned[0] = label_mask(base)
-    out = [base]
-    mx = t
-    if first is not None:
-        m, combo, mx = first
-        searcher.assigned[1] = m
-        out.append(combo)
-    start = len(out)
+    searcher.assigned[1] = m
+    out = [base, combo]
     try:
-        found = searcher.dfs(start, mx, out)
+        found = searcher.dfs(2, mx, out)
     except _Timeout:
         return DecideResult("timeout", nodes=searcher.nodes)
     if not found:
@@ -209,14 +177,15 @@ def _run_subtree(searcher: _Searcher, first: tuple, budget: SearchBudget) -> Dec
     return DecideResult("colored", coloring, searcher.nodes)
 
 
-def exact_decide(g: Graph, t: int, k: int, budget: SearchBudget = None,
-                 jobs: int = 1) -> DecideResult:
+def exact_decide(g: Graph, t: int, k: int, budget: SearchBudget = None) -> DecideResult:
     """Complete search for a tone-t coloring of g with k colors.
 
     Returns a verified coloring, "infeasible" after exhausting the
-    canonicalized tree, or "timeout".  The search fans out over the second
-    vertex's candidate labels; each branch gets its own budget and branches
-    are merged in candidate order, so the outcome does not depend on jobs.
+    canonicalized tree, or "timeout".  The search runs one subtree per
+    candidate label of the second vertex, in candidate order, each with its
+    own budget.  On a graph with an edge there is at most one such label:
+    the second vertex is adjacent to the first, so canonical introduction
+    leaves only (t+1..2t).
     """
     if t < 1:
         raise ValueError("need t >= 1")
@@ -226,25 +195,14 @@ def exact_decide(g: Graph, t: int, k: int, budget: SearchBudget = None,
         budget = SearchBudget()
     if g.n == 0:
         return DecideResult("colored", Coloring(t, k))
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * g.n + 100))
-    searcher = _Searcher(g, t, k)
-    base = tuple(range(1, t + 1))
     if g.n == 1:
-        coloring = Coloring(t, k, {0: base})
+        coloring = Coloring(t, k, {0: tuple(range(1, t + 1))})
         return DecideResult("colored", coloring, 1)
-
-    searcher.assigned[0] = label_mask(base)
-    firsts = list(searcher.candidates(1, t))
-    searcher.assigned[0] = 0
-
-    if jobs > 1 and len(firsts) > 1:
-        results = _parallel_subtrees(g, t, k, firsts, budget, jobs)
-    else:
-        results = (_run_subtree(searcher, first, budget) for first in firsts)
-
+    searcher = _Searcher(g, t, k)
     total = 0
     timed_out = False
-    for res in results:
+    for first in searcher.firsts():
+        res = _run_subtree(searcher, first, budget)
         total += res.nodes
         if res.status == "colored":
             bad = verify(g, res.coloring)
@@ -255,32 +213,7 @@ def exact_decide(g: Graph, t: int, k: int, budget: SearchBudget = None,
     return DecideResult("timeout" if timed_out else "infeasible", nodes=total)
 
 
-def _subtree_task(args):
-    n, edges, t, k, first_index, max_nodes, wall_limit = args
-    g = Graph(n, edges)
-    searcher = _Searcher(g, t, k)
-    base = tuple(range(1, t + 1))
-    searcher.assigned[0] = label_mask(base)
-    firsts = list(searcher.candidates(1, t))
-    searcher.assigned[0] = 0
-    res = _run_subtree(searcher, firsts[first_index],
-                       SearchBudget(max_nodes, wall_limit))
-    labels = dict(res.coloring.labels) if res.coloring else None
-    return res.status, labels, res.nodes
-
-
-def _parallel_subtrees(g, t, k, firsts, budget, jobs):
-    from multiprocessing import Pool
-
-    args = [(g.n, g.edges(), t, k, i, budget.max_nodes, budget.wall_limit)
-            for i in range(len(firsts))]
-    with Pool(processes=jobs) as pool:
-        for status, labels, nodes in pool.imap(_subtree_task, args):
-            coloring = Coloring(t, k, labels) if labels is not None else None
-            yield DecideResult(status, coloring, nodes)
-
-
-def tau(g: Graph, t: int, budget: SearchBudget = None, jobs: int = 1) -> TauResult:
+def tau(g: Graph, t: int, budget: SearchBudget = None) -> TauResult:
     """The tone chromatic number by upward search from the best certificate.
 
     Starts at the largest applicable lower bound and increments k until the
@@ -294,7 +227,7 @@ def tau(g: Graph, t: int, budget: SearchBudget = None, jobs: int = 1) -> TauResu
     total = 0
     last_refuted = None
     for k in range(k0, g.n * t + 1):
-        res = exact_decide(g, t, k, budget, jobs)
+        res = exact_decide(g, t, k, budget)
         total += res.nodes
         if res.status == "colored":
             if last_refuted is None:

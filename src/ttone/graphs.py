@@ -85,11 +85,6 @@ class Graph:
         return hash(self.adj)
 
 
-def build_graph(n: int, edges) -> Graph:
-    """Build a simple graph, collapsing duplicate edges; rejects loops."""
-    return Graph(n, edges)
-
-
 # ---------------------------------------------------------------------------
 # Generators
 # ---------------------------------------------------------------------------

@@ -8,12 +8,6 @@ from fractions import Fraction
 from .graphs import Graph, mad
 
 
-def random_graph(rng: random.Random, n: int, p: float) -> Graph:
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-             if rng.random() < p]
-    return Graph(n, edges)
-
-
 def random_tree(rng: random.Random, n: int) -> Graph:
     edges = [(rng.randrange(v), v) for v in range(1, n)]
     return Graph(n, edges)

@@ -1,5 +1,12 @@
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from ttone import blocks
 from ttone.blocks import (BLOCK_TABLES, BlockTable, cycle_value,
                           ensure_validated, exceptional_witness)
 from ttone.coloring import Coloring, verify
@@ -69,3 +76,26 @@ def test_witnesses_verify_with_exact_color_counts():
             col = Coloring(t, want, dict(enumerate(seq)))
             assert verify(gen_cycle(n), col) == []
             assert len(col.colors_used()) == want
+
+
+def test_derive_fixtures_reproduces_stored_tables():
+    # The script rebuilds the tone-2 blocks by prefix backtracking (greedy
+    # label stream) and the exceptional witnesses by exact search (reach-
+    # bounded stream), so this pins the shared enumerator on both paths.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    script = root / "scripts" / "derive_fixtures.py"
+    out = subprocess.run([sys.executable, str(script)], capture_output=True,
+                         text=True, env=env, check=True).stdout
+    sections = [[line.strip().rstrip(",").split(": ", 1)
+                 for line in part.splitlines() if line.startswith("  ")]
+                for part in out.split("\n\n")]
+    emitted = [{ast.literal_eval(key): ast.literal_eval(seq) for key, seq in sec}
+               for sec in sections]
+    assert len(emitted) == 2
+    t2, witnesses = emitted
+    assert len(t2) == 4 and len(witnesses) == 16
+    for n, seq in t2.items():
+        assert blocks._BLOCKS_T2[n] == seq, n
+    for key, seq in witnesses.items():
+        assert blocks._WITNESSES[key] == seq, key

@@ -104,6 +104,29 @@ def test_verify_structural_error(tmp_path, capsys):
     code, _, err = invoke(["verify", "--graph", str(gfile), "--in", str(cfile)],
                           capsys)
     assert code == 2
+    # A coloring is taken exactly as written or refused: none of these
+    # near-valid C4 colorings may be coerced into one that verifies.
+    invoke(["gen", "--cycle", "4", "-o", str(gfile)], capsys)
+    good = {"0": [1, 2], "1": [3, 4], "2": [1, 5], "3": [3, 6]}
+    cfile.write_text(json.dumps({"t": 2, "k": 6, "labels": good}))
+    assert invoke(["verify", "--graph", str(gfile), "--in", str(cfile)],
+                  capsys)[:2] == (0, '{"ok":true}\n')
+    for text in [
+        '{"t":2.5,"k":6,"labels":{"0":[1.9,2],"1":[3,4],"2":[1,5],"3":[3,6]}}',
+        json.dumps({"t": True, "k": 6, "labels": good}),
+        json.dumps({"t": 2, "k": 6.0, "labels": good}),
+        json.dumps({"t": 2, "k": "6", "labels": good}),
+        json.dumps({"t": 2, "k": 6, "labels": {**good, "0": [True, 2]}}),
+        json.dumps({"t": 2, "k": 6, "labels": {**good, "0": "12"}}),
+        json.dumps({"t": 2, "k": 6, "labels": {**good, "00": [1, 2]}}),
+        json.dumps({"t": 2, "k": 6, "labels": {**good, "+1": [3, 4]}}),
+        '{"t":2,"k":6,"labels":{"0":[1,2],"0":[1,2],"1":[3,4],"2":[1,5],"3":[3,6]}}',
+        json.dumps({"t": 2, "k": 6, "labels": [[1, 2]]}),
+    ]:
+        cfile.write_text(text)
+        code, out, err = invoke(["verify", "--graph", str(gfile), "--in", str(cfile)],
+                                capsys)
+        assert (code, out) == (2, "") and err.startswith("error: "), text
 
 
 def test_tau_verb(tmp_path, capsys):
@@ -170,14 +193,6 @@ def test_auto_family_dispatch(tmp_path, capsys):
     assert code == 4   # no construction for tone 4 on this graph
 
 
-def test_tau_jobs_flag(tmp_path, capsys):
-    gfile = tmp_path / "c6.el"
-    invoke(["gen", "--cycle", "6", "-o", str(gfile)], capsys)
-    one = invoke(["tau", "--t", "3", "--in", str(gfile), "--jobs", "1"], capsys)
-    two = invoke(["tau", "--t", "3", "--in", str(gfile), "--jobs", "2"], capsys)
-    assert one == two and json.loads(one[1])["value"] == 8
-
-
 def test_usage_errors(tmp_path, capsys, monkeypatch):
     code, _, _ = invoke(["color", "--family", "nope"], capsys)
     assert code == 2
@@ -186,4 +201,6 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
                           monkeypatch=monkeypatch)
     assert code == 2 and "not a cycle" in err
     code, _, _ = invoke(["nonsense"], capsys)
+    assert code == 2
+    code, _, _ = invoke(["tau", "--t", "3", "--jobs", "2"], capsys)
     assert code == 2

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from conftest import graphs
 from ttone.coloring import (Coloring, ColoringError, StructuralError,
-                            available_labels, can_extend_2tone,
-                            degeneracy_order, greedy_color, greedy_extend,
-                            verify, verify_partial)
+                            available_labels, degeneracy_order, greedy_color,
+                            greedy_extend, label_mask, label_stream, verify,
+                            verify_partial)
 from ttone.bounds import degenerate_palette, greedy_2tone_palette
-from ttone.graphs import Graph, gen_cycle, gen_grid, gen_path
+from ttone.graphs import Graph, distances_within, gen_cycle, gen_grid, gen_path
 import random
 
 
@@ -76,13 +76,19 @@ def test_available_labels_matches_bruteforce(g, t, k, rnd):
             want.append(combo)
     assert got == want
 
-
-def test_can_extend_2tone():
-    assert can_extend_2tone(7, 1, 5)
-    assert not can_extend_2tone(7, 2, 5)
-    assert not can_extend_2tone(13, 5, 51)
-    assert can_extend_2tone(21, 5, 51)
-    assert not can_extend_2tone(3, 2, 0)   # k - 2deg < 2
+    # The same constraints through label_stream, with and without the
+    # search's reach bound: colors above mx may only be mx+1, mx+2, ...
+    cons = [(label_mask(partial.labels[u]), d - 1)
+            for u, d in distances_within(g, target, t).items()
+            if u in partial.labels]
+    assert list(label_stream(k, t, cons)) == [(label_mask(c), c, k) for c in want]
+    mx = rnd.randint(0, k)
+    bounded = []
+    for combo in want:
+        new = [c for c in combo if c > mx]
+        if new == list(range(mx + 1, mx + 1 + len(new))):
+            bounded.append((label_mask(combo), combo, mx + len(new)))
+    assert list(label_stream(k, t, cons, mx)) == bounded
 
 
 def test_greedy_extend():

@@ -1,9 +1,14 @@
-import pytest
+import sys
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import graphs
 from ttone.bounds import Certificate, path_tau
 from ttone.coloring import verify
-from ttone.exact import (ExhaustionProof, SearchBudget, exact_decide,
-                         search_order, tau)
+from ttone.exact import (ExhaustionProof, SearchBudget, _Searcher,
+                         exact_decide, search_order, tau)
 from ttone.graphs import Graph, gen_cycle, gen_path, gen_star
 
 
@@ -78,15 +83,37 @@ def test_witness_always_verifies_and_deterministic():
     assert r1.coloring.labels == r2.coloring.labels
 
 
-def test_jobs_do_not_change_outcome():
-    seq = exact_decide(gen_cycle(13), 3, 9, jobs=1)
-    par = exact_decide(gen_cycle(13), 3, 9, jobs=2)
-    assert seq.status == par.status == "colored"
-    assert seq.coloring.labels == par.coloring.labels
-    seq = exact_decide(gen_cycle(7), 3, 8, jobs=1)
-    par = exact_decide(gen_cycle(7), 3, 8, jobs=2)
-    assert seq.status == par.status == "infeasible"
-    assert seq.nodes == par.nodes
+def test_pinned_node_counts():
+    # Search nodes are deterministic; these pin the tree the candidate
+    # streams walk, refutations and finds alike.
+    assert exact_decide(gen_cycle(7), 3, 8).nodes == 84
+    assert exact_decide(gen_cycle(4), 2, 5).nodes == 2
+    res = exact_decide(gen_cycle(13), 3, 9)
+    assert res.status == "colored" and res.nodes == 23
+    res = exact_decide(gen_cycle(9), 5, 16, SearchBudget(max_nodes=2000))
+    assert res.status == "timeout" and res.nodes == 2001
+    assert tau(gen_cycle(6), 5).nodes == 7702
+    assert tau(gen_cycle(7), 2).nodes == 31
+
+
+def test_deep_search_leaves_recursion_limit_alone():
+    limit = sys.getrecursionlimit()
+    assert exact_decide(gen_path(5000), 2, 5).status == "colored"
+    assert sys.getrecursionlimit() == limit
+
+
+@given(graphs(max_n=8, min_n=2), st.integers(1, 5), st.integers(0, 10))
+@settings(max_examples=60, deadline=None)
+def test_second_vertex_has_at_most_one_branch(g, t, extra):
+    # The second vertex in search order is adjacent to the first, whose
+    # label is (1..t), so canonical introduction leaves only (t+1..2t):
+    # the subtrees under the second vertex never number more than one.
+    if g.m == 0:
+        return
+    firsts = _Searcher(g, t, t + extra).firsts()
+    assert len(firsts) <= 1
+    if firsts:
+        assert firsts[0][1] == tuple(range(t + 1, 2 * t + 1))
 
 
 def test_budget_timeout():
