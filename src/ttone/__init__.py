@@ -19,7 +19,7 @@ from .constructions import (ClassPreconditionError, color_cycle,
                             color_path, color_planar, color_sparse, decompose)
 from .exact import (DecideResult, SearchBudget, TauResult, exact_decide, tau)
 from .graphs import (Density, Graph, GraphError, ThreadConfig, bfs_distances,
-                     constraint_pairs, contract, find_outerplanar_edge,
+                     constraint_pairs, find_outerplanar_edge,
                      find_planar_reducible, find_thread_config, gen_cycle,
                      gen_fat_triangle, gen_grid, gen_path, gen_star, mad,
                      read_edge_list, write_edge_list)
@@ -31,7 +31,7 @@ __all__ = [
     "Violation", "available_labels", "best_lower_bound", "bfs_distances",
     "c4_lower", "c9_t5_counting", "certificates", "color_cycle",
     "color_fat_triangle", "color_grid", "color_outerplanar", "color_path",
-    "color_planar", "color_sparse", "constraint_pairs", "contract",
+    "color_planar", "color_sparse", "constraint_pairs",
     "cycle_counting_t3", "cycle_value", "decompose", "degeneracy_order",
     "exact_decide", "find_outerplanar_edge", "find_planar_reducible",
     "find_thread_config", "gen_cycle", "gen_fat_triangle", "gen_grid",

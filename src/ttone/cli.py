@@ -1,7 +1,8 @@
 """Command-line front end: generate, color, verify, solve, bound, measure.
 
 Exit codes: 0 success, 1 verification violations, 2 usage or structural
-error, 3 search budget exhausted, 4 class precondition failed.
+error, 3 search budget exhausted, 4 class precondition failed, 5 internal
+failure (a construction broke one of its own invariants).
 """
 
 from __future__ import annotations
@@ -10,11 +11,10 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 
 from . import bounds as bounds_mod
 from . import constructions, instances
-from .coloring import Coloring, StructuralError, verify
+from .coloring import Coloring, ColoringError, StructuralError, verify
 from .exact import SearchBudget, tau
 from .graphs import (Graph, GraphError, gen_cycle, gen_fat_triangle, gen_grid,
                      gen_path, gen_star, mad, read_edge_list, write_edge_list)
@@ -24,6 +24,7 @@ EXIT_VIOLATIONS = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_CLASS = 4
+EXIT_INTERNAL = 5
 
 
 class UsageError(Exception):
@@ -177,12 +178,13 @@ def _color_auto(g: Graph, t: int) -> Coloring:
     if t == 2:
         if _as_fat_triangle_param(g) is not None:
             return _color_family(g, "fat-triangle", t)
-        if mad(g).fraction < Fraction(12, 5):
-            return constructions.color_sparse(g)
-        try:
-            return constructions.color_outerplanar(g)
-        except constructions.ClassPreconditionError:
-            return constructions.color_planar(g)
+        for color in (constructions.color_sparse,
+                      constructions.color_outerplanar):
+            try:
+                return color(g)
+            except constructions.ClassPreconditionError:
+                pass
+        return constructions.color_planar(g)
     raise constructions.ClassPreconditionError(
         f"no construction applies to this graph at tone {t}")
 
@@ -334,6 +336,9 @@ def run(argv) -> int:
             return EXIT_CLASS
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (AssertionError, ColoringError) as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

@@ -249,15 +249,16 @@ def greedy_extend(g: Graph, partial: Coloring, v: int):
 
 
 def greedy_color(g: Graph, t: int, k: int, order=None) -> Coloring:
-    """Color vertices in the given order by greedy extension.
+    """Color vertices in the given order (default: id order) by greedy
+    extension; g may be a Graph or a Reduction.
 
     Raises ColoringError naming the first stuck vertex.  For t=2 this always
     succeeds when k >= ceil((2+sqrt(2)) * max_degree).
     """
     if order is None:
-        order = range(g.n)
+        order = g.vertices()
     order = list(order)
-    if sorted(order) != list(range(g.n)):
+    if sorted(order) != list(g.vertices()):
         raise ValueError("order must be a permutation of the vertices")
     coloring = Coloring(t, k)
     for v in order:

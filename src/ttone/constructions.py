@@ -12,9 +12,9 @@ from .blocks import BLOCK_TABLES, cycle_value, ensure_validated, exceptional_wit
 from .bounds import _least_k, h_t_bounds, path_tau, star_lower
 from .coloring import (Coloring, available_labels, greedy_color, greedy_extend,
                        verify)
-from .graphs import (Graph, contract, find_outerplanar_edge,
+from .graphs import (Graph, Reduction, _density_exceeds, find_outerplanar_edge,
                      find_planar_reducible, find_thread_config, gen_cycle,
-                     gen_fat_triangle, gen_path, mad)
+                     gen_fat_triangle, gen_path)
 
 
 class ClassPreconditionError(ValueError):
@@ -182,77 +182,7 @@ def color_fat_triangle(t: int) -> Coloring:
 # Reduce-and-extend colorers
 # ---------------------------------------------------------------------------
 
-def _lift(colored: Coloring, pre_n: int, mapping, skip) -> Coloring:
-    """Pull a coloring back through a delete/contract mapping, leaving the
-    vertices in skip unassigned."""
-    out = Coloring(colored.t, colored.k)
-    for u in range(pre_n):
-        if u in skip or mapping[u] < 0:
-            continue
-        out.assign(u, colored.labels[mapping[u]])
-    return out
-
-
-def _must_extend(g: Graph, partial: Coloring, v: int) -> None:
-    if greedy_extend(g, partial, v) is None:
-        raise AssertionError(f"guaranteed extension failed at vertex {v}")
-
-
-def color_sparse(g: Graph) -> Coloring:
-    """2-tone coloring of a graph with maximum average degree below 12/5,
-    using max(7, star_lower(max_degree)) colors.
-
-    Strips vertices of degree at most 1, otherwise removes a reducible
-    thread, colors the rest, and extends back; a 2-thread may force one
-    recoloring round on its surviving interior vertex.
-    """
-    if g.n == 0:
-        return Coloring(2, 7)
-    if mad(g).fraction >= Fraction(12, 5):
-        raise ClassPreconditionError("maximum average degree is not below 12/5")
-    k = max(7, star_lower(g.max_degree()))
-
-    steps = []
-    cur = g
-    while cur.n > 0:
-        low = next((v for v in range(cur.n) if cur.degree(v) <= 1), None)
-        if low is not None:
-            h, mp = cur.delete_vertices([low])
-            steps.append(("extend", cur, mp, [low]))
-            cur = h
-            continue
-        cfg = find_thread_config(cur)
-        assert cfg is not None, "no reducible thread despite the density gate"
-        if cfg.kind == "FourThread":
-            doomed = [cfg.internal[1], cfg.internal[2]]
-            h, mp = cur.delete_vertices(doomed)
-            steps.append(("extend", cur, mp, doomed))
-        elif cfg.kind == "ThreeThread":
-            doomed = [cfg.internal[1], cfg.internal[2]]
-            h, mp = cur.delete_vertices(doomed)
-            steps.append(("extend", cur, mp, [cfg.internal[2], cfg.internal[1]]))
-        else:
-            v1, v2 = cfg.internal
-            h, mp = cur.delete_vertices([v1])
-            steps.append(("two_thread", cur, mp, (v1, v2)))
-        cur = h
-
-    colored = Coloring(2, k)
-    for step in reversed(steps):
-        kind, pre, mp, data = step
-        if kind == "extend":
-            partial = _lift(colored, pre.n, mp, set(data))
-            for v in data:
-                _must_extend(pre, partial, v)
-            colored = partial
-        else:
-            v1, v2 = data
-            partial = _lift(colored, pre.n, mp, {v1})
-            colored = _finish_two_thread(pre, partial, v1, v2)
-    return _checked(g, colored)
-
-
-def _finish_two_thread(g: Graph, partial: Coloring, v1: int, v2: int) -> Coloring:
+def _finish_two_thread(g: Graph, partial: Coloring, v1: int, v2: int) -> None:
     """Extend across a deleted 2-thread interior vertex.
 
     v2 kept its label from the reduced graph, but may now clash with the far
@@ -268,34 +198,77 @@ def _finish_two_thread(g: Graph, partial: Coloring, v1: int, v2: int) -> Colorin
     for lab in options:
         partial.assign(v2, lab)
         if greedy_extend(g, partial, v1) is not None:
-            return partial
+            return
         del partial.labels[v2]
     raise AssertionError("2-thread extension exhausted its guaranteed options")
 
 
-def _reduce_and_lift(g: Graph, k: int, pick, stop, base) -> Coloring:
-    """Shared loop for the contraction-based colorers.
+def _reduce_and_lift(g: Graph, k: int, pick) -> Coloring:
+    """The one reduce-and-lift loop of the sparse-class colorers.
 
-    pick(cur) returns (v, w): contract vw, later extending v (w = None means
-    v is isolated and is deleted instead).  stop(cur) switches to base(cur),
-    which must color the remaining graph with palette k.
+    pick(red) returns (doomed, w, recolor), or None to stop; the loop also
+    stops when no vertex is left.  With w None the doomed vertices are
+    deleted, otherwise doomed[0] is contracted with its neighbor w.  The
+    rest is colored greedily with palette k.  Then each step is undone in
+    reverse and the doomed vertices are extended in order, or, when recolor
+    is set, the 2-thread vertex doomed[0] is finished by recoloring its
+    neighbor recolor as needed.
     """
+    red = Reduction(g)
     steps = []
-    cur = g
-    while not stop(cur):
-        v, w = pick(cur)
+    while red.live:
+        step = pick(red)
+        if step is None:
+            break
+        doomed, w, _ = step
         if w is None:
-            h, mp = cur.delete_vertices([v])
+            red.delete(*doomed)
         else:
-            h, mp = contract(cur, v, w)
-        steps.append((cur, mp, v))
-        cur = h
-    colored = base(cur)
-    for pre, mp, v in reversed(steps):
-        partial = _lift(colored, pre.n, mp, {v})
-        _must_extend(pre, partial, v)
-        colored = partial
+            red.contract(doomed[0], w)
+        steps.append(step)
+    colored = greedy_color(red, 2, k)
+    for doomed, w, recolor in reversed(steps):
+        red.undo()
+        if w is not None and doomed[0] < w:
+            # the merged vertex kept the lower id; its label belongs to w
+            colored.labels[w] = colored.labels.pop(doomed[0])
+        if recolor is None:
+            for v in doomed:
+                if greedy_extend(red, colored, v) is None:
+                    raise AssertionError(
+                        f"guaranteed extension failed at vertex {v}")
+        else:
+            _finish_two_thread(red, colored, doomed[0], recolor)
     return _checked(g, colored)
+
+
+def color_sparse(g: Graph) -> Coloring:
+    """2-tone coloring of a graph with maximum average degree below 12/5,
+    using max(7, star_lower(max_degree)) colors.
+
+    Strips vertices of degree at most 1, otherwise removes a reducible
+    thread, colors the rest, and extends back; a 2-thread may force one
+    recoloring round on its surviving interior vertex.  The class gate is
+    one max-density decision: subgraph densities |E|/|V| are fractions with
+    denominator at most n, so one is at least 6/5 exactly when it exceeds
+    6/5 - 1/(5n+1).
+    """
+    if _density_exceeds(g, Fraction(6, 5) - Fraction(1, 5 * g.n + 1)) is not None:
+        raise ClassPreconditionError("maximum average degree is not below 12/5")
+
+    def pick(red):
+        low = next((v for v in red.vertices() if red.degree(v) <= 1), None)
+        if low is not None:
+            return [low], None, None
+        cfg = find_thread_config(red)
+        assert cfg is not None, "no reducible thread despite the density gate"
+        if cfg.kind == "FourThread":
+            return [cfg.internal[1], cfg.internal[2]], None, None
+        if cfg.kind == "ThreeThread":
+            return [cfg.internal[2], cfg.internal[1]], None, None
+        return [cfg.internal[0]], None, cfg.internal[1]
+
+    return _reduce_and_lift(g, max(7, star_lower(g.max_degree())), pick)
 
 
 def outerplanar_palette(max_degree: int) -> int:
@@ -310,26 +283,17 @@ def color_outerplanar(g: Graph) -> Coloring:
     the contraction, and extends back to x.  Raises when no such edge exists
     (the input is then not outerplanar).
     """
-    if g.n == 0:
-        return Coloring(2, 7)
-    k = outerplanar_palette(g.max_degree())
-
-    def pick(cur):
-        iso = next((v for v in range(cur.n) if cur.degree(v) == 0), None)
+    def pick(red):
+        iso = next((v for v in red.vertices() if red.degree(v) == 0), None)
         if iso is not None:
-            return iso, None
-        edge = find_outerplanar_edge(cur)
+            return [iso], None, None
+        edge = find_outerplanar_edge(red)
         if edge is None:
             raise ClassPreconditionError(
                 "input not outerplanar: no reducible edge")
-        return edge
+        return [edge[0]], edge[1], None
 
-    def base(cur):
-        col = Coloring(2, k)
-        col.assign(0, (1, 2))
-        return col
-
-    return _reduce_and_lift(g, k, pick, lambda cur: cur.n <= 1, base)
+    return _reduce_and_lift(g, outerplanar_palette(g.max_degree()), pick)
 
 
 def planar_palette(max_degree: int) -> int:
@@ -346,21 +310,13 @@ def color_planar(g: Graph) -> Coloring:
     remaining graph is colored greedily (41 colors always suffice at
     maximum degree 12).  Raises when no reducible vertex exists.
     """
-    if g.n == 0:
-        return Coloring(2, 41)
-    k = planar_palette(g.max_degree())
-
-    def pick(cur):
-        found = find_planar_reducible(cur)
+    def pick(red):
+        if max(map(red.degree, red.vertices())) <= 12:
+            return None
+        found = find_planar_reducible(red)
         if found is None:
             raise ClassPreconditionError(
                 "input not planar: no reducible vertex")
-        return found
+        return [found[0]], found[1], None
 
-    def base(cur):
-        if cur.n == 0:
-            return Coloring(2, k)
-        return greedy_color(cur, 2, k)
-
-    return _reduce_and_lift(g, k, pick,
-                            lambda cur: cur.max_degree() <= 12, base)
+    return _reduce_and_lift(g, planar_palette(g.max_degree()), pick)

@@ -1,5 +1,6 @@
-"""Simple undirected graphs: builders, generators, distances, contraction,
-exact maximum average degree, and searches for reducible configurations."""
+"""Simple undirected graphs: builders, generators, distances, a reduction
+with vertex deletion and edge contraction undone step by step, exact maximum
+average degree, and searches for reducible configurations."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 INF = math.inf
 
@@ -38,6 +40,9 @@ class Graph:
     def m(self) -> int:
         return sum(len(a) for a in self.adj) // 2
 
+    def vertices(self) -> range:
+        return range(self.n)
+
     def neighbors(self, v: int) -> tuple:
         return self.adj[v]
 
@@ -47,33 +52,11 @@ class Graph:
     def max_degree(self) -> int:
         return max((len(a) for a in self.adj), default=0)
 
-    def min_degree(self) -> int:
-        return min((len(a) for a in self.adj), default=0)
-
     def edges(self) -> list:
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
-
-    def delete_vertices(self, doomed) -> tuple:
-        """Remove a set of vertices; returns (graph, old-id -> new-id list).
-
-        Deleted vertices map to -1.
-        """
-        doomed = set(doomed)
-        mapping = [-1] * self.n
-        new_id = 0
-        for u in range(self.n):
-            if u not in doomed:
-                mapping[u] = new_id
-                new_id += 1
-        edges = [
-            (mapping[u], mapping[v])
-            for u, v in self.edges()
-            if u not in doomed and v not in doomed
-        ]
-        return Graph(new_id, edges), mapping
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -200,26 +183,76 @@ def effective_diameter(g: Graph, cap: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Contraction
+# Deletion and contraction with undo
 # ---------------------------------------------------------------------------
 
-def contract(g: Graph, v: int, w: int) -> tuple:
-    """Contract edge vw; the merged vertex keeps the lower id, ids compact.
+class Reduction:
+    """A graph shrunk in place by vertex deletion and edge contraction, on
+    the vertex ids of the Graph it starts from, with each step undoable.
 
-    Returns (graph, mapping) where mapping[old] = new id; v and w map to
-    the same id.  Parallel edges collapse (result stays simple).
+    A contraction merges into the lower id, so the live ids keep the order
+    a Graph rebuilt with compacted ids would give them.  A search that reads
+    a graph only through vertices(), degree(), neighbors() (sorted) and adj
+    therefore finds the same vertices here as on that rebuild.
     """
-    if not g.has_edge(v, w):
-        raise GraphError(f"({v},{w}) is not an edge")
-    keep, drop = min(v, w), max(v, w)
-    mapping = [u - (1 if u > drop else 0) for u in range(g.n)]
-    mapping[drop] = mapping[keep]
-    edges = []
-    for a, b in g.edges():
-        na, nb = mapping[a], mapping[b]
-        if na != nb:
-            edges.append((na, nb))
-    return Graph(g.n - 1, edges), mapping
+
+    __slots__ = ("adj", "alive", "live", "log")
+
+    def __init__(self, g: Graph):
+        self.adj = [set(a) for a in g.adj]
+        self.alive = [True] * g.n
+        self.live = g.n
+        # one entry per step: (removed (vertex, neighbor set) pairs,
+        # merge target, neighbors the merge newly joined to it)
+        self.log = []
+
+    def vertices(self) -> list:
+        return list(compress(range(len(self.alive)), self.alive))
+
+    def degree(self, v: int) -> int:
+        return len(self.adj[v])
+
+    def neighbors(self, v: int) -> list:
+        return sorted(self.adj[v])
+
+    def _remove(self, v: int) -> set:
+        nbrs = self.adj[v]
+        for u in nbrs:
+            self.adj[u].discard(v)
+        self.adj[v] = set()
+        self.alive[v] = False
+        self.live -= 1
+        return nbrs
+
+    def delete(self, *vs) -> None:
+        """Delete the given live vertices, as one step."""
+        self.log.append(([(v, self._remove(v)) for v in vs], None, ()))
+
+    def contract(self, v: int, w: int) -> None:
+        """Contract edge vw into the lower of its two ids, as one step.
+        Parallel edges collapse (the graph stays simple)."""
+        if w not in self.adj[v]:
+            raise GraphError(f"({v},{w}) is not an edge")
+        keep, drop = min(v, w), max(v, w)
+        nbrs = self._remove(drop)
+        added = [u for u in nbrs if u != keep and u not in self.adj[keep]]
+        for u in added:
+            self.adj[u].add(keep)
+        self.adj[keep].update(added)
+        self.log.append(([(drop, nbrs)], keep, added))
+
+    def undo(self) -> None:
+        """Restore the graph as it was before the last step."""
+        removed, keep, added = self.log.pop()
+        for u in added:
+            self.adj[u].discard(keep)
+            self.adj[keep].discard(u)
+        for v, nbrs in reversed(removed):
+            self.adj[v] = nbrs
+            for u in nbrs:
+                self.adj[u].add(v)
+            self.alive[v] = True
+        self.live += len(removed)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +345,7 @@ class _Dinic:
 def _density_exceeds(g: Graph, threshold: Fraction):
     """Does some nonempty subgraph H satisfy |E(H)|/|V(H)| > threshold?
 
-    Returns the witness vertex set (possibly empty when the answer is no).
+    Returns a witness vertex set, or None when the answer is no.
     Standard source / edge-node / vertex-node / sink construction: with
     threshold p/q, cut capacity q*m - max_S (q|E(S)| - p|S|), so the strict
     test is max_flow < q*m.
@@ -381,6 +414,8 @@ def mad(g: Graph) -> Density:
 # ---------------------------------------------------------------------------
 # Reducible configurations
 # ---------------------------------------------------------------------------
+# The searches read g only through vertices(), degree(), neighbors() and adj,
+# so g may be a Graph or a Reduction.
 
 @dataclass(frozen=True)
 class ThreadConfig:
@@ -410,7 +445,7 @@ def check_thread_config(g: Graph, cfg: ThreadConfig) -> None:
             raise ValueError(f"internal vertex {v} has degree {g.degree(v)}")
     chain = [cfg.endpoints[0], *cfg.internal, cfg.endpoints[1]]
     for a, b in zip(chain, chain[1:]):
-        if not g.has_edge(a, b):
+        if b not in g.adj[a]:
             raise ValueError(f"({a},{b}) missing from thread")
     d0, d1 = g.degree(cfg.endpoints[0]), g.degree(cfg.endpoints[1])
     if cfg.kind == "ThreeThread" and d1 > 5:
@@ -423,10 +458,10 @@ def _maximal_chains(g: Graph):
     """Maximal degree-2 chains anchored at vertices of degree >= 3."""
     chains = []
     seen = set()
-    for s in range(g.n):
+    for s in g.vertices():
         if g.degree(s) < 3:
             continue
-        for w in g.adj[s]:
+        for w in g.neighbors(s):
             if g.degree(w) != 2:
                 continue
             chain = [w]
@@ -471,11 +506,11 @@ def find_thread_config(g: Graph):
     FourThread, ThreeThread, TwoThread, ties broken by the smallest internal
     vertex tuple.  Returns None when no configuration exists.
     """
-    if g.n == 0:
+    degs = {v: g.degree(v) for v in g.vertices()}
+    if not degs:
         return None
-    if g.min_degree() < 2:
+    if min(degs.values()) < 2:
         raise ValueError("find_thread_config requires minimum degree 2")
-    degs = [g.degree(v) for v in range(g.n)]
     pools = {"FourThread": [], "ThreeThread": [], "TwoThread": []}
 
     for e1, chain, e2 in _maximal_chains(g):
@@ -487,25 +522,25 @@ def find_thread_config(g: Graph):
                 pools[kind].extend(_oriented(kind, internal, ends, degs))
 
     # 2-regular components: pick the lex-least adjacent pair as the chain
-    visited = [False] * g.n
-    for s in range(g.n):
-        if visited[s] or degs[s] != 2:
+    visited = set()
+    for s in degs:
+        if s in visited or degs[s] != 2:
             continue
         comp, queue, regular = [], deque([s]), True
-        visited[s] = True
+        visited.add(s)
         while queue:
             u = queue.popleft()
             comp.append(u)
             for w in g.adj[u]:
-                if not visited[w]:
-                    visited[w] = True
+                if w not in visited:
+                    visited.add(w)
                     queue.append(w)
                 if degs[w] != 2:
                     regular = False
         if not regular:
             continue
         u = min(comp)
-        a, b = g.adj[u]
+        a, b = g.neighbors(u)
         other = next(x for x in g.adj[a] if x != u)
         pools["TwoThread"].append(
             ThreadConfig("TwoThread", (u, a), (b, other)))
@@ -526,28 +561,29 @@ def find_planar_reducible(g: Graph):
     the maximum degree.  Returns None when no such vertex exists, which
     signals non-planar input.
     """
-    for v in range(g.n):
+    for v in g.vertices():
         if g.degree(v) > 5:
             continue
         if sum(1 for u in g.adj[v] if g.degree(u) >= 11) > 2:
             continue
         if g.degree(v) == 0:
             return v, None
+        nbrs = g.neighbors(v)
         if g.degree(v) >= 3:
-            w = next(u for u in g.adj[v] if g.degree(u) <= 10)
+            w = next(u for u in nbrs if g.degree(u) <= 10)
             return v, w
-        return v, g.adj[v][0]
+        return v, nbrs[0]
     return None
 
 
 def find_outerplanar_edge(g: Graph):
     """An edge xy with d(x) = 1, or with d(x) = 2 and d(y) <= 4; None if
     absent (signals non-outerplanar input)."""
-    for x in range(g.n):
+    for x in g.vertices():
         if g.degree(x) == 1:
-            return x, g.adj[x][0]
+            return x, g.neighbors(x)[0]
         if g.degree(x) == 2:
-            for y in g.adj[x]:
+            for y in g.neighbors(x):
                 if g.degree(y) <= 4:
                     return x, y
     return None

@@ -23,6 +23,15 @@ def graphs(draw, max_n=8, min_n=1):
     return Graph(n, edges)
 
 
+def induced(g, keep) -> Graph:
+    """The subgraph of g (a Graph or a Reduction) induced on the vertices in
+    keep, rebuilt with ids compacted in id order."""
+    keep = sorted(keep)
+    index = {v: i for i, v in enumerate(keep)}
+    return Graph(len(keep), [(i, index[w]) for i, v in enumerate(keep)
+                             for w in g.adj[v] if w in index and v < w])
+
+
 def brute_mad(g: Graph) -> Fraction:
     """Exhaustive max over nonempty vertex subsets of 2|E(S)|/|S|."""
     best = Fraction(0)

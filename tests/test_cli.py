@@ -1,7 +1,10 @@
 import json
 
+import pytest
+
+from ttone import constructions
 from ttone.cli import run
-from ttone.coloring import Coloring
+from ttone.coloring import Coloring, ColoringError
 from ttone.graphs import gen_cycle, gen_grid, read_edge_list, write_edge_list
 
 
@@ -175,6 +178,25 @@ def test_class_precondition_exit_code(tmp_path, capsys):
     code, _, err = invoke(["color", "--family", "outerplanar", "--t", "2",
                            "--in", str(gfile)], capsys)
     assert code == 4 and "outerplanar" in err
+    gfile.write_text("5 6\n0 1\n0 2\n0 4\n1 2\n2 3\n3 4\n")  # mad 12/5
+    code, out, err = invoke(["color", "--family", "sparse", "--in", str(gfile)],
+                            capsys)
+    assert (code, out) == (4, "") and "12/5" in err
+
+
+@pytest.mark.parametrize("error", [AssertionError("invariant broke"),
+                                   ColoringError(3)])
+def test_internal_failure_exit_code(tmp_path, capsys, monkeypatch, error):
+    def broken(g):
+        raise error
+
+    monkeypatch.setattr(constructions, "color_sparse", broken)
+    gfile = tmp_path / "c5.el"
+    invoke(["gen", "--cycle", "5", "-o", str(gfile)], capsys)
+    code, out, err = invoke(["color", "--family", "sparse", "--in", str(gfile)],
+                            capsys)
+    assert (code, out) == (5, "")
+    assert err == f"error: internal: {error}\n"
 
 
 def test_auto_family_dispatch(tmp_path, capsys):
@@ -191,6 +213,13 @@ def test_auto_family_dispatch(tmp_path, capsys):
     code, _, _ = invoke(["color", "--family", "auto", "--t", "4",
                          "--in", str(k4)], capsys)
     assert code == 4   # no construction for tone 4 on this graph
+    empty = tmp_path / "empty.el"
+    empty.write_text("0 0\n")
+    for family in ("auto", "sparse"):
+        # auto tries the sparse colorer first, so the empty graph gets its
+        # 7-color palette
+        assert invoke(["color", "--family", family, "--in", str(empty)],
+                      capsys) == (0, '{"k":7,"labels":{},"t":2}\n', "")
 
 
 def test_usage_errors(tmp_path, capsys, monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graphs
+from conftest import graphs, induced
 from ttone.coloring import (Coloring, ColoringError, StructuralError,
                             available_labels, degeneracy_order, greedy_color,
                             greedy_extend, label_mask, label_stream, verify,
@@ -162,8 +162,8 @@ def test_valid_colorings_restrict_to_induced_subgraphs(g, rnd):
     k = max(2, greedy_2tone_palette(g.max_degree()))
     col = greedy_color(g, 2, k)
     keep = sorted(rnd.sample(range(g.n), max(1, g.n - 2)))
-    sub, mapping = g.delete_vertices(set(range(g.n)) - set(keep))
-    restricted = Coloring(2, k, {mapping[v]: col.labels[v] for v in keep})
+    sub = induced(g, keep)
+    restricted = Coloring(2, k, {i: col.labels[v] for i, v in enumerate(keep)})
     assert verify(sub, restricted) == []
 
 

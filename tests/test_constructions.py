@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import graphs
 from ttone.blocks import cycle_value
 from ttone.bounds import h_t_bounds, path_tau, star_lower
 from ttone.coloring import verify
@@ -116,6 +117,22 @@ def test_color_sparse_examples():
     assert color_sparse(sub).k == 7
     with pytest.raises(ClassPreconditionError):
         color_sparse(gen_grid(3, 3))   # mad = 8/3, above the 12/5 gate
+    c5_chord = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
+    assert mad(c5_chord).fraction == Fraction(12, 5)
+    with pytest.raises(ClassPreconditionError):
+        color_sparse(c5_chord)         # exactly 12/5 is not below 12/5
+
+
+@given(graphs(max_n=9))
+@settings(max_examples=80, deadline=None)
+def test_sparse_gate_matches_mad(g):
+    dense = mad(g).fraction >= Fraction(12, 5)
+    try:
+        color_sparse(g)
+    except ClassPreconditionError:
+        assert dense
+    else:
+        assert not dense
 
 
 def test_color_sparse_subdivided_star():

@@ -1,0 +1,122 @@
+"""Golden corpus for the reduce-and-lift colorers.
+
+Every case stores the sha256 of one output: the coloring JSON of
+color_sparse, color_outerplanar or color_planar (or the text of the
+ClassPreconditionError it raises), or the exit code, stdout and stderr of
+one `ttone color` run on a `ttone gen --random` graph.  Any byte drift
+fails.  After an intended and recorded output change, rewrite the table with
+
+    PYTHONPATH=src python tests/test_golden.py > tests/golden_sha256.json
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import os
+import random
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from ttone import cli
+from ttone.constructions import (ClassPreconditionError, color_outerplanar,
+                                 color_planar, color_sparse)
+from ttone.graphs import Graph, gen_cycle, gen_path, gen_star
+from ttone.instances import (random_apollonian, random_maximal_outerplanar,
+                             random_subdivided, subdivide)
+
+GOLDEN = Path(__file__).with_name("golden_sha256.json")
+COLORERS = {"sparse": color_sparse, "outerplanar": color_outerplanar,
+            "planar": color_planar}
+
+
+def _relabeled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _union(*parts) -> Graph:
+    edges, offset = [], 0
+    for g in parts:
+        edges.extend((u + offset, v + offset) for u, v in g.edges())
+        offset += g.n
+    return Graph(offset, edges)
+
+
+def _graphs() -> dict:
+    rng = random.Random(20261018)
+    seeded = {}
+    for i in range(8):
+        seeded[f"subdivided{i}"] = random_subdivided(
+            rng, n_base=rng.randint(4, 20), extra_edges=rng.randint(0, 5))
+        seeded[f"outerplanar{i}"] = random_maximal_outerplanar(
+            rng, rng.randint(3, 100))
+        seeded[f"apollonian{i}"] = random_apollonian(rng, rng.randint(1, 110))
+    k4 = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    seeded["k4-threads2"] = subdivide(k4, lambda u, v: 2)
+    seeded["k4-threads3"] = subdivide(k4, lambda u, v: 3)
+    seeded["star20-threads5"] = subdivide(gen_star(20), lambda u, v: 5)
+    graphs = {
+        "empty": Graph(0, []),
+        "single": Graph(1, []),
+        "star400": gen_star(400),
+        "mix": _union(gen_cycle(7), Graph(1, []), gen_path(4), gen_star(5),
+                      random_subdivided(rng)),
+        "mix-dense": _union(random_apollonian(rng, 20), gen_cycle(5),
+                            Graph(2, []), random_maximal_outerplanar(rng, 9)),
+    }
+    for name, g in seeded.items():
+        graphs[name] = g
+        graphs[name + "-relabeled"] = _relabeled(g, rng)
+    return graphs
+
+
+def _run_cli(argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.run(argv)
+    return f"{code}\n{out.getvalue()}\n{err.getvalue()}"
+
+
+def outputs():
+    """(case name, output text) for every golden case."""
+    for name, g in _graphs().items():
+        for family, color in COLORERS.items():
+            try:
+                text = color(g).to_json()
+            except ClassPreconditionError as exc:
+                text = f"ClassPreconditionError: {exc}"
+            yield f"{family}/{name}", text
+    gens = [["subdivided"], ["outerplanar", "--size", "25"],
+            ["apollonian", "--size", "40"]]
+    with tempfile.TemporaryDirectory() as tmp:
+        for gen in gens:
+            for seed in (1, 2):
+                path = os.path.join(tmp, f"{gen[0]}{seed}.el")
+                _run_cli(["gen", "--random", *gen, "--seed", str(seed),
+                          "-o", path])
+                for family in (*COLORERS, "auto"):
+                    yield (f"cli/{gen[0]}{seed}/{family}",
+                           _run_cli(["color", "--family", family, "--in", path]))
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_outputs_match_golden():
+    got = {name: _sha(text) for name, text in outputs()}
+    want = json.loads(GOLDEN.read_text())
+    drift = sorted(n for n in want.keys() | got.keys()
+                   if want.get(n) != got.get(n))
+    assert not drift, f"golden outputs drifted: {drift}"
+
+
+if __name__ == "__main__":
+    table = {name: _sha(text) for name, text in outputs()}
+    json.dump(table, sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_mad, graphs
-from ttone.graphs import (Graph, GraphError, bfs_distances, constraint_pairs,
-                          contract, find_outerplanar_edge,
-                          find_planar_reducible, find_thread_config,
-                          gen_cycle, gen_fat_triangle, gen_grid, gen_path,
-                          gen_star, mad, read_edge_list, write_edge_list)
+from conftest import brute_mad, graphs, induced
+from ttone.bounds import greedy_2tone_palette
+from ttone.coloring import greedy_color
+from ttone.graphs import (Graph, GraphError, Reduction, ThreadConfig,
+                          bfs_distances, constraint_pairs, distances_within,
+                          find_outerplanar_edge, find_planar_reducible,
+                          find_thread_config, gen_cycle, gen_fat_triangle,
+                          gen_grid, gen_path, gen_star, mad, read_edge_list,
+                          write_edge_list)
 from ttone.instances import random_subdivided, subdivide
 import random
 
@@ -79,14 +82,18 @@ def test_bfs_symmetric_and_triangle(g):
 
 
 def test_contract_examples():
-    p2, mapping = contract(gen_path(3), 1, 2)
-    assert p2 == gen_path(2) and mapping == [0, 1, 1]
-    c3, _ = contract(gen_cycle(4), 0, 1)
-    assert c3 == gen_cycle(3)
-    k2, _ = contract(gen_cycle(3), 0, 1)
-    assert (k2.n, k2.m) == (2, 1)
+    red = Reduction(gen_path(3))
+    red.contract(2, 1)                   # merges into the lower id
+    assert red.vertices() == [0, 1] and red.adj[:2] == [{1}, {0}]
+    assert induced(red, red.vertices()) == gen_path(2)
+    red = Reduction(gen_cycle(4))
+    red.contract(0, 1)
+    assert induced(red, red.vertices()) == gen_cycle(3)
+    red = Reduction(gen_cycle(3))
+    red.contract(0, 1)                   # parallel edges collapse
+    assert red.live == 2 and red.adj[0] == {2} and red.adj[2] == {0}
     with pytest.raises(GraphError):
-        contract(gen_path(3), 0, 2)
+        Reduction(gen_path(3)).contract(0, 2)
 
 
 @given(graphs(max_n=7, min_n=2))
@@ -96,13 +103,85 @@ def test_contract_never_increases_distances(g):
     if not edges:
         return
     u, w = edges[0]
-    h, mapping = contract(g, u, w)
-    before = [bfs_distances(g, v) for v in range(g.n)]
-    after = [bfs_distances(h, v) for v in range(h.n)]
+    red = Reduction(g)
+    red.contract(w, u)
+
+    def merged(x):
+        return u if x == w else x
+
     for x in range(g.n):
+        before = bfs_distances(g, x)
+        after = distances_within(red, merged(x), g.n)
         for y in range(g.n):
-            if mapping[x] != mapping[y]:
-                assert after[mapping[x]][mapping[y]] <= before[x][y]
+            if merged(x) != merged(y):
+                assert after.get(merged(y), math.inf) <= before[y]
+
+
+def _random_steps(red: Reduction, rnd, count: int) -> list:
+    """Apply up to count random deletions and contractions; returns the
+    adjacency and live vertices seen before each step."""
+    seen = []
+    for _ in range(count):
+        live = red.vertices()
+        if not live:
+            break
+        seen.append(([set(a) for a in red.adj], live))
+        edges = [(u, w) for u in live for w in red.neighbors(u)]
+        if edges and rnd.random() < 0.6:
+            red.contract(*rnd.choice(edges))
+        else:
+            red.delete(*rnd.sample(live, min(len(live), rnd.randint(1, 2))))
+    return seen
+
+
+@given(graphs(max_n=9), st.randoms(use_true_random=False))
+@settings(max_examples=80)
+def test_reduction_undo_restores_each_step(g, rnd):
+    red = Reduction(g)
+    seen = _random_steps(red, rnd, rnd.randint(0, g.n + 1))
+    live = red.vertices()
+    assert red.live == len(live)
+    for v in range(g.n):
+        assert v not in red.adj[v]
+        assert all(v in red.adj[u] and red.alive[u] for u in red.adj[v])
+    for adj, live in reversed(seen):
+        red.undo()
+        assert red.adj == adj and red.vertices() == live
+    assert red.adj == [set(a) for a in g.adj] and red.live == g.n
+
+
+def _subdivided(seed: int) -> Graph:
+    rng = random.Random(seed)
+    return random_subdivided(rng, n_base=rng.randint(3, 7),
+                             extra_edges=rng.randint(0, 4))
+
+
+@given(st.one_of(graphs(max_n=13), st.integers(0, 10 ** 6).map(_subdivided)),
+       st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_searches_on_reduction_match_compacted_rebuild(g, rnd):
+    # The reduce-and-lift colorers are byte-identical to rebuilding a
+    # compacted Graph at every step only because of this correspondence.
+    red = Reduction(g)
+    _random_steps(red, rnd, rnd.randint(0, g.n // 2))
+    ids = red.vertices()
+    h = induced(red, ids)
+
+    def back(found):
+        return None if found is None else \
+            tuple(None if x is None else ids[x] for x in found)
+
+    assert find_outerplanar_edge(red) == back(find_outerplanar_edge(h))
+    assert find_planar_reducible(red) == back(find_planar_reducible(h))
+    k = max(2, greedy_2tone_palette(h.max_degree()))
+    assert greedy_color(red, 2, k).labels == {
+        ids[v]: lab for v, lab in greedy_color(h, 2, k).labels.items()}
+    while low := [v for v in red.vertices() if red.degree(v) <= 1]:
+        red.delete(*low)
+    ids = red.vertices()
+    cfg = find_thread_config(induced(red, ids))
+    assert find_thread_config(red) == (None if cfg is None else ThreadConfig(
+        cfg.kind, back(cfg.internal), back(cfg.endpoints)))
 
 
 def test_mad_examples():
@@ -178,10 +257,10 @@ def test_thread_config_valid_on_sparse_graphs(seed):
                           extra_edges=rng.randint(1, 4))
     # strip degree<=1 vertices so the precondition holds
     while True:
-        low = [v for v in range(g.n) if g.degree(v) <= 1]
-        if not low:
+        keep = [v for v in range(g.n) if g.degree(v) > 1]
+        if len(keep) == g.n:
             break
-        g, _ = g.delete_vertices(low)
+        g = induced(g, keep)
     if g.n == 0:
         return
     assert mad(g).fraction < Fraction(12, 5)
