@@ -19,9 +19,9 @@ from ttone.graphs import gen_cycle
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-nodes", type=int, default=2_000_000_000,
-                        help="node budget per search subtree")
+                        help="node budget per k")
     parser.add_argument("--wall-limit", type=float, default=None,
-                        help="seconds per search subtree")
+                        help="seconds per k")
     args = parser.parse_args()
 
     budget = SearchBudget(max_nodes=args.max_nodes, wall_limit=args.wall_limit)

@@ -115,13 +115,13 @@ def _as_cycle_order(g: Graph):
 
 
 def _as_grid_dims(g: Graph):
-    for m in range(1, g.n + 1):
-        if g.n % m:
-            continue
-        n = g.n // m
-        if m >= 2 and n >= 2 and g == gen_grid(m, n):
-            return m, n
-    return None
+    # in the generator layout with m, n >= 2, vertex 0 is a corner whose
+    # neighbors are 1 and n, so one candidate grid is enough
+    if g.n == 0 or g.degree(0) != 2:
+        return None
+    n = g.adj[0][1]
+    m = g.n // n
+    return (m, n) if m >= 2 and g == gen_grid(m, n) else None
 
 
 def _as_fat_triangle_param(g: Graph):
@@ -136,29 +136,35 @@ def _remap(coloring: Coloring, order) -> Coloring:
     return Coloring(coloring.t, coloring.k, labels)
 
 
+# family: (recognizer of the input's shape, what the input must be)
+_SHAPES = {
+    "path": (_as_path_order, "a path"),
+    "cycle": (_as_cycle_order, "a cycle"),
+    "grid": (_as_grid_dims, "a generator-layout grid"),
+    "fat-triangle": (_as_fat_triangle_param, "a generator-layout fat triangle"),
+}
+
+
+def _color_shape(g: Graph, family: str, shape, t: int) -> Coloring:
+    """Color g, whose shape the family's recognizer returned."""
+    if family == "path":
+        return _remap(constructions.color_path(g.n, t), shape)
+    if family == "cycle":
+        return _remap(constructions.color_cycle(g.n, t), shape)
+    if family == "grid":
+        return constructions.color_grid(shape[0], shape[1], t)
+    return constructions.color_fat_triangle(shape)
+
+
 def _color_family(g: Graph, family: str, t: int) -> Coloring:
     if family in ("fat-triangle", "sparse", "outerplanar", "planar") and t != 2:
         raise UsageError(f"family {family} colors tone 2 only")
-    if family == "path":
-        order = _as_path_order(g)
-        if order is None:
-            raise UsageError("input graph is not a path")
-        return _remap(constructions.color_path(g.n, t), order)
-    if family == "cycle":
-        order = _as_cycle_order(g)
-        if order is None:
-            raise UsageError("input graph is not a cycle")
-        return _remap(constructions.color_cycle(g.n, t), order)
-    if family == "grid":
-        dims = _as_grid_dims(g)
-        if dims is None:
-            raise UsageError("input graph is not a generator-layout grid")
-        return constructions.color_grid(dims[0], dims[1], t)
-    if family == "fat-triangle":
-        param = _as_fat_triangle_param(g)
-        if param is None:
-            raise UsageError("input graph is not a generator-layout fat triangle")
-        return constructions.color_fat_triangle(param)
+    if family in _SHAPES:
+        recognize, what = _SHAPES[family]
+        shape = recognize(g)
+        if shape is None:
+            raise UsageError(f"input graph is not {what}")
+        return _color_shape(g, family, shape, t)
     if family == "sparse":
         return constructions.color_sparse(g)
     if family == "outerplanar":
@@ -169,15 +175,16 @@ def _color_family(g: Graph, family: str, t: int) -> Coloring:
 
 
 def _color_auto(g: Graph, t: int) -> Coloring:
-    if _as_path_order(g) is not None:
-        return _color_family(g, "path", t)
-    if _as_cycle_order(g) is not None and t in (2, 3, 4, 5):
-        return _color_family(g, "cycle", t)
-    if _as_grid_dims(g) is not None and t in (2, 3, 4, 5):
-        return _color_family(g, "grid", t)
+    families = ["path"]
+    if t in (2, 3, 4, 5):
+        families += ["cycle", "grid"]
     if t == 2:
-        if _as_fat_triangle_param(g) is not None:
-            return _color_family(g, "fat-triangle", t)
+        families.append("fat-triangle")
+    for family in families:
+        shape = _SHAPES[family][0](g)
+        if shape is not None:
+            return _color_shape(g, family, shape, t)
+    if t == 2:
         for color in (constructions.color_sparse,
                       constructions.color_outerplanar):
             try:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, inf
 
 from .blocks import BLOCK_TABLES, cycle_value, ensure_validated, exceptional_witness
 from .bounds import _least_k, h_t_bounds, path_tau, star_lower
@@ -60,25 +60,31 @@ def color_path(n: int, t: int) -> Coloring:
 def decompose(n: int, lengths):
     """Write n as a nonnegative combination of the given lengths.
 
-    Dynamic program over partial sums; ties prefer fewer blocks, then the
-    lexicographically smallest sorted multiset.  Returns a sorted tuple of
-    block lengths, or None.
+    Ties prefer fewer blocks, then the lexicographically smallest sorted
+    multiset.  A dynamic program counts the fewest blocks of every partial
+    sum; the walk down from n then takes, each time, the smallest piece that
+    keeps the count optimal.  That piece is the smallest one in any optimal
+    multiset for the rest, so the pieces come out sorted and the multiset is
+    the least.  Returns a sorted tuple of block lengths, or None.
     """
     lengths = sorted(set(lengths))
     if any(x < 1 for x in lengths):
         raise ValueError("lengths must be positive")
-    best = [None] * (n + 1)
-    best[0] = ()
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    count = [0] + [inf] * n
     for total in range(1, n + 1):
-        choice = None
-        for piece in lengths:
-            if piece > total or best[total - piece] is None:
-                continue
-            cand = tuple(sorted(best[total - piece] + (piece,)))
-            if choice is None or (len(cand), cand) < (len(choice), choice):
-                choice = cand
-        best[total] = choice
-    return best[n]
+        count[total] = 1 + min((count[total - p] for p in lengths if p <= total),
+                               default=inf)
+    if count[n] == inf:
+        return None
+    parts = []
+    while n:
+        piece = next(p for p in lengths
+                     if p <= n and count[n - p] == count[n] - 1)
+        parts.append(piece)
+        n -= piece
+    return tuple(parts)
 
 
 def color_cycle(n: int, t: int) -> Coloring:

@@ -13,7 +13,8 @@ from .graphs import Graph, constraint_pairs
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Limits for one search subtree: node count and optional wall clock."""
+    """Limits for one search, that is per k: node count and optional wall
+    clock."""
 
     max_nodes: int = 200_000_000
     wall_limit: float = None
@@ -114,13 +115,6 @@ class _Searcher:
         return label_stream(self.k, self.t,
                             [(assigned[j], cap) for j, cap in self.cons[i]], mx)
 
-    def firsts(self) -> list:
-        """Candidate labels of the second position after the canonical first."""
-        self.assigned[0] = label_mask(range(1, self.t + 1))
-        out = list(self.stream(1, self.t))
-        self.assigned[0] = 0
-        return out
-
     def dfs(self, start: int, mx: int, out: list) -> bool:
         """Extend out (labels of positions < start) to a full assignment.
 
@@ -154,38 +148,17 @@ class _Searcher:
             streams.append(self.stream(i, top))
 
 
-def _run_subtree(searcher: _Searcher, first: tuple, budget: SearchBudget) -> DecideResult:
-    """Search positions >= 2 under a fixed assignment of the first two."""
-    searcher.nodes = 0
-    searcher.max_nodes = budget.max_nodes
-    if budget.wall_limit is not None:
-        searcher.deadline = time.monotonic() + budget.wall_limit
-    t = searcher.t
-    base = tuple(range(1, t + 1))
-    m, combo, mx = first
-    searcher.assigned[0] = label_mask(base)
-    searcher.assigned[1] = m
-    out = [base, combo]
-    try:
-        found = searcher.dfs(2, mx, out)
-    except _Timeout:
-        return DecideResult("timeout", nodes=searcher.nodes)
-    if not found:
-        return DecideResult("infeasible", nodes=searcher.nodes)
-    coloring = Coloring(t, searcher.k,
-                        {searcher.order[i]: out[i] for i in range(len(out))})
-    return DecideResult("colored", coloring, searcher.nodes)
-
-
 def exact_decide(g: Graph, t: int, k: int, budget: SearchBudget = None) -> DecideResult:
     """Complete search for a tone-t coloring of g with k colors.
 
     Returns a verified coloring, "infeasible" after exhausting the
-    canonicalized tree, or "timeout".  The search runs one subtree per
-    candidate label of the second vertex, in candidate order, each with its
-    own budget.  On a graph with an edge there is at most one such label:
-    the second vertex is adjacent to the first, so canonical introduction
-    leaves only (t+1..2t).
+    canonicalized tree, or "timeout".  The first vertex gets (1..t) and the
+    second the first label its candidate stream offers; the search, with
+    one budget, runs over the rest.  Fixing the second label loses nothing:
+    on a graph with an edge the second vertex is adjacent to the first, so
+    canonical introduction leaves it only (t+1..2t), and on an edgeless
+    graph every label extends.  Nodes count the labels tried from the third
+    vertex on.
     """
     if t < 1:
         raise ValueError("need t >= 1")
@@ -195,22 +168,30 @@ def exact_decide(g: Graph, t: int, k: int, budget: SearchBudget = None) -> Decid
         budget = SearchBudget()
     if g.n == 0:
         return DecideResult("colored", Coloring(t, k))
+    base = tuple(range(1, t + 1))
     if g.n == 1:
-        coloring = Coloring(t, k, {0: tuple(range(1, t + 1))})
-        return DecideResult("colored", coloring, 1)
+        return DecideResult("colored", Coloring(t, k, {0: base}), 1)
     searcher = _Searcher(g, t, k)
-    total = 0
-    timed_out = False
-    for first in searcher.firsts():
-        res = _run_subtree(searcher, first, budget)
-        total += res.nodes
-        if res.status == "colored":
-            bad = verify(g, res.coloring)
-            assert not bad, f"search produced an invalid coloring: {bad[0]}"
-            return DecideResult("colored", res.coloring, total)
-        if res.status == "timeout":
-            timed_out = True
-    return DecideResult("timeout" if timed_out else "infeasible", nodes=total)
+    searcher.max_nodes = budget.max_nodes
+    if budget.wall_limit is not None:
+        searcher.deadline = time.monotonic() + budget.wall_limit
+    searcher.assigned[0] = label_mask(base)
+    second = next(searcher.stream(1, t), None)
+    if second is None:
+        return DecideResult("infeasible")
+    m, combo, mx = second
+    searcher.assigned[1] = m
+    out = [base, combo]
+    try:
+        found = searcher.dfs(2, mx, out)
+    except _Timeout:
+        return DecideResult("timeout", nodes=searcher.nodes)
+    if not found:
+        return DecideResult("infeasible", nodes=searcher.nodes)
+    coloring = Coloring(t, k, {searcher.order[i]: out[i] for i in range(g.n)})
+    bad = verify(g, coloring)
+    assert not bad, f"search produced an invalid coloring: {bad[0]}"
+    return DecideResult("colored", coloring, searcher.nodes)
 
 
 def tau(g: Graph, t: int, budget: SearchBudget = None) -> TauResult:

@@ -8,7 +8,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, islice
 
 INF = math.inf
 
@@ -454,102 +454,59 @@ def check_thread_config(g: Graph, cfg: ThreadConfig) -> None:
         raise ValueError("TwoThread needs endpoints of degree <= 3 and <= 5")
 
 
-def _maximal_chains(g: Graph):
-    """Maximal degree-2 chains anchored at vertices of degree >= 3."""
-    chains = []
-    seen = set()
-    for s in g.vertices():
-        if g.degree(s) < 3:
-            continue
-        for w in g.neighbors(s):
-            if g.degree(w) != 2:
-                continue
-            chain = [w]
-            prev, cur = s, w
-            while True:
-                nxt = next(x for x in g.adj[cur] if x != prev)
-                if g.degree(nxt) != 2 or nxt == s:
-                    break
-                chain.append(nxt)
-                prev, cur = cur, nxt
-            key = frozenset(chain)
-            if key not in seen:
-                seen.add(key)
-                chains.append((s, chain, nxt))
-    return chains
-
-
-def _oriented(kind, internal, endpoints, degs):
-    """Orientations of a window satisfying the kind's endpoint conditions."""
-    outs = []
-    for seq, ends in ((internal, endpoints),
-                      (tuple(reversed(internal)), (endpoints[1], endpoints[0]))):
-        d0, d1 = degs[ends[0]], degs[ends[1]]
-        if kind == "FourThread":
-            ok = True
-        elif kind == "ThreeThread":
-            ok = d1 <= 5
-        else:
-            ok = d0 <= 3 and d1 <= 5
-        if ok:
-            outs.append(ThreadConfig(kind, tuple(seq), tuple(ends)))
-    return outs
+def _run(g: Graph, x: int, y: int):
+    """The vertices met walking from x through its neighbor y along
+    degree-2 vertices, up to the first one of another degree or x again."""
+    prev, cur = x, y
+    while True:
+        yield cur
+        if cur == x or g.degree(cur) != 2:
+            return
+        prev, cur = cur, next(u for u in g.adj[cur] if u != prev)
 
 
 def find_thread_config(g: Graph):
     """Find a reducible thread: a 4-thread, a 3-thread ending at a vertex of
     degree <= 5, or a 2-thread with endpoint degrees <= 3 and <= 5.
 
-    Requires minimum degree 2.  Candidates are windows of maximal degree-2
-    chains walked from each vertex of degree >= 3; a 2-regular component
-    always yields a 2-thread whose endpoints coincide.  Preference order is
+    Requires minimum degree 2.  A thread is a path of distinct degree-2
+    vertices read in one direction; its endpoints are the neighbors before
+    its first and after its last vertex, and may coincide.  4- and
+    3-threads lie outside 2-regular components.  Preference order is
     FourThread, ThreeThread, TwoThread, ties broken by the smallest internal
-    vertex tuple.  Returns None when no configuration exists.
+    vertex tuple.  So each kind is one scan of the degree-2 vertices x in
+    id order and of their neighbors y in sorted order, and the first window
+    x, y, ... that passes is the answer: x and y fix the rest of it.  The
+    vertices of a 2-regular component are recorded the first time the 4-
+    or 3-thread scan meets the component.  Returns None when no
+    configuration exists.
     """
-    degs = {v: g.degree(v) for v in g.vertices()}
-    if not degs:
-        return None
-    if min(degs.values()) < 2:
+    vs = g.vertices()
+    if any(g.degree(v) < 2 for v in vs):
         raise ValueError("find_thread_config requires minimum degree 2")
-    pools = {"FourThread": [], "ThreeThread": [], "TwoThread": []}
-
-    for e1, chain, e2 in _maximal_chains(g):
-        walk = [e1, *chain, e2]
-        for kind, width in (("FourThread", 4), ("ThreeThread", 3), ("TwoThread", 2)):
-            for i in range(1, len(walk) - width):
-                internal = tuple(walk[i:i + width])
-                ends = (walk[i - 1], walk[i + width])
-                pools[kind].extend(_oriented(kind, internal, ends, degs))
-
-    # 2-regular components: pick the lex-least adjacent pair as the chain
-    visited = set()
-    for s in degs:
-        if s in visited or degs[s] != 2:
-            continue
-        comp, queue, regular = [], deque([s]), True
-        visited.add(s)
-        while queue:
-            u = queue.popleft()
-            comp.append(u)
-            for w in g.adj[u]:
-                if w not in visited:
-                    visited.add(w)
-                    queue.append(w)
-                if degs[w] != 2:
-                    regular = False
-        if not regular:
-            continue
-        u = min(comp)
-        a, b = g.neighbors(u)
-        other = next(x for x in g.adj[a] if x != u)
-        pools["TwoThread"].append(
-            ThreadConfig("TwoThread", (u, a), (b, other)))
-
-    for kind in ("FourThread", "ThreeThread", "TwoThread"):
-        if pools[kind]:
-            best = min(pools[kind], key=lambda c: c.internal)
-            check_thread_config(g, best)
-            return best
+    twos = [v for v in vs if g.degree(v) == 2]
+    cyclic = set()
+    for kind, width in _THREAD_LEN.items():   # in preference order
+        for x in twos:
+            if width > 2 and x in cyclic:
+                continue
+            for y in g.neighbors(x):
+                walk = list(islice(_run(g, x, y), width))
+                if len(walk) < width:
+                    continue
+                start = next(u for u in g.adj[x] if u != y)
+                d0, d1 = g.degree(start), g.degree(walk[-1])
+                if kind == "ThreeThread" and d1 > 5 or \
+                        kind == "TwoThread" and (d0 > 3 or d1 > 5):
+                    continue
+                if width > 2:
+                    run = list(_run(g, x, y))
+                    if run[-1] == x:
+                        cyclic.update(run)
+                        break
+                cfg = ThreadConfig(kind, (x, *walk[:-1]), (start, walk[-1]))
+                check_thread_config(g, cfg)
+                return cfg
     return None
 
 

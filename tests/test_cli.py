@@ -2,10 +2,11 @@ import json
 
 import pytest
 
-from ttone import constructions
+from ttone import cli, constructions
 from ttone.cli import run
 from ttone.coloring import Coloring, ColoringError
-from ttone.graphs import gen_cycle, gen_grid, read_edge_list, write_edge_list
+from ttone.graphs import (Graph, gen_cycle, gen_grid, read_edge_list,
+                          write_edge_list)
 
 
 def invoke(argv, capsys, stdin=None, monkeypatch=None):
@@ -220,6 +221,46 @@ def test_auto_family_dispatch(tmp_path, capsys):
         # 7-color palette
         assert invoke(["color", "--family", family, "--in", str(empty)],
                       capsys) == (0, '{"k":7,"labels":{},"t":2}\n', "")
+    code, _, err = invoke(["color", "--family", "grid", "--in", str(empty)],
+                          capsys)
+    assert code == 2 and "not a generator-layout grid" in err
+
+
+def test_grid_recognition():
+    for m in range(1, 7):
+        for n in range(1, 7):
+            g = gen_grid(m, n)
+            assert cli._as_grid_dims(g) == ((m, n) if m >= 2 and n >= 2
+                                            else None)
+            # one more vertex, or ids 0 and 1 swapped, is not a grid
+            assert cli._as_grid_dims(Graph(g.n + 1, g.edges())) is None
+            if g.n > 1:
+                swap = {0: 1, 1: 0}
+                h = Graph(g.n, [(swap.get(u, u), swap.get(v, v))
+                                for u, v in g.edges()])
+                assert h == g or cli._as_grid_dims(h) is None
+    assert cli._as_grid_dims(Graph(0, [])) is None
+
+
+@pytest.mark.parametrize("shape", [["--path", "6"], ["--cycle", "8"],
+                                   ["--grid", "3", "4"], ["--star", "5"],
+                                   ["--fat-triangle", "3"]])
+def test_auto_recognizes_each_shape_once(tmp_path, capsys, monkeypatch, shape):
+    calls = []
+
+    def counted(family, recognize):
+        def wrapper(g):
+            calls.append(family)
+            return recognize(g)
+        return wrapper
+
+    monkeypatch.setattr(cli, "_SHAPES", {
+        family: (counted(family, recognize), what)
+        for family, (recognize, what) in cli._SHAPES.items()})
+    gfile = tmp_path / "g.el"
+    invoke(["gen", *shape, "-o", str(gfile)], capsys)
+    code, _, _ = invoke(["color", "--family", "auto", "--in", str(gfile)], capsys)
+    assert code == 0 and calls and len(calls) == len(set(calls))
 
 
 def test_usage_errors(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +39,9 @@ def test_decompose_examples():
     assert decompose(7, {6, 8, 9, 11}) is None
     assert decompose(19, {6, 8, 9, 11}) == (8, 11)
     assert decompose(12, {6, 8, 9, 11}) == (6, 6)
+    assert decompose(0, {6, 8}) == ()
+    with pytest.raises(ValueError):
+        decompose(-1, {6, 8})
 
 
 @given(st.integers(1, 400))
@@ -49,6 +53,24 @@ def test_decompose_sums_and_membership(n):
         assert all(p in lengths for p in parts)
     else:
         assert n in (1, 2, 3, 4, 5, 7, 10, 13)
+
+
+def _least_multiset(n, lengths):
+    """Fewest blocks, then the lexicographically least sorted multiset, by
+    trying every multiset of each size in turn."""
+    lengths = sorted(set(lengths))
+    for r in range(n // lengths[0] + 1):
+        sums = [c for c in combinations_with_replacement(lengths, r)
+                if sum(c) == n]
+        if sums:
+            return min(sums)
+    return None
+
+
+@given(st.integers(0, 60), st.sets(st.integers(1, 20), min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_decompose_matches_bruteforce(n, lengths):
+    assert decompose(n, lengths) == _least_multiset(n, lengths)
 
 
 def test_color_cycle_examples():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import graphs
 from ttone.bounds import Certificate, path_tau
-from ttone.coloring import verify
+from ttone.coloring import label_mask, label_stream, verify
 from ttone.exact import (ExhaustionProof, SearchBudget, _Searcher,
                          exact_decide, search_order, tau)
 from ttone.graphs import Graph, gen_cycle, gen_path, gen_star
@@ -94,6 +94,11 @@ def test_pinned_node_counts():
     assert res.status == "timeout" and res.nodes == 2001
     assert tau(gen_cycle(6), 5).nodes == 7702
     assert tau(gen_cycle(7), 2).nodes == 31
+    # an edgeless graph searches under the first second-vertex label only
+    res = exact_decide(Graph(5, []), 2, 4, SearchBudget(max_nodes=1))
+    assert res.status == "timeout" and res.nodes == 2
+    res = exact_decide(Graph(3, []), 2, 4)
+    assert res.status == "colored" and res.nodes == 1
 
 
 def test_deep_search_leaves_recursion_limit_alone():
@@ -107,13 +112,15 @@ def test_deep_search_leaves_recursion_limit_alone():
 def test_second_vertex_has_at_most_one_branch(g, t, extra):
     # The second vertex in search order is adjacent to the first, whose
     # label is (1..t), so canonical introduction leaves only (t+1..2t):
-    # the subtrees under the second vertex never number more than one.
+    # exact_decide may fix the second label to the first candidate.
     if g.m == 0:
         return
-    firsts = _Searcher(g, t, t + extra).firsts()
-    assert len(firsts) <= 1
-    if firsts:
-        assert firsts[0][1] == tuple(range(t + 1, 2 * t + 1))
+    assert _Searcher(g, t, t + extra).cons[1] == [(0, 0)]
+    seconds = list(label_stream(t + extra, t,
+                                [(label_mask(range(1, t + 1)), 0)], t))
+    assert len(seconds) <= 1
+    if seconds:
+        assert seconds[0][1] == tuple(range(t + 1, 2 * t + 1))
 
 
 def test_budget_timeout():

@@ -1,10 +1,11 @@
-"""Golden corpus for the reduce-and-lift colorers.
+"""Golden corpus for the colorers and the CLI.
 
 Every case stores the sha256 of one output: the coloring JSON of
 color_sparse, color_outerplanar or color_planar (or the text of the
-ClassPreconditionError it raises), or the exit code, stdout and stderr of
-one `ttone color` run on a `ttone gen --random` graph.  Any byte drift
-fails.  After an intended and recorded output change, rewrite the table with
+ClassPreconditionError it raises), the coloring JSON of color_cycle(n, t),
+or the exit code, stdout and stderr of one CLI run: `ttone color` on a
+`ttone gen` graph, and `bounds`, `mad` and `tau --t 3` on small cycles.
+Any byte drift fails.  After an intended and recorded output change, rewrite the table with
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_sha256.json
 """
@@ -22,8 +23,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from ttone import cli
-from ttone.constructions import (ClassPreconditionError, color_outerplanar,
-                                 color_planar, color_sparse)
+from ttone.constructions import (ClassPreconditionError, color_cycle,
+                                 color_outerplanar, color_planar, color_sparse)
 from ttone.graphs import Graph, gen_cycle, gen_path, gen_star
 from ttone.instances import (random_apollonian, random_maximal_outerplanar,
                              random_subdivided, subdivide)
@@ -102,6 +103,30 @@ def outputs():
                 for family in (*COLORERS, "auto"):
                     yield (f"cli/{gen[0]}{seed}/{family}",
                            _run_cli(["color", "--family", family, "--in", path]))
+        shapes = [["--path", "1"], ["--path", "7"], ["--cycle", "4"],
+                  ["--cycle", "9"], ["--grid", "1", "5"], ["--grid", "2", "2"],
+                  ["--grid", "3", "4"], ["--grid", "4", "3"], ["--star", "4"],
+                  ["--fat-triangle", "1"], ["--fat-triangle", "3"]]
+        for shape in shapes:
+            name = "".join(shape).lstrip("-")
+            path = os.path.join(tmp, f"{name}.el")
+            _run_cli(["gen", *shape, "-o", path])
+            for family in ("path", "cycle", "grid", "fat-triangle", "auto"):
+                for t in ("2", "3"):
+                    yield (f"cli/{name}/{family}/t{t}",
+                           _run_cli(["color", "--family", family, "--t", t,
+                                     "--in", path]))
+        for n in (5, 6, 7):
+            path = os.path.join(tmp, f"c{n}.el")
+            _run_cli(["gen", "--cycle", str(n), "-o", path])
+            for t in ("2", "3", "4", "5"):
+                yield f"cli/c{n}/bounds/t{t}", _run_cli(
+                    ["bounds", "--t", t, "--in", path])
+            yield f"cli/c{n}/mad", _run_cli(["mad", "--in", path])
+            yield f"cli/c{n}/tau/t3", _run_cli(["tau", "--t", "3", "--in", path])
+    for t in (2, 3, 4, 5):
+        for n in (*range(3, 61), 997, 998, 999, 1000, 1001):
+            yield f"cycle/{n}/t{t}", color_cycle(n, t).to_json()
 
 
 def _sha(text: str) -> str:

@@ -184,6 +184,114 @@ def test_searches_on_reduction_match_compacted_rebuild(g, rnd):
         cfg.kind, back(cfg.internal), back(cfg.endpoints)))
 
 
+def _thread_by_definition(g):
+    """find_thread_config written from the definition: every ordered path
+    of distinct degree-2 vertices, with the neighbors before its first and
+    after its last vertex as endpoints, that passes the kind's end-degree
+    test; 4- and 3-threads outside 2-regular components; the least internal
+    tuple of the first kind in preference order that has one."""
+    twos = {v for v in g.vertices() if g.degree(v) == 2}
+    regular, seen = set(), set()
+    for s in g.vertices():
+        if s in seen:
+            continue
+        comp, stack = {s}, [s]
+        while stack:
+            for w in g.adj[stack.pop()]:
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        if comp <= twos:
+            regular |= comp
+
+    def paths(path, width):
+        if len(path) == width:
+            yield tuple(path)
+            return
+        for w in g.adj[path[-1]]:
+            if w in twos and w not in path:
+                yield from paths(path + [w], width)
+
+    tests = (("FourThread", 4, lambda d0, d1: True),
+             ("ThreeThread", 3, lambda d0, d1: d1 <= 5),
+             ("TwoThread", 2, lambda d0, d1: d0 <= 3 and d1 <= 5))
+    for kind, width, ends_ok in tests:
+        found = []
+        for x in twos - (regular if width > 2 else set()):
+            for internal in paths([x], width):
+                e0 = next(u for u in g.adj[internal[0]] if u != internal[1])
+                e1 = next(u for u in g.adj[internal[-1]] if u != internal[-2])
+                if ends_ok(g.degree(e0), g.degree(e1)):
+                    found.append(ThreadConfig(kind, internal, (e0, e1)))
+        if found:
+            return min(found, key=lambda c: c.internal)
+    return None
+
+
+@st.composite
+def _cycle_unions(draw):
+    """Disjoint cycles with random ids, with or without chords."""
+    lengths = draw(st.lists(st.integers(3, 9), min_size=1, max_size=4))
+    n = sum(lengths)
+    ids = draw(st.permutations(range(n)))
+    edges, off = [], 0
+    for length in lengths:
+        edges += [(ids[off + i], ids[off + (i + 1) % length])
+                  for i in range(length)]
+        off += length
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                     st.integers(0, n - 1)), max_size=3))
+    return Graph(n, edges + [(u, v) for u, v in chords if u != v])
+
+
+def _hub_threads(seed: int) -> Graph:
+    """Hubs joined by threads of 1 to 4 vertices, with random ids, so that
+    thread ends take every degree; the longest thread length is drawn first,
+    so that each kind is sometimes the first one present."""
+    rng = random.Random(seed)
+    hubs, longest = rng.randint(1, 3), rng.randint(1, 4)
+    edges, n = [], hubs
+    for _ in range(rng.randint(3, 14)):
+        length = rng.randint(1, longest)
+        chain = [rng.randrange(hubs), *range(n, n + length), rng.randrange(hubs)]
+        n += length
+        edges += zip(chain, chain[1:])
+    ids = rng.sample(range(n), n)
+    return Graph(n, [(ids[u], ids[v]) for u, v in edges])
+
+
+def _thread_search_agrees(g: Graph, rnd) -> None:
+    def strip(red):
+        while low := [v for v in red.vertices() if red.degree(v) <= 1]:
+            red.delete(*low)
+        return red
+
+    red = strip(Reduction(g))
+    stripped = induced(red, red.vertices())
+    assert find_thread_config(stripped) == _thread_by_definition(stripped)
+    # and on a random reduction state, read on its own vertex ids
+    red = Reduction(g)
+    _random_steps(red, rnd, rnd.randint(0, g.n // 2))
+    strip(red)
+    assert find_thread_config(red) == _thread_by_definition(red)
+
+
+@given(st.one_of(_cycle_unions(), graphs(max_n=12),
+                 st.integers(0, 10 ** 6).map(_subdivided),
+                 st.integers(0, 10 ** 6).map(_hub_threads)),
+       st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_thread_search_matches_definition(g, rnd):
+    _thread_search_agrees(g, rnd)
+
+
+def test_thread_search_matches_definition_at_every_end_degree():
+    # a fixed sample, so that each end-degree test is always exercised
+    for seed in range(300):
+        _thread_search_agrees(_hub_threads(seed), random.Random(seed))
+
+
 def test_mad_examples():
     assert mad(gen_star(4)).fraction == Fraction(8, 5)   # tree on 5 vertices
     assert mad(gen_cycle(6)).fraction == 2
