@@ -57,6 +57,14 @@ def _json_line(obj) -> str:
 # gen
 # ---------------------------------------------------------------------------
 
+# random family: (generator, --size when absent, least --size)
+_RANDOM = {
+    "subdivided": (instances.random_subdivided, 8, 1),
+    "outerplanar": (instances.random_maximal_outerplanar, 12, 3),
+    "apollonian": (instances.random_apollonian, 12, 0),
+}
+
+
 def cmd_gen(args) -> int:
     rng = random.Random(args.seed)
     if args.path is not None:
@@ -69,12 +77,13 @@ def cmd_gen(args) -> int:
         g = gen_star(args.star)
     elif args.fat_triangle is not None:
         g = gen_fat_triangle(args.fat_triangle)
-    elif args.random == "subdivided":
-        g = instances.random_subdivided(rng)
-    elif args.random == "outerplanar":
-        g = instances.random_maximal_outerplanar(rng, args.size)
-    elif args.random == "apollonian":
-        g = instances.random_apollonian(rng, args.size)
+    elif args.random is not None:
+        make, size, least = _RANDOM[args.random]
+        if args.size is not None:
+            size = args.size
+        if size < least:
+            raise UsageError(f"gen --random {args.random} needs --size >= {least}")
+        g = make(rng, size)
     else:
         raise UsageError("gen: choose a family")
     _emit(write_edge_list(g), args.output)
@@ -286,9 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, nargs=2, metavar=("M", "N"))
     p.add_argument("--star", type=int, metavar="D")
     p.add_argument("--fat-triangle", type=int, metavar="T")
-    p.add_argument("--random", choices=["subdivided", "outerplanar", "apollonian"])
-    p.add_argument("--size", type=int, default=12,
-                   help="size parameter for random families")
+    p.add_argument("--random", choices=list(_RANDOM))
+    p.add_argument("--size", type=int,
+                   help="random families: the vertex count of the base tree "
+                        "before subdivision for subdivided (default 8, at "
+                        "least 1), the vertex count for outerplanar (default "
+                        "12, at least 3), the vertices stacked into the "
+                        "starting triangle for apollonian (default 12, at "
+                        "least 0)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for random families (others are deterministic)")
     p.add_argument("-o", "--output", default=None)

@@ -121,7 +121,11 @@ def verify_partial(g: Graph, coloring: Coloring) -> list:
     """Violations among assigned pairs at distance <= t; empty list means ok."""
     check_structure(g, coloring)
     t = coloring.t
-    masks = {v: label_mask(lab) for v, lab in coloring.labels.items()}
+    # masks over the ranks of the colors in use, so their width does not
+    # grow with the color values; shared counts are the same
+    rank = {c: i for i, c in enumerate(sorted(coloring.colors_used()), 1)}
+    masks = {v: label_mask(rank[c] for c in lab)
+             for v, lab in coloring.labels.items()}
     bad = []
     for u in sorted(masks):
         mu = masks[u]

@@ -270,9 +270,6 @@ class Density:
     def fraction(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
 
-    def __float__(self):
-        return self.numerator / self.denominator
-
 
 class _Dinic:
     """Max-flow with arbitrary integer capacities (Python ints stay exact)."""
@@ -368,47 +365,28 @@ def _density_exceeds(g: Graph, threshold: Fraction):
     return {v for v in range(n) if 1 + m + v in side}
 
 
-def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """Smallest-denominator rational in the closed interval [lo, hi]."""
-    fl = lo.numerator // lo.denominator
-    if lo == fl:
-        return Fraction(fl)
-    if fl + 1 <= hi:
-        return Fraction(fl + 1)
-    inner = _simplest_between(1 / (hi - fl), 1 / (lo - fl))
-    return fl + 1 / inner
-
-
 def mad(g: Graph) -> Density:
     """Exact maximum average degree, max over subgraphs H of 2|E(H)|/|V(H)|.
 
-    Binary search with the flow-based strict density test narrows the value
-    to an interval shorter than 1/n^2; since subgraph densities are rationals
-    with denominator at most n, the Stern-Brocot descent to the simplest
-    rational in that interval pins the exact optimum.  The returned Density
-    carries the (unreduced) edge and vertex counts of a witness subgraph.
+    Dinkelbach's iteration on the flow test: starting from H = G, ask for a
+    subgraph denser than H; each witness becomes the next H, until none is
+    denser.  A witness is the smallest maximizer of |E(S)| - lambda|S| at
+    the threshold lambda, so the last one, taken at a threshold below the
+    optimum, is the largest densest subgraph (G itself when no witness is
+    found).  The returned Density carries its (unreduced) edge and vertex
+    counts.
     """
     if g.n < 1:
         raise GraphError("mad needs a nonempty graph")
     if g.m == 0:
         return Density(0, 1)
-    n = g.n
-    lo = Fraction(g.m, n)          # achieved by G itself
-    hi = Fraction(n - 1, 2)        # |E(S)| <= C(|S|, 2)
-    gap = Fraction(1, n * n)
-    while hi - lo >= gap:
-        mid = (lo + hi) / 2
-        if _density_exceeds(g, mid) is not None:
-            lo = mid
-        else:
-            hi = mid
-    opt = _simplest_between(lo, hi)
-    # re-run just below the optimum to extract a witness subgraph
-    witness = _density_exceeds(g, opt - Fraction(1, n * n + 1))
-    sub = set(witness)
-    edges_in = sum(1 for u, v in g.edges() if u in sub and v in sub)
-    assert Fraction(edges_in, len(sub)) == opt
-    return Density(2 * edges_in, len(sub))
+    size, edges_in = g.n, g.m
+    while True:
+        denser = _density_exceeds(g, Fraction(edges_in, size))
+        if denser is None:
+            return Density(2 * edges_in, size)
+        size = len(denser)
+        edges_in = sum(1 for u, v in g.edges() if u in denser and v in denser)
 
 
 # ---------------------------------------------------------------------------

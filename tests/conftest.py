@@ -32,16 +32,20 @@ def induced(g, keep) -> Graph:
                              for w in g.adj[v] if w in index and v < w])
 
 
-def brute_mad(g: Graph) -> Fraction:
-    """Exhaustive max over nonempty vertex subsets of 2|E(S)|/|S|."""
-    best = Fraction(0)
+def brute_mad(g: Graph) -> tuple:
+    """(2|E(S)|, |S|) for the largest vertex set S of maximum density,
+    by exhaustion over nonempty subsets; (0, 1) when g has no edges."""
+    if g.m == 0:
+        return 0, 1
+    best, witness = Fraction(0), None
     edges = g.edges()
     for r in range(1, g.n + 1):
         for sub in combinations(range(g.n), r):
             s = set(sub)
             inside = sum(1 for u, v in edges if u in s and v in s)
-            best = max(best, Fraction(2 * inside, r))
-    return best
+            if Fraction(inside, r) >= best:
+                best, witness = Fraction(inside, r), (2 * inside, r)
+    return witness
 
 
 def sample_small_graphs(target=500, seed=20250810, max_n=7, reps=25):

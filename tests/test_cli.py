@@ -33,6 +33,26 @@ def test_gen_families(tmp_path, capsys):
     assert code == 0 and read_edge_list(out).n == 8
 
 
+def test_gen_random_size(capsys):
+    def gen(family, *size):
+        return invoke(["gen", "--random", family, *size, "--seed", "3"], capsys)
+
+    for family, below in [("subdivided", "0"), ("outerplanar", "2"),
+                          ("apollonian", "-1")]:
+        code, out, err = gen(family, "--size", below)
+        assert code == 2 and out == "" and "needs --size >= " in err, family
+    assert read_edge_list(gen("apollonian", "--size", "0")[1]).n == 3
+    assert read_edge_list(gen("outerplanar", "--size", "3")[1]).n == 3
+    assert gen("outerplanar") == gen("outerplanar", "--size", "12")
+    assert gen("apollonian") == gen("apollonian", "--size", "12")
+    # subdivided: --size is the base tree's vertex count, 8 when absent
+    assert gen("subdivided") == gen("subdivided", "--size", "8")
+    assert read_edge_list(gen("subdivided", "--size", "1")[1]).n == 1
+    sizes = [read_edge_list(gen("subdivided", "--size", s)[1]).n
+             for s in ("3", "50")]
+    assert sizes[0] < sizes[1] and sizes[1] >= 50
+
+
 def test_gen_seed_determinism(capsys):
     a = invoke(["gen", "--random", "subdivided", "--seed", "4"], capsys)
     b = invoke(["gen", "--random", "subdivided", "--seed", "4"], capsys)

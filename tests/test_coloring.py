@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -7,9 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import graphs, induced
 from ttone.coloring import (Coloring, ColoringError, StructuralError,
-                            available_labels, degeneracy_order, greedy_color,
-                            greedy_extend, label_mask, label_stream, verify,
-                            verify_partial)
+                            Violation, available_labels, degeneracy_order,
+                            greedy_color, greedy_extend, label_mask,
+                            label_stream, verify, verify_partial)
 from ttone.bounds import degenerate_palette, greedy_2tone_palette
 from ttone.graphs import Graph, distances_within, gen_cycle, gen_grid, gen_path
 import random
@@ -43,6 +44,23 @@ def test_verify_structural_errors():
     with pytest.raises(StructuralError):
         verify(gen_path(2), Coloring(2, 3, {0: (1, 2)}))   # not total
     assert verify_partial(gen_path(2), Coloring(2, 3, {0: (1, 2)})) == []
+
+
+def test_verify_memory_independent_of_color_values():
+    # colors come from untrusted JSON; masks one bit per color value would
+    # need 2^value bits (keep the value small enough for that to finish)
+    big = 10**8
+    small = {0: (1, 2), 1: (2, 3), 2: (1, 3)}
+    shifted = {v: tuple(c + big for c in lab) for v, lab in small.items()}
+    tracemalloc.start()
+    try:
+        bad = verify(gen_path(3), Coloring(2, big + 3, shifted))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert bad == verify(gen_path(3), Coloring(2, 3, small)) == [
+        Violation(0, 1, 1, 1), Violation(1, 2, 1, 1)]
 
 
 def test_available_labels_examples():

@@ -2,9 +2,13 @@
 
 Every case stores the sha256 of one output: the coloring JSON of
 color_sparse, color_outerplanar or color_planar (or the text of the
-ClassPreconditionError it raises), the coloring JSON of color_cycle(n, t),
-or the exit code, stdout and stderr of one CLI run: `ttone color` on a
-`ttone gen` graph, and `bounds`, `mad` and `tau --t 3` on small cycles.
+ClassPreconditionError it raises), the unreduced "numerator denominator"
+of mad (or the text of the GraphError it raises), the coloring JSON of
+color_cycle(n, t), or the exit code, stdout and stderr of one CLI run:
+`ttone color` and `ttone mad` on a `ttone gen` graph, and `bounds`, `mad`
+and `tau --t 3` on small cycles.  The mad cases pin the witness as well as
+the value: on mix, mix-dense and some subdivided graphs the densest
+subgraph is a proper one.
 Any byte drift fails.  After an intended and recorded output change, rewrite the table with
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_sha256.json
@@ -25,7 +29,7 @@ from pathlib import Path
 from ttone import cli
 from ttone.constructions import (ClassPreconditionError, color_cycle,
                                  color_outerplanar, color_planar, color_sparse)
-from ttone.graphs import Graph, gen_cycle, gen_path, gen_star
+from ttone.graphs import Graph, GraphError, gen_cycle, gen_path, gen_star, mad
 from ttone.instances import (random_apollonian, random_maximal_outerplanar,
                              random_subdivided, subdivide)
 
@@ -92,6 +96,12 @@ def outputs():
             except ClassPreconditionError as exc:
                 text = f"ClassPreconditionError: {exc}"
             yield f"{family}/{name}", text
+        try:
+            dens = mad(g)
+            text = f"{dens.numerator} {dens.denominator}"
+        except GraphError as exc:
+            text = str(exc)
+        yield f"mad/{name}", text
     gens = [["subdivided"], ["outerplanar", "--size", "25"],
             ["apollonian", "--size", "40"]]
     with tempfile.TemporaryDirectory() as tmp:
@@ -103,6 +113,7 @@ def outputs():
                 for family in (*COLORERS, "auto"):
                     yield (f"cli/{gen[0]}{seed}/{family}",
                            _run_cli(["color", "--family", family, "--in", path]))
+                yield f"cli/{gen[0]}{seed}/mad", _run_cli(["mad", "--in", path])
         shapes = [["--path", "1"], ["--path", "7"], ["--cycle", "4"],
                   ["--cycle", "9"], ["--grid", "1", "5"], ["--grid", "2", "2"],
                   ["--grid", "3", "4"], ["--grid", "4", "3"], ["--star", "4"],

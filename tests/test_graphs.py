@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from conftest import brute_mad, graphs, induced
 from ttone.bounds import greedy_2tone_palette
 from ttone.coloring import greedy_color
-from ttone.graphs import (Graph, GraphError, Reduction, ThreadConfig,
+from ttone import graphs as graphs_mod
+from ttone.graphs import (Density, Graph, GraphError, Reduction, ThreadConfig,
                           bfs_distances, constraint_pairs, distances_within,
                           find_outerplanar_edge, find_planar_reducible,
                           find_thread_config, gen_cycle, gen_fat_triangle,
@@ -296,15 +297,35 @@ def test_mad_examples():
     assert mad(gen_star(4)).fraction == Fraction(8, 5)   # tree on 5 vertices
     assert mad(gen_cycle(6)).fraction == 2
     pendant = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
-    assert mad(pendant).fraction == brute_mad(pendant) == 2
+    assert mad(pendant) == Density(*brute_mad(pendant)) == Density(10, 5)
     assert mad(Graph(1, [])).fraction == 0
 
 
 @given(graphs(max_n=10))
 @settings(max_examples=60, deadline=None)
 def test_mad_flow_matches_bruteforce(g):
+    # the witness too: the largest densest subgraph, with unreduced counts
     got = mad(g)
-    assert Fraction(got.numerator, got.denominator) == brute_mad(g)
+    assert (got.numerator, got.denominator) == brute_mad(g)
+
+
+def test_mad_flow_calls(monkeypatch):
+    calls = []
+    exceeds = graphs_mod._density_exceeds
+
+    def counted(g, threshold):
+        calls.append(threshold)
+        return exceeds(g, threshold)
+
+    monkeypatch.setattr(graphs_mod, "_density_exceeds", counted)
+    k4_tail = Graph(7, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                        (3, 4), (4, 5), (5, 6)])
+    for g, want in [(gen_star(4), 1), (gen_cycle(6), 1), (gen_grid(3, 3), 1),
+                    (k4_tail, 2)]:
+        calls.clear()
+        got = mad(g)
+        assert len(calls) == want, (g, calls)
+    assert got == Density(12, 4)
 
 
 def test_thread_config_on_cycles():
