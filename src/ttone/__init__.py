@@ -9,33 +9,31 @@ instances (random test graphs), cli (command-line front end).
 
 from .blocks import BLOCK_TABLES, cycle_value
 from .bounds import (Certificate, best_lower_bound, c4_lower, c9_t5_counting,
-                     certificates, cycle_counting_t3, h_t_bounds, p2p3_lower,
-                     path_tau, star_lower)
+                     certificates, cycle_counting_t3, h_t_bounds, path_tau,
+                     star_lower)
 from .coloring import (Coloring, ColoringError, StructuralError, Violation,
-                       available_labels, degeneracy_order, greedy_color,
-                       greedy_extend, verify, verify_partial)
+                       available_labels, greedy_color, greedy_extend, verify,
+                       verify_partial)
 from .constructions import (ClassPreconditionError, color_cycle,
                             color_fat_triangle, color_grid, color_outerplanar,
                             color_path, color_planar, color_sparse, decompose)
 from .exact import (DecideResult, SearchBudget, TauResult, exact_decide, tau)
-from .graphs import (Density, Graph, GraphError, ThreadConfig, bfs_distances,
-                     constraint_pairs, find_outerplanar_edge,
-                     find_planar_reducible, find_thread_config, gen_cycle,
-                     gen_fat_triangle, gen_grid, gen_path, gen_star, mad,
-                     read_edge_list, write_edge_list)
+from .graphs import (Density, Graph, GraphError, ThreadConfig, constraint_pairs,
+                     find_outerplanar_edge, find_planar_reducible,
+                     find_thread_config, gen_cycle, gen_fat_triangle, gen_grid,
+                     gen_path, gen_star, mad, read_edge_list, write_edge_list)
 
 __all__ = [
     "BLOCK_TABLES", "Certificate", "ClassPreconditionError", "Coloring",
     "ColoringError", "DecideResult", "Density", "Graph", "GraphError",
     "SearchBudget", "StructuralError", "TauResult", "ThreadConfig",
-    "Violation", "available_labels", "best_lower_bound", "bfs_distances",
-    "c4_lower", "c9_t5_counting", "certificates", "color_cycle",
-    "color_fat_triangle", "color_grid", "color_outerplanar", "color_path",
-    "color_planar", "color_sparse", "constraint_pairs",
-    "cycle_counting_t3", "cycle_value", "decompose", "degeneracy_order",
-    "exact_decide", "find_outerplanar_edge", "find_planar_reducible",
-    "find_thread_config", "gen_cycle", "gen_fat_triangle", "gen_grid",
-    "gen_path", "gen_star", "greedy_color", "greedy_extend", "h_t_bounds",
-    "mad", "p2p3_lower", "path_tau", "read_edge_list", "star_lower", "tau",
-    "verify", "verify_partial", "write_edge_list",
+    "Violation", "available_labels", "best_lower_bound", "c4_lower",
+    "c9_t5_counting", "certificates", "color_cycle", "color_fat_triangle",
+    "color_grid", "color_outerplanar", "color_path", "color_planar",
+    "color_sparse", "constraint_pairs", "cycle_counting_t3", "cycle_value",
+    "decompose", "exact_decide", "find_outerplanar_edge",
+    "find_planar_reducible", "find_thread_config", "gen_cycle",
+    "gen_fat_triangle", "gen_grid", "gen_path", "gen_star", "greedy_color",
+    "greedy_extend", "h_t_bounds", "mad", "path_tau", "read_edge_list",
+    "star_lower", "tau", "verify", "verify_partial", "write_edge_list",
 ]

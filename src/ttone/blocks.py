@@ -144,17 +144,6 @@ class BlockTable:
     def lengths(self) -> tuple:
         return tuple(sorted(self.blocks))
 
-    def shared_prefix(self) -> tuple:
-        """Longest common prefix of all blocks (length t for tones 2..4;
-        the tone-5 table only agrees on its first four labels)."""
-        seqs = [self.blocks[n] for n in self.lengths]
-        prefix = []
-        for labs in zip(*seqs):
-            if len(set(labs)) != 1:
-                break
-            prefix.append(labs[0])
-        return tuple(prefix)
-
     def glue_window(self, first: int, second: int) -> Coloring:
         """Junction window: last t labels of blocks[first], then the first t
         labels of blocks[second], as a partial coloring of a 2t-path."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import comb, isqrt
+from math import comb
 
 from .graphs import Graph, effective_diameter
 
@@ -62,13 +62,6 @@ def c4_lower(t: int) -> int:
     if t < 1:
         raise ValueError("need t >= 1")
     return 4 * t - 2
-
-
-def p2p3_lower(t: int) -> int:
-    """Tone chromatic number of the 2x3 grid, 6t - 10, valid for t >= 5."""
-    if t < 5:
-        raise ValueError("formula only holds for t >= 5")
-    return 6 * t - 10
 
 
 def cycle_counting_t3(n: int):
@@ -147,34 +140,6 @@ def h_t_bounds(t: int) -> tuple:
     lower = _least_k(lambda k: comb(k, 2) >= 3 * t, lo=2)
     upper = _least_k(lambda k: comb(k, 2) - comb(6, 2) >= 3 * t, lo=6)
     return lower, upper
-
-
-def greedy_2tone_palette(delta: int) -> int:
-    """ceil((2 + sqrt 2) * delta), exactly: greedy always succeeds here."""
-    sq = isqrt(2 * delta * delta)
-    return 2 * delta + (sq if sq * sq == 2 * delta * delta else sq + 1)
-
-
-def _iroot(x: int, r: int) -> int:
-    """Floor r-th root of a nonnegative integer."""
-    if x == 0:
-        return 0
-    guess = max(1, int(round(x ** (1.0 / r))))
-    while guess ** r > x:
-        guess -= 1
-    while (guess + 1) ** r <= x:
-        guess += 1
-    return guess
-
-
-def degenerate_palette(degeneracy: int, t: int, delta: int) -> int:
-    """k*t + ceil(k*t^2 * delta^(1 - 1/t)) for a k-degenerate graph, exactly."""
-    k = degeneracy
-    power = (k * t * t) ** t * delta ** (t - 1)
-    root = _iroot(power, t)
-    if root ** t < power:
-        root += 1
-    return k * t + root
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,8 @@ _RANDOM = {
 
 
 def cmd_gen(args) -> int:
-    rng = random.Random(args.seed)
+    if args.size is not None and args.random is None:
+        raise UsageError("gen: --size applies only to --random")
     if args.path is not None:
         g = gen_path(args.path)
     elif args.cycle is not None:
@@ -77,15 +78,13 @@ def cmd_gen(args) -> int:
         g = gen_star(args.star)
     elif args.fat_triangle is not None:
         g = gen_fat_triangle(args.fat_triangle)
-    elif args.random is not None:
+    else:
         make, size, least = _RANDOM[args.random]
         if args.size is not None:
             size = args.size
         if size < least:
             raise UsageError(f"gen --random {args.random} needs --size >= {least}")
-        g = make(rng, size)
-    else:
-        raise UsageError("gen: choose a family")
+        g = make(random.Random(args.seed), size)
     _emit(write_edge_list(g), args.output)
     return EXIT_OK
 
@@ -290,12 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("gen", help="emit an edge list for a generator family")
-    p.add_argument("--path", type=int, metavar="N")
-    p.add_argument("--cycle", type=int, metavar="N")
-    p.add_argument("--grid", type=int, nargs=2, metavar=("M", "N"))
-    p.add_argument("--star", type=int, metavar="D")
-    p.add_argument("--fat-triangle", type=int, metavar="T")
-    p.add_argument("--random", choices=list(_RANDOM))
+    family = p.add_mutually_exclusive_group(required=True)
+    family.add_argument("--path", type=int, metavar="N")
+    family.add_argument("--cycle", type=int, metavar="N")
+    family.add_argument("--grid", type=int, nargs=2, metavar=("M", "N"))
+    family.add_argument("--star", type=int, metavar="D")
+    family.add_argument("--fat-triangle", type=int, metavar="T")
+    family.add_argument("--random", choices=list(_RANDOM))
     p.add_argument("--size", type=int,
                    help="random families: the vertex count of the base tree "
                         "before subdivision for subdivided (default 8, at "

@@ -45,12 +45,6 @@ class Coloring:
             used.update(lab)
         return used
 
-    def is_total(self, g: Graph) -> bool:
-        return all(v in self.labels for v in range(g.n))
-
-    def copy(self) -> "Coloring":
-        return Coloring(self.t, self.k, dict(self.labels))
-
     def to_json(self) -> str:
         payload = {
             "t": self.t,
@@ -67,7 +61,8 @@ class Coloring:
             payload = json.loads(text, object_pairs_hook=_unique_keys)
             t, k, raw = payload["t"], payload["k"], payload["labels"]
             items = raw.items()
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError,
+                RecursionError) as exc:     # nesting deeper than the parser's stack
             raise StructuralError(f"bad coloring JSON: {exc}") from exc
         if type(t) is not int or type(k) is not int:     # bools are not ints here
             raise StructuralError(f"bad coloring JSON: t={t!r}, k={k!r} must be integers")
@@ -139,8 +134,8 @@ def verify_partial(g: Graph, coloring: Coloring) -> list:
 
 def verify(g: Graph, coloring: Coloring) -> list:
     """Violations of a total coloring; raises StructuralError if not total."""
-    if not coloring.is_total(g):
-        missing = next(v for v in range(g.n) if v not in coloring.labels)
+    missing = next((v for v in range(g.n) if v not in coloring.labels), None)
+    if missing is not None:
         raise StructuralError(f"coloring is not total (vertex {missing} unassigned)")
     return verify_partial(g, coloring)
 
@@ -270,21 +265,3 @@ def greedy_color(g: Graph, t: int, k: int, order=None) -> Coloring:
             raise ColoringError(v)
     return coloring
 
-
-def degeneracy_order(g: Graph) -> tuple:
-    """(order, degeneracy): repeatedly strip a minimum-degree vertex and
-    output the reverse removal order, so each vertex has at most
-    `degeneracy` earlier neighbors."""
-    deg = [g.degree(v) for v in range(g.n)]
-    alive = set(range(g.n))
-    removal = []
-    degeneracy = 0
-    while alive:
-        v = min(alive, key=lambda u: (deg[u], u))
-        degeneracy = max(degeneracy, deg[v])
-        removal.append(v)
-        alive.discard(v)
-        for u in g.adj[v]:
-            if u in alive:
-                deg[u] -= 1
-    return removal[::-1], degeneracy

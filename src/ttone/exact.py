@@ -5,6 +5,8 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
+from math import comb
 
 from .bounds import best_lower_bound
 from .coloring import Coloring, label_mask, label_stream, verify
@@ -75,6 +77,38 @@ class _Timeout(Exception):
     pass
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with fn(key)."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+# Largest k * C(k, t) compiled to label bitsets; above it, label_stream.
+_COMPILE_BITS = 1 << 20
+
+
+def _color_sets(k: int, t: int) -> list:
+    """has[c] for c in 1..k: the bitset of the t-subsets of [1..k] holding
+    c, bit x standing for the x-th subset in lex order.  Built for a = k
+    down to 1 by the lex recursion: the s-subsets of [a..k] are a plus the
+    (s-1)-subsets of [a+1..k], followed by the s-subsets of [a+1..k]."""
+    count = [1] + [0] * t               # C(k-a+1, s) for s = 0..t
+    rows = [[0] * (k + 1) for _ in range(t + 1)]
+    for a in range(k, 0, -1):
+        rows = [rows[0]] + [
+            [0] * a + [(1 << count[s - 1]) - 1]
+            + [rows[s - 1][c] | rows[s][c] << count[s - 1]
+               for c in range(a + 1, k + 1)]
+            for s in range(1, t + 1)]
+        count = [1] + [count[s - 1] + count[s] for s in range(1, t + 1)]
+    return rows[t]
+
+
 class _Searcher:
     """Backtracking over label assignments in a fixed vertex order.
 
@@ -82,6 +116,13 @@ class _Searcher:
     introduce new colors only as the next unused ones in increasing order
     (color-introduction canonicalization), applied as label_stream's reach
     bound.
+
+    When k * C(k, t) <= _COMPILE_BITS the labels are compiled to bits in
+    lex order, and a node's candidates are canonical(mx) minus
+    conflict(mask, cap) per earlier constraint, read lowest bit first.  L
+    passes label_stream's caps iff it is in no conflict set, and its reach
+    bound iff it is in canonical(mx); both read in lex order, so both paths
+    walk the same tree.
     """
 
     def __init__(self, g: Graph, t: int, k: int):
@@ -101,6 +142,16 @@ class _Searcher:
         self.nodes = 0
         self.max_nodes = 0
         self.deadline = None
+        self.has = None
+        if k * comb(k, t) <= _COMPILE_BITS:
+            self.has = _color_sets(k, t)
+            self.full = (1 << comb(k, t)) - 1
+            self.canonical = _Memo(self._canonical)
+            self.decoded = _Memo(self._decode)
+            allowed = [_Memo(partial(self._allowed, cap=cap))
+                       for cap in range(t)]
+            self.allowed_at = [[(j, allowed[cap]) for j, cap in lst]
+                               for lst in self.cons]
 
     def _check_time(self):
         if self.nodes > self.max_nodes:
@@ -110,10 +161,51 @@ class _Searcher:
                 raise _Timeout
 
     def stream(self, i: int, mx: int):
-        """label_stream for position i under the current assignments."""
+        """Candidates (mask, label, top) for position i under the current
+        assignments, in lexicographic order."""
         assigned = self.assigned
-        return label_stream(self.k, self.t,
-                            [(assigned[j], cap) for j, cap in self.cons[i]], mx)
+        if self.has is None:
+            cons = [(assigned[j], cap) for j, cap in self.cons[i]]
+            return label_stream(self.k, self.t, cons, mx)
+        cand = self.canonical[mx]
+        for j, allowed in self.allowed_at[i]:
+            cand &= allowed[assigned[j]]
+        return self._labels(cand, mx)
+
+    def _labels(self, cand: int, mx: int):
+        """Decode the set bits of cand, lowest first; top is mx plus the
+        colors the label introduces, which are mx+1..label[-1]."""
+        decoded = self.decoded
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            m, label, last = decoded[low.bit_length() - 1]
+            yield m, label, last if last > mx else mx
+
+    def _decode(self, x: int) -> tuple:
+        """(mask, label, last color) of label x."""
+        label = tuple(c for c in range(1, self.k + 1) if self.has[c] >> x & 1)
+        return label_mask(label), label, label[-1]
+
+    def _allowed(self, mask: int, cap: int) -> int:
+        """The labels sharing at most cap colors with mask: all labels minus
+        conflict(mask, cap), the OR over (cap+1)-subsets of mask's colors
+        of the AND of their has[], built as at_least[j] (the labels holding
+        j of the colors seen so far)."""
+        at_least = [self.full] + [0] * (cap + 1)
+        for c in range(1, self.k + 1):
+            if mask >> (c - 1) & 1:
+                for j in range(cap + 1, 0, -1):
+                    at_least[j] |= at_least[j - 1] & self.has[c]
+        return self.full & ~at_least[cap + 1]
+
+    def _canonical(self, mx: int) -> int:
+        """The reach bound: the labels that hold c-1 whenever they hold a
+        color c > mx+1, so that their colors above mx are mx+1..mx+j."""
+        out = self.full
+        for c in range(mx + 2, self.k + 1):
+            out &= ~self.has[c] | self.has[c - 1]
+        return out
 
     def dfs(self, start: int, mx: int, out: list) -> bool:
         """Extend out (labels of positions < start) to a full assignment.

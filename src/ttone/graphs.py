@@ -4,13 +4,10 @@ average degree, and searches for reducible configurations."""
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, islice
-
-INF = math.inf
 
 
 class GraphError(ValueError):
@@ -54,9 +51,6 @@ class Graph:
 
     def edges(self) -> list:
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -126,21 +120,6 @@ def gen_fat_triangle(t: int) -> Graph:
 # ---------------------------------------------------------------------------
 # Distances
 # ---------------------------------------------------------------------------
-
-def bfs_distances(g: Graph, v: int) -> list:
-    """Exact shortest-path distances from v; math.inf for unreachable."""
-    dist = [INF] * g.n
-    dist[v] = 0
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        du = dist[u] + 1
-        for w in g.adj[u]:
-            if dist[w] is INF or dist[w] > du:
-                dist[w] = du
-                queue.append(w)
-    return dist
-
 
 def distances_within(g: Graph, v: int, radius: int) -> dict:
     """Vertices at distance <= radius from v (v itself excluded), with distances."""

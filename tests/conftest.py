@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt
 
 from hypothesis import strategies as st
 
@@ -76,3 +79,56 @@ def sample_small_graphs(target=500, seed=20250810, max_n=7, reps=25):
             break
         out.append(g)
     return out
+
+
+def bfs_distances(g: Graph, v: int) -> list:
+    """Exact shortest-path distances from v; math.inf for unreachable."""
+    dist = [math.inf] * g.n
+    dist[v] = 0
+    queue = deque([v])
+    while queue:
+        u = queue.popleft()
+        du = dist[u] + 1
+        for w in g.adj[u]:
+            if dist[w] > du:
+                dist[w] = du
+                queue.append(w)
+    return dist
+
+
+def degeneracy_order(g: Graph) -> tuple:
+    """(order, degeneracy): repeatedly strip a minimum-degree vertex and
+    output the reverse removal order, so each vertex has at most
+    `degeneracy` earlier neighbors."""
+    deg = [g.degree(v) for v in range(g.n)]
+    alive = set(range(g.n))
+    removal = []
+    degeneracy = 0
+    while alive:
+        v = min(alive, key=lambda u: (deg[u], u))
+        degeneracy = max(degeneracy, deg[v])
+        removal.append(v)
+        alive.discard(v)
+        for u in g.adj[v]:
+            if u in alive:
+                deg[u] -= 1
+    return removal[::-1], degeneracy
+
+
+def greedy_2tone_palette(delta: int) -> int:
+    """ceil((2 + sqrt 2) * delta), exactly: greedy always succeeds here."""
+    sq = isqrt(2 * delta * delta)
+    return 2 * delta + (sq if sq * sq == 2 * delta * delta else sq + 1)
+
+
+def degenerate_palette(degeneracy: int, t: int, delta: int) -> int:
+    """k*t + ceil(k*t^2 * delta^(1 - 1/t)) for a k-degenerate graph, exactly:
+    the ceiling of the t-th root of (k*t^2)^t * delta^(t-1)."""
+    k = degeneracy
+    power = (k * t * t) ** t * delta ** (t - 1)
+    root = round(power ** (1.0 / t))
+    while root ** t > power:
+        root -= 1
+    while root ** t < power:
+        root += 1
+    return k * t + root

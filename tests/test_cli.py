@@ -53,6 +53,16 @@ def test_gen_random_size(capsys):
     assert sizes[0] < sizes[1] and sizes[1] >= 50
 
 
+def test_gen_takes_exactly_one_family(capsys):
+    for argv in (["--cycle", "4", "--random", "apollonian", "--size", "2"],
+                 ["--path", "3", "--star", "2"],
+                 [],
+                 ["--star", "2", "--size", "-5"],
+                 ["--cycle", "4", "--size", "3"]):
+        code, out, err = invoke(["gen", *argv], capsys)
+        assert code == 2 and out == "" and err, argv
+
+
 def test_gen_seed_determinism(capsys):
     a = invoke(["gen", "--random", "subdivided", "--seed", "4"], capsys)
     b = invoke(["gen", "--random", "subdivided", "--seed", "4"], capsys)
@@ -151,6 +161,19 @@ def test_verify_structural_error(tmp_path, capsys):
         code, out, err = invoke(["verify", "--graph", str(gfile), "--in", str(cfile)],
                                 capsys)
         assert (code, out) == (2, "") and err.startswith("error: "), text
+
+
+def test_verify_deeply_nested_json(tmp_path, capsys):
+    # deeper than the JSON parser's stack: refused as malformed (exit 2),
+    # not a traceback under the exit code of violations
+    gfile = tmp_path / "one.el"
+    gfile.write_text("1 0\n")
+    cfile = tmp_path / "deep.json"
+    cfile.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = invoke(["verify", "--graph", str(gfile), "--in", str(cfile)],
+                            capsys)
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_tau_verb(tmp_path, capsys):

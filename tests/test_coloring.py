@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graphs, induced
+from conftest import (degeneracy_order, degenerate_palette,
+                      greedy_2tone_palette, graphs, induced)
 from ttone.coloring import (Coloring, ColoringError, StructuralError,
-                            Violation, available_labels, degeneracy_order,
-                            greedy_color, greedy_extend, label_mask,
-                            label_stream, verify, verify_partial)
-from ttone.bounds import degenerate_palette, greedy_2tone_palette
+                            Violation, available_labels, greedy_color,
+                            greedy_extend, label_mask, label_stream, verify,
+                            verify_partial)
 from ttone.graphs import Graph, distances_within, gen_cycle, gen_grid, gen_path
 import random
 
@@ -86,7 +86,7 @@ def test_available_labels_matches_bruteforce(g, t, k, rnd):
     got = available_labels(g, partial, target)
     want = []
     for combo in combinations(range(1, k + 1), t):
-        trial = partial.copy()
+        trial = Coloring(t, k, dict(partial.labels))
         trial.assign(target, combo)
         clashes = [bad for bad in verify_partial(g, trial)
                    if target in (bad.u, bad.v)]

@@ -1,4 +1,5 @@
 import sys
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import graphs
 from ttone.bounds import Certificate, path_tau
 from ttone.coloring import label_mask, label_stream, verify
+from ttone import exact
 from ttone.exact import (ExhaustionProof, SearchBudget, _Searcher,
                          exact_decide, search_order, tau)
 from ttone.graphs import Graph, gen_cycle, gen_path, gen_star
@@ -137,3 +139,46 @@ def test_tau_matches_path_formula():
     for n in range(1, 6):
         for t in range(1, 4):
             assert tau(gen_path(n), t).value == path_tau(n, t)
+
+
+@given(graphs(max_n=8), st.integers(1, 5), st.integers(0, 10),
+       st.sampled_from([1, 2, 5, 20, 200, 5_000]))
+@settings(max_examples=80, deadline=None)
+def test_compiled_domains_walk_the_label_stream_tree(g, t, extra, max_nodes):
+    # The same search with the guard at 0 draws every candidate from
+    # label_stream; status, node count and witness must not move.
+    budget = SearchBudget(max_nodes=max_nodes)
+    compiled = exact_decide(g, t, t + extra, budget)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_COMPILE_BITS", 0)
+        lazy = exact_decide(g, t, t + extra, budget)
+    assert (compiled.status, compiled.nodes) == (lazy.status, lazy.nodes)
+    if compiled.coloring is None:
+        assert lazy.coloring is None
+    else:
+        assert compiled.coloring.labels == lazy.coloring.labels
+
+
+@given(graphs(max_n=8, min_n=2), st.integers(1, 5), st.integers(0, 10),
+       st.randoms(use_true_random=False))
+@settings(max_examples=120, deadline=None)
+def test_compiled_candidates_equal_label_stream(g, t, extra, rng):
+    k = t + extra
+    s = _Searcher(g, t, k)
+    assert s.has is not None
+    for j in range(g.n):
+        s.assigned[j] = label_mask(rng.sample(range(1, k + 1), t))
+    i = rng.randrange(g.n)
+    mx = rng.randint(t, k)
+    cons = [(s.assigned[j], cap) for j, cap in s.cons[i]]
+    assert list(s.stream(i, mx)) == list(label_stream(k, t, cons, mx))
+
+
+def test_search_above_the_guard_walks_lazily():
+    # K5 at tone 8 needs 40 pairwise disjoint colors; compiling C(40, 8)
+    # labels would take ~3e9 bits, the lazy walk three nodes.
+    k5 = Graph(5, list(combinations(range(5), 2)))
+    assert _Searcher(k5, 8, 40).has is None
+    res = exact_decide(k5, 8, 40, SearchBudget(wall_limit=10))
+    assert res.status == "colored" and res.nodes == 3
+    assert verify(k5, res.coloring) == []

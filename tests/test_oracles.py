@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graphs
-from ttone.graphs import Graph, bfs_distances
+from conftest import bfs_distances, graphs
+from ttone.graphs import Graph
 from ttone.instances import random_apollonian, random_maximal_outerplanar
 
 nx = pytest.importorskip("networkx")
