@@ -1,8 +1,10 @@
 """Command-line front end: generate, color, verify, solve, bound, measure.
 
 Exit codes: 0 success, 1 verification violations, 2 usage or structural
-error, 3 search budget exhausted, 4 class precondition failed, 5 internal
-failure (a construction broke one of its own invariants).
+error (an unreadable or unwritable file, a tone below 1), 3 search budget
+exhausted, 4 class precondition failed, 5 internal failure (a construction
+broke one of its own invariants). `run` is the one place that maps
+exceptions to them.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ import sys
 
 from . import bounds as bounds_mod
 from . import constructions, instances
-from .coloring import Coloring, ColoringError, StructuralError, verify
+from .coloring import Coloring, ColoringError, verify
 from .exact import SearchBudget, tau
-from .graphs import (Graph, GraphError, gen_cycle, gen_fat_triangle, gen_grid,
-                     gen_path, gen_star, mad, read_edge_list, write_edge_list)
+from .graphs import (Graph, gen_cycle, gen_fat_triangle, gen_grid, gen_path,
+                     gen_star, mad, read_edge_list, write_edge_list)
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -39,14 +41,11 @@ def _emit(text: str, path=None) -> None:
             fh.write(text)
 
 
-def _load_graph(path) -> Graph:
-    try:
-        if path is None or path == "-":
-            return read_edge_list(sys.stdin.read())
-        with open(path) as fh:
-            return read_edge_list(fh.read())
-    except OSError as exc:
-        raise UsageError(f"cannot read graph: {exc}") from exc
+def _read(path) -> str:
+    if path is None or path == "-":
+        return sys.stdin.read()
+    with open(path) as fh:
+        return fh.read()
 
 
 def _json_line(obj) -> str:
@@ -139,73 +138,65 @@ def _as_fat_triangle_param(g: Graph):
     return t if g == gen_fat_triangle(t) else None
 
 
-def _remap(coloring: Coloring, order) -> Coloring:
-    labels = {order[i]: coloring.labels[i] for i in range(len(order))}
-    return Coloring(coloring.t, coloring.k, labels)
+def _along(color, order, t: int) -> Coloring:
+    """color(n, t) of the line 0..n-1, moved onto the vertices of order."""
+    coloring = color(len(order), t)
+    return Coloring(t, coloring.k,
+                    {v: coloring.labels[i] for i, v in enumerate(order)})
 
 
-# family: (recognizer of the input's shape, what the input must be)
-_SHAPES = {
-    "path": (_as_path_order, "a path"),
-    "cycle": (_as_cycle_order, "a cycle"),
-    "grid": (_as_grid_dims, "a generator-layout grid"),
-    "fat-triangle": (_as_fat_triangle_param, "a generator-layout fat triangle"),
+def _whole(g: Graph) -> Graph:
+    return g
+
+
+# family: (recognizer, colorer of what the recognizer returned at tone t,
+# tones colored, what the input must be), in the order auto tries them
+_FAMILIES = {
+    "path": (_as_path_order,
+             lambda order, t: _along(constructions.color_path, order, t),
+             range(1, sys.maxsize), "a path"),      # every tone
+    "cycle": (_as_cycle_order,
+              lambda order, t: _along(constructions.color_cycle, order, t),
+              range(2, 6), "a cycle"),
+    "grid": (_as_grid_dims, lambda dims, t: constructions.color_grid(*dims, t),
+             range(2, 6), "a generator-layout grid"),
+    "fat-triangle": (_as_fat_triangle_param,
+                     lambda p, t: constructions.color_fat_triangle(p),
+                     (2,), "a generator-layout fat triangle"),
+    "sparse": (_whole, lambda g, t: constructions.color_sparse(g), (2,), None),
+    "outerplanar": (_whole, lambda g, t: constructions.color_outerplanar(g),
+                    (2,), None),
+    "planar": (_whole, lambda g, t: constructions.color_planar(g), (2,), None),
 }
 
 
-def _color_shape(g: Graph, family: str, shape, t: int) -> Coloring:
-    """Color g, whose shape the family's recognizer returned."""
-    if family == "path":
-        return _remap(constructions.color_path(g.n, t), shape)
-    if family == "cycle":
-        return _remap(constructions.color_cycle(g.n, t), shape)
-    if family == "grid":
-        return constructions.color_grid(shape[0], shape[1], t)
-    return constructions.color_fat_triangle(shape)
-
-
 def _color_family(g: Graph, family: str, t: int) -> Coloring:
-    if family in ("fat-triangle", "sparse", "outerplanar", "planar") and t != 2:
-        raise UsageError(f"family {family} colors tone 2 only")
-    if family in _SHAPES:
-        recognize, what = _SHAPES[family]
-        shape = recognize(g)
-        if shape is None:
-            raise UsageError(f"input graph is not {what}")
-        return _color_shape(g, family, shape, t)
-    if family == "sparse":
-        return constructions.color_sparse(g)
-    if family == "outerplanar":
-        return constructions.color_outerplanar(g)
-    if family == "planar":
-        return constructions.color_planar(g)
-    raise UsageError(f"unknown family {family}")
+    recognize, color, tones, what = _FAMILIES[family]
+    if t not in tones:
+        which = (f"tone {tones[0]} only" if len(tones) == 1
+                 else f"tones {tones[0]}..{tones[-1]}")
+        raise UsageError(f"family {family} colors {which}")
+    shape = recognize(g)
+    if shape is None:
+        raise UsageError(f"input graph is not {what}")
+    return color(shape, t)
 
 
 def _color_auto(g: Graph, t: int) -> Coloring:
-    families = ["path"]
-    if t in (2, 3, 4, 5):
-        families += ["cycle", "grid"]
-    if t == 2:
-        families.append("fat-triangle")
-    for family in families:
-        shape = _SHAPES[family][0](g)
+    failure = None
+    for recognize, color, tones, _ in _FAMILIES.values():
+        shape = recognize(g) if t in tones else None
         if shape is not None:
-            return _color_shape(g, family, shape, t)
-    if t == 2:
-        for color in (constructions.color_sparse,
-                      constructions.color_outerplanar):
             try:
-                return color(g)
-            except constructions.ClassPreconditionError:
-                pass
-        return constructions.color_planar(g)
-    raise constructions.ClassPreconditionError(
+                return color(shape, t)
+            except constructions.ClassPreconditionError as exc:
+                failure = exc
+    raise failure or constructions.ClassPreconditionError(
         f"no construction applies to this graph at tone {t}")
 
 
 def cmd_color(args) -> int:
-    g = _load_graph(args.input)
+    g = read_edge_list(_read(args.input))
     if args.family == "auto":
         coloring = _color_auto(g, args.t)
     else:
@@ -221,16 +212,8 @@ def cmd_color(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    g = _load_graph(args.graph)
-    try:
-        if args.input is None or args.input == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.input) as fh:
-                text = fh.read()
-    except OSError as exc:
-        raise UsageError(f"cannot read coloring: {exc}") from exc
-    coloring = Coloring.from_json(text)
+    g = read_edge_list(_read(args.graph))
+    coloring = Coloring.from_json(_read(args.input))
     violations = verify(g, coloring)
     if not violations:
         _emit(_json_line({"ok": True}))
@@ -246,30 +229,29 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_tau(args) -> int:
-    g = _load_graph(args.input)
+    g = read_edge_list(_read(args.input))
     budget = SearchBudget(max_nodes=args.max_nodes, wall_limit=args.wall_limit)
     result = tau(g, args.t, budget)
     if result.status == "timeout":
         _emit(_json_line({"status": "timeout", "lower_bound": result.lower_bound,
                           "nodes": result.nodes}))
         return EXIT_BUDGET
-    payload = {"status": "resolved", "value": result.value, "t": args.t,
-               "nodes": result.nodes}
-    _emit(_json_line(payload))
     if args.emit_witness:
         _emit(result.coloring.to_json(), args.emit_witness)
+    _emit(_json_line({"status": "resolved", "value": result.value, "t": args.t,
+                      "nodes": result.nodes}))
     return EXIT_OK
 
 
 def cmd_bounds(args) -> int:
-    g = _load_graph(args.input)
+    g = read_edge_list(_read(args.input))
     for cert in bounds_mod.certificates(g, args.t):
         _emit(cert.to_json_line() + "\n")
     return EXIT_OK
 
 
 def cmd_mad(args) -> int:
-    g = _load_graph(args.input)
+    g = read_edge_list(_read(args.input))
     dens = mad(g)
     frac = dens.fraction
     _emit(_json_line({"numerator": dens.numerator,
@@ -281,6 +263,13 @@ def cmd_mad(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+def _tone(text: str) -> int:
+    t = int(text)
+    if t < 1:
+        raise argparse.ArgumentTypeError(f"tone must be >= 1, got {t}")
+    return t
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -309,10 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("color", help="color a graph read from stdin or --in")
-    p.add_argument("--family", default="auto",
-                   choices=["path", "cycle", "grid", "fat-triangle", "sparse",
-                            "outerplanar", "planar", "auto"])
-    p.add_argument("--t", type=int, default=2)
+    p.add_argument("--family", default="auto", choices=[*_FAMILIES, "auto"])
+    p.add_argument("--t", type=_tone, default=2)
     p.add_argument("--in", dest="input", default=None)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_color)
@@ -324,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("tau", help="exact tone chromatic number")
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", type=_tone, required=True)
     p.add_argument("--in", dest="input", default=None)
     p.add_argument("--max-nodes", type=int, default=200_000_000)
     p.add_argument("--wall-limit", type=float, default=None)
@@ -332,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tau)
 
     p = sub.add_parser("bounds", help="print applicable lower-bound certificates")
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", type=_tone, required=True)
     p.add_argument("--in", dest="input", default=None)
     p.set_defaults(func=cmd_bounds)
 
@@ -351,15 +338,14 @@ def run(argv) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (UsageError, GraphError, StructuralError, ValueError) as exc:
-        if isinstance(exc, constructions.ClassPreconditionError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CLASS
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except constructions.ClassPreconditionError as exc:
+        code, message = EXIT_CLASS, exc
+    except (UsageError, ValueError, OSError) as exc:
+        code, message = EXIT_USAGE, exc
     except (AssertionError, ColoringError) as exc:
-        print(f"error: internal: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        code, message = EXIT_INTERNAL, f"internal: {exc}"
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def main() -> None:

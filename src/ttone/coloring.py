@@ -101,8 +101,8 @@ class Violation:
 def check_structure(g: Graph, coloring: Coloring) -> None:
     """Raise StructuralError unless every assigned label is a valid t-set."""
     t, k = coloring.t, coloring.k
-    if t < 1 or k < t:
-        raise StructuralError(f"need k >= t >= 1, got t={t}, k={k}")
+    if t < 1 or k < 0:
+        raise StructuralError(f"need t >= 1 and k >= 0, got t={t}, k={k}")
     for v, lab in coloring.labels.items():
         if not (0 <= v < g.n):
             raise StructuralError(f"label on unknown vertex {v}")

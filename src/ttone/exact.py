@@ -24,7 +24,7 @@ class SearchBudget:
     def __post_init__(self):
         if self.max_nodes <= 0:
             raise ValueError("max_nodes must be positive")
-        if self.wall_limit is not None and self.wall_limit <= 0:
+        if self.wall_limit is not None and not self.wall_limit > 0:   # NaN too
             raise ValueError("wall_limit must be positive")
 
 

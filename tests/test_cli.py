@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -297,9 +299,9 @@ def test_auto_recognizes_each_shape_once(tmp_path, capsys, monkeypatch, shape):
             return recognize(g)
         return wrapper
 
-    monkeypatch.setattr(cli, "_SHAPES", {
-        family: (counted(family, recognize), what)
-        for family, (recognize, what) in cli._SHAPES.items()})
+    monkeypatch.setattr(cli, "_FAMILIES", {
+        family: (counted(family, recognize), *rest)
+        for family, (recognize, *rest) in cli._FAMILIES.items()})
     gfile = tmp_path / "g.el"
     invoke(["gen", *shape, "-o", str(gfile)], capsys)
     code, _, _ = invoke(["color", "--family", "auto", "--in", str(gfile)], capsys)
@@ -317,3 +319,80 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
     assert code == 2
     code, _, _ = invoke(["tau", "--t", "3", "--jobs", "2"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--cycle", "5", "-o"],
+    ["color", "--family", "cycle", "--t", "3", "-o"],
+    ["tau", "--t", "2", "--emit-witness"],
+])
+def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, argv):
+    dest = str(tmp_path / "missing" / "out")
+    code, out, err = invoke([*argv, dest], capsys,
+                            stdin=write_edge_list(gen_cycle(5)),
+                            monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and "No such file" in err
+
+
+def test_unreadable_input_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "missing.el")
+    for argv in (["color", "--in", missing], ["mad", "--in", missing],
+                 ["verify", "--graph", missing],
+                 ["verify", "--graph", "-", "--in", missing],
+                 ["mad", "--in", str(tmp_path)]):
+        code, out, err = invoke(argv, capsys)
+        assert (code, out) == (2, "") and err.startswith("error: "), argv
+
+
+def test_tone_below_one_exits_2(tmp_path, capsys):
+    cycle = tmp_path / "c5.el"
+    cycle.write_text(write_edge_list(gen_cycle(5)))
+    star = tmp_path / "star.el"
+    star.write_text("4 3\n0 1\n0 2\n0 3\n")
+    for verb in ("color", "tau", "bounds"):
+        for path in (cycle, star):
+            for t in ("0", "-1"):
+                code, out, err = invoke([verb, "--t", t, "--in", str(path)],
+                                        capsys)
+                assert (code, out) == (2, "") and "tone must be >= 1" in err
+
+
+def test_tau_rejects_nonpositive_wall_limit(tmp_path, capsys):
+    gfile = tmp_path / "c5.el"
+    gfile.write_text(write_edge_list(gen_cycle(5)))
+    for limit in ("nan", "0", "-1"):
+        code, out, err = invoke(["tau", "--t", "3", "--in", str(gfile),
+                                 "--wall-limit", limit], capsys)
+        assert (code, out) == (2, "") and "wall_limit" in err, limit
+
+
+def test_verify_accepts_empty_graph_witness(tmp_path, capsys):
+    gfile = tmp_path / "empty.el"
+    gfile.write_text("0 0\n")
+    wfile = tmp_path / "w.json"
+    code, out, _ = invoke(["tau", "--t", "3", "--in", str(gfile),
+                           "--emit-witness", str(wfile)], capsys)
+    assert code == 0 and json.loads(out)["value"] == 0
+    assert wfile.read_text() == '{"k":0,"labels":{},"t":3}\n'
+    code, out, _ = invoke(["verify", "--graph", str(gfile), "--in", str(wfile)],
+                          capsys)
+    assert (code, out) == (0, '{"ok":true}\n')
+    # a labeled vertex still needs t distinct colors in 1..k
+    gfile.write_text("1 0\n")
+    wfile.write_text('{"k":2,"labels":{"0":[1,2,3]},"t":3}')
+    code, out, err = invoke(["verify", "--graph", str(gfile), "--in", str(wfile)],
+                            capsys)
+    assert (code, out) == (2, "") and "outside [1,2]" in err
+
+
+def test_exit_codes_documented_once():
+    """FORMATS.md's table, the cli docstring and cli.EXIT_* name one set."""
+    formats = (Path(__file__).parents[1] / "FORMATS.md").read_text()
+    table = formats.split("## Exit codes", 1)[1]
+    in_table = {int(c) for c in re.findall(r"^\| (\d+) \|", table, re.M)}
+    doc = cli.__doc__.split("Exit codes:", 1)[1]
+    in_doc = {int(c) for c in re.findall(r"(?:^|,)\s*(\d+) [a-z]", doc)}
+    in_code = {v for name, v in vars(cli).items() if name.startswith("EXIT_")}
+    assert in_table == in_doc == in_code == set(range(6))

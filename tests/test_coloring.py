@@ -46,6 +46,19 @@ def test_verify_structural_errors():
     assert verify_partial(gen_path(2), Coloring(2, 3, {0: (1, 2)})) == []
 
 
+def test_verify_palette_smaller_than_tone():
+    # k < t is well-formed when nothing is labeled (the empty graph's
+    # witness), and a structural error as soon as a label needs t colors
+    assert verify(Graph(0, []), Coloring(3, 0)) == []
+    assert verify_partial(gen_path(2), Coloring(3, 2)) == []
+    for t, k, label in [(3, 2, (1, 2, 3)), (2, 0, (1, 2)), (2, 1, (1, 1))]:
+        with pytest.raises(StructuralError):
+            verify(Graph(1, []), Coloring(t, k, {0: label}))
+    for t, k in [(0, 3), (-1, 3), (2, -1)]:
+        with pytest.raises(StructuralError):
+            verify(Graph(0, []), Coloring(t, k))
+
+
 def test_verify_memory_independent_of_color_values():
     # colors come from untrusted JSON; masks one bit per color value would
     # need 2^value bits (keep the value small enough for that to finish)

@@ -135,6 +135,13 @@ def test_budget_timeout():
         SearchBudget(max_nodes=0)
 
 
+@pytest.mark.parametrize("wall_limit", [0, -1.0, float("nan"), float("-inf")])
+def test_budget_rejects_nonpositive_wall_limit(wall_limit):
+    with pytest.raises(ValueError, match="wall_limit"):
+        SearchBudget(wall_limit=wall_limit)
+    assert SearchBudget(wall_limit=0.5).wall_limit == 0.5
+
+
 def test_tau_matches_path_formula():
     for n in range(1, 6):
         for t in range(1, 4):
