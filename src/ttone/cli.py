@@ -33,8 +33,13 @@ class UsageError(Exception):
     pass
 
 
+def _standard(path) -> bool:
+    """No path and "-" both name stdin for a read, stdout for a write."""
+    return path is None or path == "-"
+
+
 def _emit(text: str, path=None) -> None:
-    if path is None or path == "-":
+    if _standard(path):
         sys.stdout.write(text)
     else:
         with open(path, "w") as fh:
@@ -42,7 +47,7 @@ def _emit(text: str, path=None) -> None:
 
 
 def _read(path) -> str:
-    if path is None or path == "-":
+    if _standard(path):
         return sys.stdin.read()
     with open(path) as fh:
         return fh.read()
@@ -212,6 +217,9 @@ def cmd_color(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    if _standard(args.graph) and _standard(args.input):
+        raise UsageError("verify: the graph and the coloring cannot both come "
+                         "from stdin; give --in a file")
     g = read_edge_list(_read(args.graph))
     coloring = Coloring.from_json(_read(args.input))
     violations = verify(g, coloring)

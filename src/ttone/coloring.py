@@ -150,8 +150,10 @@ def label_stream(k: int, t: int, cons, mx: int = None):
     Yields (mask, label, top) for each label L with popcount(mask & L) <= cap
     for every (mask, cap) in cons.  Colors are chosen in increasing order
     with running sharing counters, pruning any prefix that exceeds a cap;
-    cap-0 constraints are folded into one forbidden mask, and which
-    constraints each color touches is computed once up front.
+    cap-0 constraints are folded into one forbidden mask.  Which
+    constraints a color touches (its hits) is found the first time the color
+    is tried, so a caller that takes only the first label pays for the
+    colors it tried, not for all k.
 
     With mx (the largest color used so far) the stream applies the search's
     canonical color introduction as a reach bound: new colors above mx may
@@ -169,11 +171,11 @@ def label_stream(k: int, t: int, cons, mx: int = None):
             rem.append(cap)
         else:
             zero |= mask
+    # a forbidden color hits only the extra constraint len(masks), whose
+    # remaining count stays 0
+    forbidden = [len(masks)]
+    rem.append(0)
     hits = [None] * (k + 1)
-    for c in range(1, k + 1):
-        bit = 1 << (c - 1)
-        if not zero & bit:
-            hits[c] = [i for i, m in enumerate(masks) if m & bit]
     if mx is None:
         mx = k
     chosen = []
@@ -189,12 +191,15 @@ def label_stream(k: int, t: int, cons, mx: int = None):
         c += 1
         while c <= hi:
             h = hits[c]
-            if h is not None:
-                for i in h:
-                    if not rem[i]:
-                        break
-                else:
+            if h is None:
+                bit = 1 << (c - 1)
+                h = hits[c] = forbidden if zero & bit else \
+                    [i for i, m in enumerate(masks) if m & bit]
+            for i in h:
+                if not rem[i]:
                     break
+            else:
+                break
             c += 1
         if c > hi:
             if not d:

@@ -12,9 +12,10 @@ from .blocks import BLOCK_TABLES, cycle_value, ensure_validated, exceptional_wit
 from .bounds import _least_k, h_t_bounds, path_tau, star_lower
 from .coloring import (Coloring, available_labels, greedy_color, greedy_extend,
                        verify)
-from .graphs import (Graph, Reduction, _density_exceeds, find_outerplanar_edge,
-                     find_planar_reducible, find_thread_config, gen_cycle,
-                     gen_fat_triangle, gen_path)
+from .graphs import (OUTERPLANAR_HIGH, PLANAR_HIGH, Graph, LeastLive, Reduction,
+                     _density_exceeds, find_thread_config, gen_cycle,
+                     gen_fat_triangle, gen_path, outerplanar_edge_at,
+                     planar_reducible_at)
 
 
 class ClassPreconditionError(ValueError):
@@ -209,21 +210,23 @@ def _finish_two_thread(g: Graph, partial: Coloring, v1: int, v2: int) -> None:
     raise AssertionError("2-thread extension exhausted its guaranteed options")
 
 
-def _reduce_and_lift(g: Graph, k: int, pick) -> Coloring:
+def _reduce_and_lift(g: Graph, k: int, picks) -> Coloring:
     """The one reduce-and-lift loop of the sparse-class colorers.
 
-    pick(red) returns (doomed, w, recolor), or None to stop; the loop also
-    stops when no vertex is left.  With w None the doomed vertices are
-    deleted, otherwise doomed[0] is contracted with its neighbor w.  The
-    rest is colored greedily with palette k.  Then each step is undone in
-    reverse and the doomed vertices are extended in order, or, when recolor
-    is set, the 2-thread vertex doomed[0] is finished by recoloring its
-    neighbor recolor as needed.
+    picks(red) is a generator of steps (doomed, w, recolor) on red; each
+    step is applied before the next is asked for, and the loop stops when
+    the generator ends or no vertex is left.  With w None the doomed
+    vertices are deleted, otherwise doomed[0] is contracted with its
+    neighbor w.  The rest is colored greedily with palette k.  Then each
+    step is undone in reverse and the doomed vertices are extended in
+    order, or, when recolor is set, the 2-thread vertex doomed[0] is
+    finished by recoloring its neighbor recolor as needed.
     """
     red = Reduction(g)
+    pick = picks(red)
     steps = []
     while red.live:
-        step = pick(red)
+        step = next(pick, None)
         if step is None:
             break
         doomed, w, _ = step
@@ -262,19 +265,23 @@ def color_sparse(g: Graph) -> Coloring:
     if _density_exceeds(g, Fraction(6, 5) - Fraction(1, 5 * g.n + 1)) is not None:
         raise ClassPreconditionError("maximum average degree is not below 12/5")
 
-    def pick(red):
-        low = next((v for v in red.vertices() if red.degree(v) <= 1), None)
-        if low is not None:
-            return [low], None, None
-        cfg = find_thread_config(red)
-        assert cfg is not None, "no reducible thread despite the density gate"
-        if cfg.kind == "FourThread":
-            return [cfg.internal[1], cfg.internal[2]], None, None
-        if cfg.kind == "ThreeThread":
-            return [cfg.internal[2], cfg.internal[1]], None, None
-        return [cfg.internal[0]], None, cfg.internal[1]
+    def picks(red):
+        low = LeastLive(red, lambda v: red.degree(v) <= 1)
+        while True:
+            v = low()
+            if v is not None:
+                yield [v], None, None
+                continue
+            cfg = find_thread_config(red)
+            assert cfg is not None, "no reducible thread despite the density gate"
+            if cfg.kind == "FourThread":
+                yield [cfg.internal[1], cfg.internal[2]], None, None
+            elif cfg.kind == "ThreeThread":
+                yield [cfg.internal[2], cfg.internal[1]], None, None
+            else:
+                yield [cfg.internal[0]], None, cfg.internal[1]
 
-    return _reduce_and_lift(g, max(7, star_lower(g.max_degree())), pick)
+    return _reduce_and_lift(g, max(7, star_lower(g.max_degree())), picks)
 
 
 def outerplanar_palette(max_degree: int) -> int:
@@ -289,17 +296,22 @@ def color_outerplanar(g: Graph) -> Coloring:
     the contraction, and extends back to x.  Raises when no such edge exists
     (the input is then not outerplanar).
     """
-    def pick(red):
-        iso = next((v for v in red.vertices() if red.degree(v) == 0), None)
-        if iso is not None:
-            return [iso], None, None
-        edge = find_outerplanar_edge(red)
-        if edge is None:
-            raise ClassPreconditionError(
-                "input not outerplanar: no reducible edge")
-        return [edge[0]], edge[1], None
+    def picks(red):
+        iso = LeastLive(red, lambda v: red.degree(v) == 0)
+        low = LeastLive(red, lambda x: outerplanar_edge_at(red, x) is not None,
+                        near=OUTERPLANAR_HIGH)
+        while True:
+            v = iso()
+            if v is not None:
+                yield [v], None, None
+                continue
+            x = low()
+            if x is None:
+                raise ClassPreconditionError(
+                    "input not outerplanar: no reducible edge")
+            yield [x], outerplanar_edge_at(red, x)[1], None
 
-    return _reduce_and_lift(g, outerplanar_palette(g.max_degree()), pick)
+    return _reduce_and_lift(g, outerplanar_palette(g.max_degree()), picks)
 
 
 def planar_palette(max_degree: int) -> int:
@@ -316,13 +328,15 @@ def color_planar(g: Graph) -> Coloring:
     remaining graph is colored greedily (41 colors always suffice at
     maximum degree 12).  Raises when no reducible vertex exists.
     """
-    def pick(red):
-        if max(map(red.degree, red.vertices())) <= 12:
-            return None
-        found = find_planar_reducible(red)
-        if found is None:
-            raise ClassPreconditionError(
-                "input not planar: no reducible vertex")
-        return [found[0]], found[1], None
+    def picks(red):
+        hub = LeastLive(red, lambda v: red.degree(v) >= 13)
+        low = LeastLive(red, lambda v: planar_reducible_at(red, v) is not None,
+                        near=PLANAR_HIGH)
+        while hub() is not None:       # None: maximum degree <= 12
+            v = low()
+            if v is None:
+                raise ClassPreconditionError(
+                    "input not planar: no reducible vertex")
+            yield [v], planar_reducible_at(red, v)[1], None
 
-    return _reduce_and_lift(g, planar_palette(g.max_degree()), pick)
+    return _reduce_and_lift(g, planar_palette(g.max_degree()), picks)

@@ -7,6 +7,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import compress, islice
 
 
@@ -173,9 +174,15 @@ class Reduction:
     a Graph rebuilt with compacted ids would give them.  A search that reads
     a graph only through vertices(), degree(), neighbors() (sorted) and adj
     therefore finds the same vertices here as on that rebuild.
+
+    touched is append-only: every step and undo appends the ids whose
+    neighbor sets it changed, so LeastLive can catch up from where it last
+    read.  Each removed or restored vertex is logged with its neighbors:
+    a contraction changes no neighbor set beyond those of the vertex it
+    removes and of that vertex's neighbors.
     """
 
-    __slots__ = ("adj", "alive", "live", "log")
+    __slots__ = ("adj", "alive", "live", "log", "touched")
 
     def __init__(self, g: Graph):
         self.adj = [set(a) for a in g.adj]
@@ -184,6 +191,7 @@ class Reduction:
         # one entry per step: (removed (vertex, neighbor set) pairs,
         # merge target, neighbors the merge newly joined to it)
         self.log = []
+        self.touched = []
 
     def vertices(self) -> list:
         return list(compress(range(len(self.alive)), self.alive))
@@ -201,6 +209,8 @@ class Reduction:
         self.adj[v] = set()
         self.alive[v] = False
         self.live -= 1
+        self.touched.append(v)
+        self.touched.extend(nbrs)
         return nbrs
 
     def delete(self, *vs) -> None:
@@ -231,7 +241,51 @@ class Reduction:
             for u in nbrs:
                 self.adj[u].add(v)
             self.alive[v] = True
+            self.touched.append(v)
+            self.touched.extend(nbrs)
         self.live += len(removed)
+
+
+class LeastLive:
+    """The least live id of a Reduction that passes test, kept up to date
+    from the Reduction's touched list.
+
+    A min-heap holds every live id that may pass, with lazy deletion: a call
+    first pushes the ids touched since the last call, then pops until the
+    top is alive and passes, and returns it (None when the heap runs dry).
+    Every live id that passes is in the heap, so the answer is the one a
+    scan in id order would give.  test(v) must read only v's neighbor set
+    and, when near is set, whether each neighbor has degree >= near; then
+    a touched id whose side of near changed also pushes its neighbors.
+    """
+
+    __slots__ = ("red", "test", "near", "heap", "read", "big")
+
+    def __init__(self, red: Reduction, test, near: int = None):
+        self.red, self.test, self.near = red, test, near
+        self.heap = [v for v, up in enumerate(red.alive) if up]
+        heapify(self.heap)
+        self.read = len(red.touched)
+        if near is not None:
+            self.big = [len(a) >= near for a in red.adj]
+
+    def __call__(self):
+        heap, test, near = self.heap, self.test, self.near
+        adj, alive, touched = self.red.adj, self.red.alive, self.red.touched
+        for u in set(touched[self.read:]):
+            if alive[u]:
+                heappush(heap, u)
+            if near is not None and self.big[u] != (len(adj[u]) >= near):
+                self.big[u] = not self.big[u]
+                for w in adj[u]:
+                    heappush(heap, w)
+        self.read = len(touched)
+        while heap:
+            v = heap[0]
+            if alive[v] and test(v):
+                return v
+            heappop(heap)
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -467,40 +521,56 @@ def find_thread_config(g: Graph):
     return None
 
 
-def find_planar_reducible(g: Graph):
-    """A vertex v with d(v) <= 5 and at most two neighbors of degree >= 11,
-    paired with a contraction partner w (None for isolated v).
+# Degree from which a neighbor counts as high for planar_reducible_at, and
+# from which it is too high for outerplanar_edge_at: the one neighbor fact
+# each rule reads, so the near threshold of its LeastLive index.
+PLANAR_HIGH = 11
+OUTERPLANAR_HIGH = 5
 
-    For d(v) >= 3 the partner has degree <= 10, so contraction cannot raise
-    the maximum degree.  Returns None when no such vertex exists, which
-    signals non-planar input.
+
+def planar_reducible_at(g: Graph, v: int):
+    """(v, w) if d(v) <= 5 and at most two neighbors of v have degree >=
+    11, with contraction partner w (None for isolated v); else None.
+
+    For d(v) >= 3 the partner is the least neighbor of degree <= 10, so
+    contraction cannot raise the maximum degree.
     """
-    for v in g.vertices():
-        if g.degree(v) > 5:
-            continue
-        if sum(1 for u in g.adj[v] if g.degree(u) >= 11) > 2:
-            continue
-        if g.degree(v) == 0:
-            return v, None
-        nbrs = g.neighbors(v)
-        if g.degree(v) >= 3:
-            w = next(u for u in nbrs if g.degree(u) <= 10)
-            return v, w
-        return v, nbrs[0]
+    if g.degree(v) > 5:
+        return None
+    if sum(1 for u in g.adj[v] if g.degree(u) >= PLANAR_HIGH) > 2:
+        return None
+    if g.degree(v) == 0:
+        return v, None
+    nbrs = g.neighbors(v)
+    if g.degree(v) >= 3:
+        return v, next(u for u in nbrs if g.degree(u) < PLANAR_HIGH)
+    return v, nbrs[0]
+
+
+def find_planar_reducible(g: Graph):
+    """planar_reducible_at for the least vertex that has one.  Returns None
+    when no such vertex exists, which signals non-planar input."""
+    return next(filter(None, (planar_reducible_at(g, v) for v in g.vertices())),
+                None)
+
+
+def outerplanar_edge_at(g: Graph, x: int):
+    """(x, y) with y the one neighbor of x if d(x) = 1, or the least
+    neighbor of degree <= 4 if d(x) = 2; else None."""
+    if g.degree(x) == 1:
+        return x, g.neighbors(x)[0]
+    if g.degree(x) == 2:
+        for y in g.neighbors(x):
+            if g.degree(y) < OUTERPLANAR_HIGH:
+                return x, y
     return None
 
 
 def find_outerplanar_edge(g: Graph):
-    """An edge xy with d(x) = 1, or with d(x) = 2 and d(y) <= 4; None if
-    absent (signals non-outerplanar input)."""
-    for x in g.vertices():
-        if g.degree(x) == 1:
-            return x, g.neighbors(x)[0]
-        if g.degree(x) == 2:
-            for y in g.neighbors(x):
-                if g.degree(y) <= 4:
-                    return x, y
-    return None
+    """outerplanar_edge_at for the least vertex that has one; None if absent
+    (signals non-outerplanar input)."""
+    return next(filter(None, (outerplanar_edge_at(g, x) for x in g.vertices())),
+                None)
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +584,11 @@ def write_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Largest vertex count an edge-list header may declare: the reader builds
+# one neighbor set per vertex before it reads an edge.
+MAX_EDGE_LIST_VERTICES = 10 ** 6
+
+
 def read_edge_list(text: str) -> Graph:
     """Parse the edge-list format; lines starting with 'c' are comments."""
     rows = [ln for ln in text.splitlines()
@@ -524,6 +599,9 @@ def read_edge_list(text: str) -> Graph:
         n, m = map(int, rows[0].split())
     except ValueError as exc:
         raise GraphError(f"bad header line: {rows[0]!r}") from exc
+    if n > MAX_EDGE_LIST_VERTICES:
+        raise GraphError(f"header declares {n} vertices, more than the "
+                         f"limit of {MAX_EDGE_LIST_VERTICES}")
     if len(rows) - 1 != m:
         raise GraphError(f"expected {m} edge lines, found {len(rows) - 1}")
     edges = []

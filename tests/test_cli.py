@@ -7,8 +7,8 @@ import pytest
 from ttone import cli, constructions
 from ttone.cli import run
 from ttone.coloring import Coloring, ColoringError
-from ttone.graphs import (Graph, gen_cycle, gen_grid, read_edge_list,
-                          write_edge_list)
+from ttone.graphs import (MAX_EDGE_LIST_VERTICES, Graph, gen_cycle, gen_grid,
+                          read_edge_list, write_edge_list)
 
 
 def invoke(argv, capsys, stdin=None, monkeypatch=None):
@@ -176,6 +176,28 @@ def test_verify_deeply_nested_json(tmp_path, capsys):
                             capsys)
     assert (code, out) == (2, "") and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_verify_refuses_two_inputs_from_stdin(tmp_path, capsys, monkeypatch):
+    text = write_edge_list(gen_cycle(4))
+    for argv in (["verify", "--graph", "-"],
+                 ["verify", "--graph", "-", "--in", "-"]):
+        code, out, err = invoke(argv, capsys, stdin=text, monkeypatch=monkeypatch)
+        assert (code, out) == (2, "") and "both come from stdin" in err, argv
+    # one of the two from stdin still works
+    gfile = tmp_path / "c4.el"
+    gfile.write_text(text)
+    good = '{"k":6,"labels":{"0":[1,2],"1":[3,4],"2":[1,5],"3":[3,6]},"t":2}'
+    code, out, _ = invoke(["verify", "--graph", str(gfile)], capsys,
+                          stdin=good, monkeypatch=monkeypatch)
+    assert (code, out) == (0, '{"ok":true}\n')
+
+
+def test_edge_list_header_over_limit_exits_2(capsys, monkeypatch):
+    code, out, err = invoke(["mad"], capsys,
+                            stdin=f"{MAX_EDGE_LIST_VERTICES + 1} 0\n",
+                            monkeypatch=monkeypatch)
+    assert (code, out) == (2, "") and "limit" in err
 
 
 def test_tau_verb(tmp_path, capsys):

@@ -122,6 +122,25 @@ def test_available_labels_matches_bruteforce(g, t, k, rnd):
     assert list(label_stream(k, t, cons, mx)) == bounded
 
 
+@given(st.integers(1, 4), st.integers(0, 12), st.randoms(use_true_random=False))
+@settings(max_examples=120, deadline=None)
+def test_label_stream_matches_filtered_combinations(t, k, rnd):
+    # Hits are found lazily, on a color's first try; the stream must still be
+    # exactly the lexicographic filter of all t-sets, whatever the caps.
+    cons = [(rnd.getrandbits(k), rnd.randint(0, t))
+            for _ in range(rnd.randint(0, 12))]
+    ok = [c for c in combinations(range(1, k + 1), t)
+          if all((label_mask(c) & m).bit_count() <= cap for m, cap in cons)]
+    assert list(label_stream(k, t, cons)) == [(label_mask(c), c, k) for c in ok]
+    mx = rnd.randint(0, k)
+    bounded = []
+    for c in ok:
+        new = [x for x in c if x > mx]
+        if new == list(range(mx + 1, mx + 1 + len(new))):
+            bounded.append((label_mask(c), c, mx + len(new)))
+    assert list(label_stream(k, t, cons, mx)) == bounded
+
+
 def test_greedy_extend():
     part = Coloring(2, 5, {1: (1, 2), 2: (3, 4)})
     assert greedy_extend(gen_path(3), part, 0) == (3, 5)

@@ -8,14 +8,18 @@ from hypothesis import strategies as st
 from conftest import (bfs_distances, brute_mad, graphs, greedy_2tone_palette,
                       induced)
 from ttone.coloring import greedy_color
+from ttone import constructions
 from ttone import graphs as graphs_mod
-from ttone.graphs import (Density, Graph, GraphError, Reduction, ThreadConfig,
+from ttone.graphs import (OUTERPLANAR_HIGH, PLANAR_HIGH, Density, Graph,
+                          GraphError, LeastLive, Reduction, ThreadConfig,
                           constraint_pairs, distances_within,
                           find_outerplanar_edge, find_planar_reducible,
                           find_thread_config, gen_cycle, gen_fat_triangle,
-                          gen_grid, gen_path, gen_star, mad, read_edge_list,
-                          write_edge_list)
-from ttone.instances import random_subdivided, subdivide
+                          gen_grid, gen_path, gen_star, mad,
+                          outerplanar_edge_at, planar_reducible_at,
+                          read_edge_list, write_edge_list)
+from ttone.instances import (random_apollonian, random_maximal_outerplanar,
+                             random_subdivided, subdivide)
 import random
 
 
@@ -452,8 +456,150 @@ def test_edge_list_round_trip():
         read_edge_list("3 2\n0 1\n")
 
 
+def test_edge_list_header_limit():
+    # one past the limit, refused before any per-vertex allocation
+    over = graphs_mod.MAX_EDGE_LIST_VERTICES + 1
+    with pytest.raises(GraphError, match="limit"):
+        read_edge_list(f"{over} 0\n")
+
+
 def test_subdivide_helper():
     g = subdivide(gen_path(2), lambda u, v: 3)
     assert (g.n, g.m) == (5, 4)
     assert sorted(g.degree(v) for v in range(5)) == [1, 1, 2, 2, 2]
     assert bfs_distances(g, 0)[1] == 4   # the old endpoints sit 4 apart
+
+
+def _scan(red, test):
+    return next((v for v in red.vertices() if test(v)), None)
+
+
+def _indexes(red):
+    """(LeastLive index, the same predicate) pairs for each rule the
+    colorers index, plus a low threshold that small graphs reach."""
+    rules = [
+        (lambda v: red.degree(v) <= 1, None),
+        (lambda v: red.degree(v) == 0, None),
+        (lambda v: red.degree(v) >= 13, None),
+        (lambda v: red.degree(v) >= 3, None),
+        (lambda v: outerplanar_edge_at(red, v) is not None, OUTERPLANAR_HIGH),
+        (lambda v: planar_reducible_at(red, v) is not None, PLANAR_HIGH),
+    ]
+    return [(LeastLive(red, test, near), test) for test, near in rules]
+
+
+def _indexes_agree(red, indexes):
+    for index, test in indexes:
+        assert index() == _scan(red, test)
+    assert _scan(red, lambda v: outerplanar_edge_at(red, v) is not None) == \
+        (find_outerplanar_edge(red) or (None,))[0]
+    assert _scan(red, lambda v: planar_reducible_at(red, v) is not None) == \
+        (find_planar_reducible(red) or (None,))[0]
+
+
+def _apollonian(seed: int) -> Graph:
+    rng = random.Random(seed)
+    return random_apollonian(rng, rng.randint(0, 40))
+
+
+def _outerplanar(seed: int) -> Graph:
+    rng = random.Random(seed)
+    return random_maximal_outerplanar(rng, rng.randint(3, 40))
+
+
+@given(st.one_of(graphs(max_n=13), st.integers(0, 10 ** 6).map(_subdivided),
+                 st.integers(0, 10 ** 6).map(_apollonian),
+                 st.integers(0, 10 ** 6).map(_outerplanar)),
+       st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_least_live_matches_scan_along_steps_and_undos(g, rnd):
+    red = Reduction(g)
+    indexes = _indexes(red)
+    _indexes_agree(red, indexes)
+    steps = 0
+    for _ in range(rnd.randint(0, g.n)):
+        if red.log and rnd.random() < 0.25:
+            red.undo()
+            steps -= 1
+        elif _random_steps(red, rnd, 1):
+            steps += 1
+        _indexes_agree(red, indexes)
+    for _ in range(steps):
+        red.undo()
+        _indexes_agree(red, indexes)
+    assert red.adj == [set(a) for a in g.adj]
+
+
+def _scan_pick(kind, red):
+    """The step each colorer took by scanning every live vertex, before
+    its picks were indexed; None where the colorer stops."""
+    if kind == "sparse":
+        low = next((v for v in red.vertices() if red.degree(v) <= 1), None)
+        if low is not None:
+            return [low], None, None
+        cfg = find_thread_config(red)
+        if cfg.kind == "FourThread":
+            return [cfg.internal[1], cfg.internal[2]], None, None
+        if cfg.kind == "ThreeThread":
+            return [cfg.internal[2], cfg.internal[1]], None, None
+        return [cfg.internal[0]], None, cfg.internal[1]
+    if kind == "outerplanar":
+        iso = next((v for v in red.vertices() if red.degree(v) == 0), None)
+        if iso is not None:
+            return [iso], None, None
+        x, y = find_outerplanar_edge(red)
+        return [x], y, None
+    if max(map(red.degree, red.vertices())) <= 12:
+        return None
+    v, w = find_planar_reducible(red)
+    return [v], w, None
+
+
+@pytest.mark.parametrize("kind", ["sparse", "outerplanar", "planar"])
+def test_colorer_picks_match_scans(kind, monkeypatch):
+    real = constructions._reduce_and_lift
+    taken = []
+
+    def checked(g, k, picks):
+        def compared(red):
+            for step in picks(red):
+                assert step == _scan_pick(kind, red)
+                taken.append(step)
+                yield step
+            assert _scan_pick(kind, red) is None
+        return real(g, k, compared)
+
+    monkeypatch.setattr(constructions, "_reduce_and_lift", checked)
+    colorer = {"sparse": constructions.color_sparse,
+               "outerplanar": constructions.color_outerplanar,
+               "planar": constructions.color_planar}[kind]
+    for seed in range(12):
+        rng = random.Random(seed)
+        if kind == "sparse":
+            g = random_subdivided(rng, n_base=rng.randint(3, 30),
+                                  extra_edges=rng.randint(0, 8))
+        elif kind == "outerplanar":
+            g = random_maximal_outerplanar(rng, rng.randint(3, 120))
+        else:
+            g = random_apollonian(rng, rng.randint(0, 150))
+        colorer(g)
+    assert taken
+
+
+def test_outerplanar_index_work_is_linear(monkeypatch):
+    # Counts predicate evaluations, not time: a scan of the live vertices
+    # at every step would make about n^2 / 2 of them.
+    evaluations = 0
+
+    class Counted(LeastLive):
+        def __init__(self, red, test, near=None):
+            def counted(v):
+                nonlocal evaluations
+                evaluations += 1
+                return test(v)
+            super().__init__(red, counted, near)
+
+    monkeypatch.setattr(constructions, "LeastLive", Counted)
+    g = random_maximal_outerplanar(random.Random(5), 2000)
+    constructions.color_outerplanar(g)
+    assert 0 < evaluations <= 8 * (g.n + g.m)
