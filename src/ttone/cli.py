@@ -10,6 +10,7 @@ exceptions to them.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -18,8 +19,9 @@ from . import bounds as bounds_mod
 from . import constructions, instances
 from .coloring import Coloring, ColoringError, verify
 from .exact import SearchBudget, tau
-from .graphs import (Graph, gen_cycle, gen_fat_triangle, gen_grid, gen_path,
-                     gen_star, mad, read_edge_list, write_edge_list)
+from .graphs import (MAX_EDGE_LIST_VERTICES, Graph, gen_cycle,
+                     gen_fat_triangle, gen_grid, gen_path, gen_star, mad,
+                     read_edge_list, write_edge_list)
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -61,34 +63,47 @@ def _json_line(obj) -> str:
 # gen
 # ---------------------------------------------------------------------------
 
-# random family: (generator, --size when absent, least --size)
+# random family: (generator, --size when absent, least --size, the most
+# vertices it can make from a --size).  A subdivided graph is a tree plus
+# at most 3 extra edges, each edge subdivided at most 7 times.
 _RANDOM = {
-    "subdivided": (instances.random_subdivided, 8, 1),
-    "outerplanar": (instances.random_maximal_outerplanar, 12, 3),
-    "apollonian": (instances.random_apollonian, 12, 0),
+    "subdivided": (instances.random_subdivided, 8, 1, lambda s: 8 * s + 14),
+    "outerplanar": (instances.random_maximal_outerplanar, 12, 3,
+                    lambda s: s),
+    "apollonian": (instances.random_apollonian, 12, 0, lambda s: s + 3),
 }
 
 
 def cmd_gen(args) -> int:
     if args.size is not None and args.random is None:
         raise UsageError("gen: --size applies only to --random")
+    # (generator, its arguments, the most vertices it can make)
     if args.path is not None:
-        g = gen_path(args.path)
+        make, sizes, n = gen_path, [args.path], args.path
     elif args.cycle is not None:
-        g = gen_cycle(args.cycle)
+        make, sizes, n = gen_cycle, [args.cycle], args.cycle
     elif args.grid is not None:
-        g = gen_grid(args.grid[0], args.grid[1])
+        rows, cols = args.grid
+        # a side below 1 is left for gen_grid to refuse
+        make, sizes, n = gen_grid, args.grid, max(rows, 0) * cols
     elif args.star is not None:
-        g = gen_star(args.star)
+        make, sizes, n = gen_star, [args.star], args.star + 1
     elif args.fat_triangle is not None:
-        g = gen_fat_triangle(args.fat_triangle)
+        t = args.fat_triangle
+        make, sizes, n = gen_fat_triangle, [t], 3 * t + 3
     else:
-        make, size, least = _RANDOM[args.random]
+        generator, size, least, most = _RANDOM[args.random]
         if args.size is not None:
             size = args.size
         if size < least:
             raise UsageError(f"gen --random {args.random} needs --size >= {least}")
-        g = make(random.Random(args.seed), size)
+        make = functools.partial(generator, random.Random(args.seed))
+        sizes, n = [size], most(size)
+    # refuse before building what no reader of edge lists would accept
+    if n > MAX_EDGE_LIST_VERTICES:
+        raise UsageError(f"gen: the graph can have up to {n} vertices, more "
+                         f"than the edge-list limit of {MAX_EDGE_LIST_VERTICES}")
+    g = make(*sizes)
     _emit(write_edge_list(g), args.output)
     return EXIT_OK
 

@@ -1,10 +1,11 @@
 import json
+import random
 import re
 from pathlib import Path
 
 import pytest
 
-from ttone import cli, constructions
+from ttone import cli, constructions, instances
 from ttone.cli import run
 from ttone.coloring import Coloring, ColoringError
 from ttone.graphs import (MAX_EDGE_LIST_VERTICES, Graph, gen_cycle, gen_grid,
@@ -198,6 +199,32 @@ def test_edge_list_header_over_limit_exits_2(capsys, monkeypatch):
                             stdin=f"{MAX_EDGE_LIST_VERTICES + 1} 0\n",
                             monkeypatch=monkeypatch)
     assert (code, out) == (2, "") and "limit" in err
+
+
+def test_gen_refuses_graphs_over_the_edge_list_limit(capsys, monkeypatch):
+    # every generator is replaced, so a missed refusal exits 5, not slowly 0
+    def unbuilt(*args):
+        raise AssertionError("gen built a graph above the limit")
+
+    for name in ("gen_path", "gen_cycle", "gen_grid", "gen_star"):
+        monkeypatch.setattr(cli, name, unbuilt)
+    for family, (_, size, least, most) in list(cli._RANDOM.items()):
+        monkeypatch.setitem(cli._RANDOM, family, (unbuilt, size, least, most))
+    over = MAX_EDGE_LIST_VERTICES + 1
+    for argv in (["--path", over], ["--cycle", over], ["--grid", over, 1],
+                 ["--star", over - 1],
+                 ["--random", "outerplanar", "--size", over],
+                 ["--random", "apollonian", "--size", over - 3]):
+        code, out, err = invoke(["gen", *map(str, argv)], capsys)
+        assert (code, out) == (2, "") and f"up to {over} vertices" in err, argv
+
+
+def test_gen_subdivided_vertex_bound():
+    _, _, _, most = cli._RANDOM["subdivided"]
+    for seed in range(40):
+        for size in (1, 2, 5, 30):
+            g = instances.random_subdivided(random.Random(seed), size)
+            assert g.n <= most(size), (seed, size)
 
 
 def test_tau_verb(tmp_path, capsys):

@@ -107,11 +107,18 @@ def test_available_labels_matches_bruteforce(g, t, k, rnd):
             want.append(combo)
     assert got == want
 
-    # The same constraints through label_stream, with and without the
-    # search's reach bound: colors above mx may only be mx+1, mx+2, ...
+    # The same constraints through label_stream; then with random masks and
+    # caps added (a color's hits are found on its first try, whatever the
+    # caps), with and without the search's reach bound: colors above mx may
+    # only be mx+1, mx+2, ...
     cons = [(label_mask(partial.labels[u]), d - 1)
             for u, d in distances_within(g, target, t).items()
             if u in partial.labels]
+    assert list(label_stream(k, t, cons)) == [(label_mask(c), c, k) for c in want]
+    cons += [(rnd.getrandbits(k), rnd.randint(0, t))
+             for _ in range(rnd.randint(0, 6))]
+    want = [c for c in want
+            if all((label_mask(c) & m).bit_count() <= cap for m, cap in cons)]
     assert list(label_stream(k, t, cons)) == [(label_mask(c), c, k) for c in want]
     mx = rnd.randint(0, k)
     bounded = []
@@ -119,25 +126,6 @@ def test_available_labels_matches_bruteforce(g, t, k, rnd):
         new = [c for c in combo if c > mx]
         if new == list(range(mx + 1, mx + 1 + len(new))):
             bounded.append((label_mask(combo), combo, mx + len(new)))
-    assert list(label_stream(k, t, cons, mx)) == bounded
-
-
-@given(st.integers(1, 4), st.integers(0, 12), st.randoms(use_true_random=False))
-@settings(max_examples=120, deadline=None)
-def test_label_stream_matches_filtered_combinations(t, k, rnd):
-    # Hits are found lazily, on a color's first try; the stream must still be
-    # exactly the lexicographic filter of all t-sets, whatever the caps.
-    cons = [(rnd.getrandbits(k), rnd.randint(0, t))
-            for _ in range(rnd.randint(0, 12))]
-    ok = [c for c in combinations(range(1, k + 1), t)
-          if all((label_mask(c) & m).bit_count() <= cap for m, cap in cons)]
-    assert list(label_stream(k, t, cons)) == [(label_mask(c), c, k) for c in ok]
-    mx = rnd.randint(0, k)
-    bounded = []
-    for c in ok:
-        new = [x for x in c if x > mx]
-        if new == list(range(mx + 1, mx + 1 + len(new))):
-            bounded.append((label_mask(c), c, mx + len(new)))
     assert list(label_stream(k, t, cons, mx)) == bounded
 
 

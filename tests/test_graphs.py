@@ -491,10 +491,6 @@ def _indexes(red):
 def _indexes_agree(red, indexes):
     for index, test in indexes:
         assert index() == _scan(red, test)
-    assert _scan(red, lambda v: outerplanar_edge_at(red, v) is not None) == \
-        (find_outerplanar_edge(red) or (None,))[0]
-    assert _scan(red, lambda v: planar_reducible_at(red, v) is not None) == \
-        (find_planar_reducible(red) or (None,))[0]
 
 
 def _apollonian(seed: int) -> Graph:
