@@ -149,11 +149,11 @@ def label_stream(k: int, t: int, cons, mx: int = None):
 
     Yields (mask, label, top) for each label L with popcount(mask & L) <= cap
     for every (mask, cap) in cons.  Colors are chosen in increasing order
-    with running sharing counters, pruning any prefix that exceeds a cap;
-    cap-0 constraints are folded into one forbidden mask.  Which
-    constraints a color touches (its hits) is found the first time the color
-    is tried, so a caller that takes only the first label pays for the
-    colors it tried, not for all k.
+    with running sharing counters, pruning any prefix that exceeds a cap.
+    Each constraint's colors are scattered once into a hit table (color ->
+    indices of the constraints holding it), O(t*len(cons)) for label masks;
+    a cap-0 constraint is an ordinary one whose remaining count is 0, and a
+    color above k in a mask is never tried, so it is harmless.
 
     With mx (the largest color used so far) the stream applies the search's
     canonical color introduction as a reach bound: new colors above mx may
@@ -162,20 +162,14 @@ def label_stream(k: int, t: int, cons, mx: int = None):
     and top is k.  One generator frame walks an explicit stack of chosen
     colors, so deep labels cost no nested generator resumes.
     """
-    zero = 0
-    masks = []
+    hits = {}
     rem = []
-    for mask, cap in cons:
-        if cap:
-            masks.append(mask)
-            rem.append(cap)
-        else:
-            zero |= mask
-    # a forbidden color hits only the extra constraint len(masks), whose
-    # remaining count stays 0
-    forbidden = [len(masks)]
-    rem.append(0)
-    hits = [None] * (k + 1)
+    for i, (mask, cap) in enumerate(cons):
+        rem.append(cap)
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            hits.setdefault(low.bit_length(), []).append(i)
     if mx is None:
         mx = k
     chosen = []
@@ -190,11 +184,7 @@ def label_stream(k: int, t: int, cons, mx: int = None):
             hi = mx + above + 1
         c += 1
         while c <= hi:
-            h = hits[c]
-            if h is None:
-                bit = 1 << (c - 1)
-                h = hits[c] = forbidden if zero & bit else \
-                    [i for i, m in enumerate(masks) if m & bit]
+            h = hits.get(c, ())
             for i in h:
                 if not rem[i]:
                     break
@@ -206,7 +196,7 @@ def label_stream(k: int, t: int, cons, mx: int = None):
                 return
             c = chosen.pop()
             mask ^= 1 << (c - 1)
-            for i in hits[c]:
+            for i in hits.get(c, ()):
                 rem[i] += 1
             if c > mx:
                 above -= 1

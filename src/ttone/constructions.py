@@ -46,10 +46,7 @@ def color_path(n: int, t: int) -> Coloring:
         raise ValueError("need n, t >= 1")
     k = path_tau(n, t)
     g = gen_path(n)
-    coloring = Coloring(t, k)
-    for v in range(n):
-        if greedy_extend(g, coloring, v) is None:
-            raise AssertionError(f"path palette {k} stalled at vertex {v}")
+    coloring = greedy_color(g, t, k)
     assert len(coloring.colors_used()) == k
     return _checked(g, coloring)
 
@@ -141,11 +138,7 @@ def color_grid(m: int, n: int, t: int) -> Coloring:
     labels = {}
     for i in range(1, m + 1):
         for j in range(1, n + 1):
-            v = (i - 1) * n + (j - 1)
-            if t == 2:
-                labels[v] = ((i - j) % 3 + 1, (i + j) % 3 + 4)
-            else:
-                labels[v] = _grid_label(i, j, t)
+            labels[(i - 1) * n + (j - 1)] = _grid_label(i, j, t)
     return Coloring(t, k, labels)
 
 

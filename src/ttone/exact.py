@@ -58,9 +58,9 @@ def search_order(g: Graph) -> list:
     are appended the same way (max degree first, ties by smallest id)."""
     seen = [False] * g.n
     order = []
-    while len(order) < g.n:
-        start = max((v for v in range(g.n) if not seen[v]),
-                    key=lambda v: (g.degree(v), -v))
+    for start in sorted(range(g.n), key=lambda v: (-g.degree(v), v)):
+        if seen[start]:
+            continue
         seen[start] = True
         queue = deque([start])
         while queue:

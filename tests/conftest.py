@@ -132,3 +132,39 @@ def degenerate_palette(degeneracy: int, t: int, delta: int) -> int:
     while root ** t < power:
         root += 1
     return k * t + root
+
+
+def pairwise_contains_c4(g: Graph) -> bool:
+    """4-cycle detection by brute force: two vertices with two common
+    neighbors, by ANDing every pair of adjacency bit rows."""
+    rows = [0] * g.n
+    for u in range(g.n):
+        for v in g.adj[u]:
+            rows[u] |= 1 << v
+    for u in range(g.n):
+        ru = rows[u]
+        for v in range(u + 1, g.n):
+            if (ru & rows[v]).bit_count() >= 2:
+                return True
+    return False
+
+
+def rescan_search_order(g: Graph) -> list:
+    """exact.search_order by its definition: each component is a BFS from
+    the unseen vertex of maximum degree (ties by smallest id), found by a
+    scan over all vertices."""
+    seen = [False] * g.n
+    order = []
+    while len(order) < g.n:
+        start = max((v for v in range(g.n) if not seen[v]),
+                    key=lambda v: (g.degree(v), -v))
+        seen[start] = True
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            order.append(u)
+            for w in g.adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    queue.append(w)
+    return order

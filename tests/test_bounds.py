@@ -8,7 +8,8 @@ from ttone.bounds import (best_lower_bound, c4_lower,
                           c9_t5_counting, c9_t5_feasible_tuple, certificates,
                           contains_c4, cycle_counting_t3, h_t_bounds,
                           is_cycle_graph, path_tau, star_lower)
-from conftest import degenerate_palette, greedy_2tone_palette
+from conftest import (degenerate_palette, graphs, greedy_2tone_palette,
+                      pairwise_contains_c4)
 from ttone.graphs import Graph, gen_cycle, gen_grid, gen_path, gen_star
 
 
@@ -106,6 +107,22 @@ def test_contains_c4():
     assert not contains_c4(gen_cycle(5))
     assert not contains_c4(gen_path(9))
     assert contains_c4(Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]))
+
+
+@given(graphs(max_n=10))
+@settings(max_examples=300, deadline=None)
+def test_contains_c4_matches_pairwise_oracle(g):
+    assert contains_c4(g) == pairwise_contains_c4(g)
+
+
+def test_contains_c4_on_large_sparse_graphs():
+    # the pairwise oracle takes minutes at this size; the degree-order
+    # scan touches each 2-path through an unfinished vertex once
+    n = 100_000
+    assert not contains_c4(gen_path(n))
+    assert not contains_c4(gen_star(n))
+    assert contains_c4(Graph(n, [(i, i + 1) for i in range(n - 1)]
+                             + [(n - 1, n - 4)]))
 
 
 def test_is_cycle_graph():

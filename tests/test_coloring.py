@@ -108,14 +108,14 @@ def test_available_labels_matches_bruteforce(g, t, k, rnd):
     assert got == want
 
     # The same constraints through label_stream; then with random masks and
-    # caps added (a color's hits are found on its first try, whatever the
-    # caps), with and without the search's reach bound: colors above mx may
-    # only be mx+1, mx+2, ...
+    # caps added (cap 0 included, and masks may hold colors above k, which
+    # no label has), with and without the search's reach bound: colors
+    # above mx may only be mx+1, mx+2, ...
     cons = [(label_mask(partial.labels[u]), d - 1)
             for u, d in distances_within(g, target, t).items()
             if u in partial.labels]
     assert list(label_stream(k, t, cons)) == [(label_mask(c), c, k) for c in want]
-    cons += [(rnd.getrandbits(k), rnd.randint(0, t))
+    cons += [(rnd.getrandbits(k + 2), rnd.randint(0, t))
              for _ in range(rnd.randint(0, 6))]
     want = [c for c in want
             if all((label_mask(c) & m).bit_count() <= cap for m, cap in cons)]

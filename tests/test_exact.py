@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graphs
+from conftest import graphs, rescan_search_order
 from ttone.bounds import Certificate, path_tau
 from ttone.coloring import label_mask, label_stream, verify
 from ttone import exact
@@ -19,6 +19,30 @@ def test_search_order_starts_at_max_degree():
     two = Graph(5, [(0, 1), (2, 3), (3, 4)])
     order = search_order(two)
     assert order[0] == 3 and sorted(order) == list(range(5))
+
+
+@st.composite
+def several_components(draw):
+    """A disjoint union of 2..4 random graphs with shuffled ids."""
+    parts = draw(st.lists(graphs(max_n=6), min_size=2, max_size=4))
+    n = sum(p.n for p in parts)
+    ids = draw(st.permutations(range(n)))
+    edges, base = [], 0
+    for p in parts:
+        edges += [(ids[base + u], ids[base + v]) for u, v in p.edges()]
+        base += p.n
+    return Graph(n, edges)
+
+
+@given(several_components())
+@settings(max_examples=200, deadline=None)
+def test_search_order_matches_its_definition(g):
+    assert search_order(g) == rescan_search_order(g)
+
+
+def test_search_order_on_many_components():
+    # one presort, not one scan per component: 10^5 singletons
+    assert search_order(Graph(100_000, [])) == list(range(100_000))
 
 
 def test_decide_c4():
