@@ -12,7 +12,7 @@ the exact solver (scripts/derive_fixtures.py) and frozen here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .coloring import Coloring, verify
 from .graphs import gen_cycle, gen_path
@@ -132,13 +132,10 @@ _WITNESSES = {
 }
 
 
-@dataclass(frozen=True)
-class BlockTable:
+class BlockTable(namedtuple("BlockTable", "t k blocks")):
     """Cycle-coloring blocks for one tone: length -> label sequence."""
 
-    t: int
-    k: int
-    blocks: dict
+    __slots__ = ()
 
     @property
     def lengths(self) -> tuple:

@@ -3,19 +3,16 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .graphs import Graph, effective_diameter
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(namedtuple("Certificate", "kind parameters bound")):
     """A machine-checkable lower-bound witness for the tone chromatic number."""
 
-    kind: str
-    parameters: dict
-    bound: int
+    __slots__ = ()
 
     def to_json_line(self) -> str:
         payload = {"kind": self.kind, "parameters": self.parameters, "bound": self.bound}

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .graphs import Graph, distances_within
 
@@ -28,13 +28,23 @@ def label_mask(label) -> int:
     return m
 
 
-@dataclass
 class Coloring:
     """A (possibly partial) assignment of t-sets from [1..k] to vertices."""
 
-    t: int
-    k: int
-    labels: dict = field(default_factory=dict)
+    __slots__ = ("t", "k", "labels")
+
+    def __init__(self, t: int, k: int, labels: dict = None):
+        self.t = t
+        self.k = k
+        self.labels = {} if labels is None else labels
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.t, self.k, self.labels) == (other.t, other.k, other.labels)
+
+    def __repr__(self):
+        return f"Coloring(t={self.t!r}, k={self.k!r}, labels={self.labels!r})"
 
     def assign(self, v: int, label) -> None:
         self.labels[v] = tuple(sorted(label))
@@ -88,14 +98,10 @@ def _unique_keys(pairs) -> dict:
     return obj
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(namedtuple("Violation", "u v distance shared")):
     """A pair sharing at least as many colors as its distance allows."""
 
-    u: int
-    v: int
-    distance: int
-    shared: int
+    __slots__ = ()
 
 
 def check_structure(g: Graph, coloring: Coloring) -> None:
@@ -113,22 +119,47 @@ def check_structure(g: Graph, coloring: Coloring) -> None:
 
 
 def verify_partial(g: Graph, coloring: Coloring) -> list:
-    """Violations among assigned pairs at distance <= t; empty list means ok."""
+    """Violations among assigned pairs at distance <= t; empty list means ok.
+
+    One BFS of radius t per assigned vertex u, over a seen list stamped with
+    u, tests each w > u as it is reached; u's violations are sorted by w."""
     check_structure(g, coloring)
     t = coloring.t
     # masks over the ranks of the colors in use, so their width does not
-    # grow with the color values; shared counts are the same
-    rank = {c: i for i, c in enumerate(sorted(coloring.colors_used()), 1)}
-    masks = {v: label_mask(rank[c] for c in lab)
-             for v, lab in coloring.labels.items()}
+    # grow with the color values; shared counts are the same.  An assigned
+    # label is a nonempty t-set, so mask 0 means unassigned.
+    rank = {c: i for i, c in enumerate(sorted(coloring.colors_used()))}
+    masks = [0] * g.n
+    for v, lab in coloring.labels.items():
+        m = 0
+        for c in lab:
+            m |= 1 << rank[c]
+        masks[v] = m
+    adj = g.adj
+    seen = [-1] * g.n
     bad = []
-    for u in sorted(masks):
+    for u in sorted(coloring.labels):
         mu = masks[u]
-        for v, d in sorted(distances_within(g, u, t).items()):
-            if v > u and v in masks:
-                shared = (mu & masks[v]).bit_count()
-                if shared >= d:
-                    bad.append(Violation(u, v, d, shared))
+        seen[u] = u
+        frontier = [u]
+        found = []
+        for d in range(1, t + 1):
+            nxt = []
+            for x in frontier:
+                for w in adj[x]:
+                    if seen[w] != u:
+                        seen[w] = u
+                        nxt.append(w)
+                        if w > u:
+                            shared = (mu & masks[w]).bit_count()
+                            if shared >= d:
+                                found.append(Violation(u, w, d, shared))
+            if not nxt:
+                break
+            frontier = nxt
+        if found:
+            found.sort()
+            bad += found
     return bad
 
 

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import time
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from functools import partial
 from math import comb
 
@@ -13,44 +12,32 @@ from .coloring import Coloring, label_mask, label_stream, verify
 from .graphs import Graph, constraint_pairs
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(namedtuple("SearchBudget", "max_nodes wall_limit")):
     """Limits for one search, that is per k: node count and optional wall
     clock."""
 
-    max_nodes: int = 200_000_000
-    wall_limit: float = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.max_nodes <= 0:
+    def __new__(cls, max_nodes: int = 200_000_000, wall_limit: float = None):
+        if max_nodes <= 0:
             raise ValueError("max_nodes must be positive")
-        if self.wall_limit is not None and not self.wall_limit > 0:   # NaN too
+        if wall_limit is not None and not wall_limit > 0:   # NaN too
             raise ValueError("wall_limit must be positive")
+        return super().__new__(cls, max_nodes, wall_limit)
 
 
-@dataclass(frozen=True)
-class ExhaustionProof:
+class ExhaustionProof(namedtuple("ExhaustionProof", "k nodes")):
     """k was refuted by exhausting the canonicalized search tree."""
 
-    k: int
-    nodes: int
+    __slots__ = ()
 
 
-@dataclass
-class DecideResult:
-    status: str                 # "colored" | "infeasible" | "timeout"
-    coloring: Coloring = None
-    nodes: int = 0
-
-
-@dataclass
-class TauResult:
-    status: str                 # "resolved" | "timeout"
-    value: int = None
-    coloring: Coloring = None
-    lower_certificate: object = None   # Certificate | ExhaustionProof
-    lower_bound: int = 0
-    nodes: int = 0
+# DecideResult.status: "colored" | "infeasible" | "timeout"; TauResult.status:
+# "resolved" | "timeout", lower_certificate: Certificate | ExhaustionProof
+DecideResult = namedtuple("DecideResult", "status coloring nodes",
+                          defaults=(None, 0))
+TauResult = namedtuple("TauResult", "status value coloring lower_certificate "
+                       "lower_bound nodes", defaults=(None, None, None, 0, 0))
 
 
 def search_order(g: Graph) -> list:

@@ -4,8 +4,7 @@ average degree, and searches for reducible configurations."""
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import compress, islice
@@ -151,14 +150,34 @@ def constraint_pairs(g: Graph, t: int) -> list:
 
 
 def effective_diameter(g: Graph, cap: int) -> int:
-    """max over vertices of min(eccentricity, cap), ignoring unreachable pairs."""
+    """max over vertices of min(eccentricity, cap), ignoring unreachable pairs.
+
+    iFUB (Crescenzi et al. 2013) per component: a BFS from its vertex of
+    largest degree (ties by smallest id), then capped BFSs from its levels,
+    farthest first, until one reaches cap or best >= 2i at level i (nearer
+    vertices then have eccentricity at most max(2i, best))."""
     best = 0
-    for v in range(g.n):
-        reach = distances_within(g, v, cap)
+    done = [False] * g.n
+    for root in sorted(range(g.n), key=lambda v: (-g.degree(v), v)):
+        if done[root]:
+            continue
+        done[root] = True
+        reach = distances_within(g, root, g.n)
         ecc = max(reach.values(), default=0)
-        best = max(best, ecc)
-        if best >= cap:
+        if ecc >= cap:
             return cap
+        best = max(best, ecc)
+        levels = [[] for _ in range(ecc + 1)]
+        for v, d in reach.items():
+            done[v] = True
+            levels[d].append(v)
+        for i in range(ecc, 0, -1):
+            for v in levels[i]:
+                if best >= 2 * i:
+                    break
+                best = max(best, max(distances_within(g, v, cap).values()))
+                if best >= cap:
+                    return cap
     return best
 
 
@@ -292,12 +311,10 @@ class LeastLive:
 # Maximum average degree, exactly
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Density:
+class Density(namedtuple("Density", "numerator denominator")):
     """Exact density 2|E(H)|/|V(H)| of a witness subgraph H."""
 
-    numerator: int
-    denominator: int
+    __slots__ = ()
 
     @property
     def fraction(self) -> Fraction:
@@ -428,8 +445,7 @@ def mad(g: Graph) -> Density:
 # The searches read g only through vertices(), degree(), neighbors() and adj,
 # so g may be a Graph or a Reduction.
 
-@dataclass(frozen=True)
-class ThreadConfig:
+class ThreadConfig(namedtuple("ThreadConfig", "kind internal endpoints")):
     """A degree-2 chain with its two (possibly equal) endpoint vertices.
 
     internal lists the chain in path order; endpoints[0] is adjacent to
@@ -438,9 +454,7 @@ class ThreadConfig:
     degree <= 3 and the second degree <= 5.
     """
 
-    kind: str
-    internal: tuple
-    endpoints: tuple
+    __slots__ = ()
 
 
 _THREAD_LEN = {"FourThread": 4, "ThreeThread": 3, "TwoThread": 2}

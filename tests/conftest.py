@@ -11,7 +11,8 @@ from math import isqrt
 
 from hypothesis import strategies as st
 
-from ttone.graphs import Graph
+from ttone.coloring import Violation, check_structure, label_mask
+from ttone.graphs import Graph, distances_within
 
 
 @st.composite
@@ -168,3 +169,35 @@ def rescan_search_order(g: Graph) -> list:
                     seen[w] = True
                     queue.append(w)
     return order
+
+
+def ball_verify_partial(g: Graph, coloring) -> list:
+    """coloring.verify_partial as one distances_within ball per assigned
+    vertex: every pair u < v at distance d <= t, by u then v, that shares at
+    least d colors (counted on masks over the ranks of the colors in use)."""
+    check_structure(g, coloring)
+    t = coloring.t
+    rank = {c: i for i, c in enumerate(sorted(coloring.colors_used()), 1)}
+    masks = {v: label_mask(rank[c] for c in lab)
+             for v, lab in coloring.labels.items()}
+    bad = []
+    for u in sorted(masks):
+        mu = masks[u]
+        for v, d in sorted(distances_within(g, u, t).items()):
+            if v > u and v in masks:
+                shared = (mu & masks[v]).bit_count()
+                if shared >= d:
+                    bad.append(Violation(u, v, d, shared))
+    return bad
+
+
+def scan_effective_diameter(g: Graph, cap: int) -> int:
+    """graphs.effective_diameter by its definition: a BFS capped at cap from
+    every vertex, the largest eccentricity found, cap once it is reached."""
+    best = 0
+    for v in range(g.n):
+        reach = distances_within(g, v, cap)
+        best = max(best, max(reach.values(), default=0))
+        if best >= cap:
+            return cap
+    return best

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (degeneracy_order, degenerate_palette,
-                      greedy_2tone_palette, graphs, induced)
+from conftest import (ball_verify_partial, degeneracy_order,
+                      degenerate_palette, greedy_2tone_palette, graphs,
+                      induced)
 from ttone.coloring import (Coloring, ColoringError, StructuralError,
                             Violation, available_labels, greedy_color,
                             greedy_extend, label_mask, label_stream, verify,
@@ -74,6 +75,34 @@ def test_verify_memory_independent_of_color_values():
     assert peak < 1 << 20
     assert bad == verify(gen_path(3), Coloring(2, 3, small)) == [
         Violation(0, 1, 1, 1), Violation(1, 2, 1, 1)]
+
+
+@given(graphs(max_n=10), st.integers(1, 5), st.integers(0, 6),
+       st.sampled_from([0.0, 0.5, 0.9, 1.0]), st.booleans(),
+       st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_verify_partial_matches_ball_oracle(g, t, spare, p, force, rnd):
+    # small palettes make violations common; the offset and stride spread
+    # the colors so that the rank masks differ from the value masks
+    k = t + spare
+    offset, stride = rnd.choice([(0, 1), (0, 3), (10**6, 7)])
+    col = Coloring(t, offset + stride * k)
+    for v in range(g.n):
+        if rnd.random() < p:
+            col.assign(v, [offset + stride * c
+                           for c in rnd.sample(range(1, k + 1), t)])
+    if force:
+        # copy a neighbor's label onto a vertex: a distance-1 violation
+        edges = g.edges()
+        if edges:
+            u, w = rnd.choice(edges)
+            col.labels[u] = col.labels.setdefault(w, tuple(
+                offset + stride * c for c in range(1, t + 1)))
+    got = verify_partial(g, col)
+    assert got == ball_verify_partial(g, col)
+    assert all(type(bad) is Violation for bad in got)
+    if force and g.m:
+        assert got
 
 
 def test_available_labels_examples():

@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (bfs_distances, brute_mad, graphs, greedy_2tone_palette,
-                      induced)
+                      induced, scan_effective_diameter)
 from ttone.coloring import greedy_color
 from ttone import constructions
 from ttone import graphs as graphs_mod
 from ttone.graphs import (OUTERPLANAR_HIGH, PLANAR_HIGH, Density, Graph,
                           GraphError, LeastLive, Reduction, ThreadConfig,
                           constraint_pairs, distances_within,
-                          find_outerplanar_edge, find_planar_reducible,
+                          effective_diameter, find_outerplanar_edge, find_planar_reducible,
                           find_thread_config, gen_cycle, gen_fat_triangle,
                           gen_grid, gen_path, gen_star, mad,
                           outerplanar_edge_at, planar_reducible_at,
@@ -443,6 +443,25 @@ def test_grid_distance_formula():
                     for j2 in range(1, n + 1):
                         v = (i2 - 1) * n + (j2 - 1)
                         assert d[v] == abs(i1 - i2) + abs(j1 - j2)
+
+
+@given(st.one_of(graphs(max_n=14), st.integers(0, 10 ** 6).map(_subdivided)),
+       st.integers(1, 8))
+@settings(max_examples=300, deadline=None)
+def test_effective_diameter_matches_scan(g, cap):
+    assert effective_diameter(g, cap) == scan_effective_diameter(g, cap)
+
+
+def test_effective_diameter_on_large_stars_and_paths():
+    # iFUB: one BFS from the center, one from the first leaf; the scan
+    # from every vertex would take ~10^10 steps on this star
+    star = gen_star(10 ** 5)
+    assert [effective_diameter(star, cap) for cap in (1, 2, 3, 8)] == \
+        [1, 2, 2, 2]
+    path = gen_path(10 ** 5)
+    assert effective_diameter(path, 8) == 8
+    assert effective_diameter(Graph(0, []), 3) == 0
+    assert effective_diameter(Graph(3, []), 3) == 0
 
 
 def test_edge_list_round_trip():

@@ -1,0 +1,89 @@
+"""The result records callers rely on, and what importing the CLI loads."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import ttone
+from ttone.blocks import BLOCK_TABLES
+from ttone.bounds import Certificate
+from ttone.coloring import Coloring, Violation
+from ttone.exact import (DecideResult, ExhaustionProof, SearchBudget,
+                         TauResult)
+from ttone.graphs import Density, ThreadConfig
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(ttone.__file__)))
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # both cost every CLI child process ~20 ms of import time
+    probe = ("import ttone.cli, sys; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("record, field", [
+    (Violation(0, 1, 1, 1), "shared"),
+    (Certificate("Star", {"max_degree": 3}, 7), "bound"),
+    (Density(8, 5), "numerator"),
+    (ThreadConfig("ThreeThread", (4, 5, 6), (0, 1)), "internal"),
+    (BLOCK_TABLES[3], "k"),
+    (ExhaustionProof(7, 84), "nodes"),
+    (SearchBudget(), "max_nodes"),
+    (DecideResult("infeasible"), "status"),
+    (TauResult("timeout", lower_bound=4), "value"),
+])
+def test_records_are_frozen(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, 0)
+    with pytest.raises(AttributeError):
+        record.extra = 0
+
+
+def test_record_fields_defaults_and_repr():
+    assert Violation(0, 2, 2, 3) == Violation(u=0, v=2, distance=2, shared=3)
+    assert repr(Violation(0, 2, 2, 3)) == \
+        "Violation(u=0, v=2, distance=2, shared=3)"
+    assert DecideResult("infeasible") == DecideResult("infeasible", None, 0)
+    res = TauResult("timeout", lower_bound=4, nodes=9)
+    assert (res.status, res.value, res.coloring, res.lower_certificate,
+            res.lower_bound, res.nodes) == ("timeout", None, None, None, 4, 9)
+
+
+def test_coloring_equality_and_unhashable():
+    a = Coloring(2, 5, {0: (1, 2)})
+    assert a == Coloring(t=2, k=5, labels={0: (1, 2)})
+    assert a != Coloring(2, 6, {0: (1, 2)})
+    assert a != Coloring(2, 5)
+    assert a != (2, 5, {0: (1, 2)})
+    assert Coloring(2, 5).labels == {}
+    assert Coloring(2, 5).labels is not Coloring(2, 5).labels
+    labels = {}
+    assert Coloring(2, 5, labels).labels is labels
+    assert repr(a) == "Coloring(t=2, k=5, labels={0: (1, 2)})"
+    with pytest.raises(TypeError):
+        hash(a)
+    a.k = 6                       # a coloring is built up in place
+    a.assign(1, (4, 3))
+    assert a == Coloring(2, 6, {0: (1, 2), 1: (3, 4)})
+
+
+def test_search_budget_construction_and_errors():
+    assert SearchBudget() == SearchBudget(200_000_000, None)
+    budget = SearchBudget(max_nodes=50, wall_limit=1.5)
+    assert (budget.max_nodes, budget.wall_limit) == (50, 1.5)
+    assert SearchBudget(wall_limit=2).max_nodes == 200_000_000
+    assert SearchBudget(7).wall_limit is None
+    with pytest.raises(ValueError, match="max_nodes must be positive"):
+        SearchBudget(max_nodes=0)
+    with pytest.raises(ValueError, match="max_nodes must be positive"):
+        SearchBudget(-1, 1.0)
+    with pytest.raises(ValueError, match="wall_limit must be positive"):
+        SearchBudget(max_nodes=5, wall_limit=float("nan"))
+    with pytest.raises(TypeError):
+        SearchBudget(max_node=5)
