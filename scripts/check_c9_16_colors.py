@@ -19,9 +19,9 @@ from ttone.graphs import gen_cycle
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-nodes", type=int, default=2_000_000_000,
-                        help="node budget per k")
+                        help="node budget")
     parser.add_argument("--wall-limit", type=float, default=None,
-                        help="seconds per k")
+                        help="wall-clock limit in seconds")
     args = parser.parse_args()
 
     budget = SearchBudget(max_nodes=args.max_nodes, wall_limit=args.wall_limit)

@@ -13,8 +13,9 @@ from .graphs import Graph, constraint_pairs
 
 
 class SearchBudget(namedtuple("SearchBudget", "max_nodes wall_limit")):
-    """Limits for one search, that is per k: node count and optional wall
-    clock."""
+    """Limits for one exact_decide or tau call: max_nodes bounds the nodes of
+    each decision (each k, for tau), and the optional wall_limit the seconds
+    of the whole call."""
 
     __slots__ = ()
 
@@ -58,6 +59,22 @@ def search_order(g: Graph) -> list:
                     seen[w] = True
                     queue.append(w)
     return order
+
+
+def search_layout(g: Graph, t: int) -> tuple:
+    """(order, cons): search_order(g), and for each position i its
+    constraints to earlier positions as (j, cap) pairs sorted by cap, cap
+    being the most colors the two labels may share (distance minus 1).
+    They depend on g and t only, so tau builds them once for every k."""
+    order = search_order(g)
+    pos = {v: i for i, v in enumerate(order)}
+    cons = [[] for _ in range(g.n)]
+    for u, v, d in constraint_pairs(g, t):
+        i, j = pos[u], pos[v]
+        cons[max(i, j)].append((min(i, j), d - 1))
+    for lst in cons:
+        lst.sort(key=lambda jc: jc[1])
+    return order, cons
 
 
 class _Timeout(Exception):
@@ -105,26 +122,29 @@ class _Searcher:
     bound.
 
     When k * C(k, t) <= _COMPILE_BITS the labels are compiled to bits in
-    lex order, and a node's candidates are canonical(mx) minus
-    conflict(mask, cap) per earlier constraint, read lowest bit first.  L
-    passes label_stream's caps iff it is in no conflict set, and its reach
-    bound iff it is in canonical(mx); both read in lex order, so both paths
-    walk the same tree.
+    lex order.  A position's domain is the AND of allowed(mask, cap), the
+    labels sharing at most cap colors with mask, over its constraints to
+    assigned positions; L is in it iff L passes label_stream's caps, and in
+    canonical(mx) iff it passes label_stream's reach bound.  The search
+    forward-checks (Haralick and Elliott 1980): it keeps the domain of
+    every open position, and giving position i a label ANDs one allowed
+    set into the domain of each later position i constrains.  A label that
+    empties a domain is counted as a node and rejected, and the domains a
+    label narrowed are restored on backtrack.  A position's candidates are
+    canonical(mx) & its domain, read lowest bit first.
+
+    Above the guard the candidates come from label_stream, unpruned.  Both
+    paths read candidates in lex order, and forward checking cuts only
+    prefixes that cannot be extended, so both reach the same first witness:
+    with no budget, the same status and witness; the compiled path visits
+    a subset of the lazy path's nodes, so it never needs more.
     """
 
-    def __init__(self, g: Graph, t: int, k: int):
+    def __init__(self, g: Graph, t: int, k: int, layout: tuple = None):
         self.g = g
         self.t = t
         self.k = k
-        self.order = search_order(g)
-        pos = {v: i for i, v in enumerate(self.order)}
-        self.cons = [[] for _ in range(g.n)]
-        for u, v, d in constraint_pairs(g, t):
-            i, j = pos[u], pos[v]
-            lo, hi = min(i, j), max(i, j)
-            self.cons[hi].append((lo, d - 1))
-        for lst in self.cons:
-            lst.sort(key=lambda jc: jc[1])
+        self.order, self.cons = layout or search_layout(g, t)
         self.assigned = [0] * g.n
         self.nodes = 0
         self.max_nodes = 0
@@ -135,10 +155,8 @@ class _Searcher:
             self.full = (1 << comb(k, t)) - 1
             self.canonical = _Memo(self._canonical)
             self.decoded = _Memo(self._decode)
-            allowed = [_Memo(partial(self._allowed, cap=cap))
-                       for cap in range(t)]
-            self.allowed_at = [[(j, allowed[cap]) for j, cap in lst]
-                               for lst in self.cons]
+            self.allowed = [_Memo(partial(self._allowed, cap=cap))
+                            for cap in range(t)]
 
     def _check_time(self):
         if self.nodes > self.max_nodes:
@@ -149,25 +167,26 @@ class _Searcher:
 
     def stream(self, i: int, mx: int):
         """Candidates (mask, label, top) for position i under the current
-        assignments, in lexicographic order."""
-        assigned = self.assigned
+        assignments, in lexicographic order; top is mx plus the colors the
+        label introduces."""
         if self.has is None:
-            cons = [(assigned[j], cap) for j, cap in self.cons[i]]
-            return label_stream(self.k, self.t, cons, mx)
-        cand = self.canonical[mx]
-        for j, allowed in self.allowed_at[i]:
-            cand &= allowed[assigned[j]]
-        return self._labels(cand, mx)
-
-    def _labels(self, cand: int, mx: int):
-        """Decode the set bits of cand, lowest first; top is mx plus the
-        colors the label introduces, which are mx+1..label[-1]."""
-        decoded = self.decoded
+            cons = [(self.assigned[j], cap) for j, cap in self.cons[i]]
+            yield from label_stream(self.k, self.t, cons, mx)
+            return
+        cand = self.canonical[mx] & self.domain(i)
         while cand:
             low = cand & -cand
             cand ^= low
-            m, label, last = decoded[low.bit_length() - 1]
-            yield m, label, last if last > mx else mx
+            m, label, last = self.decoded[low.bit_length() - 1]
+            yield m, label, max(last, mx)
+
+    def domain(self, i: int) -> int:
+        """The labels that the assigned positions leave position i (mask 0
+        marks an unassigned one, which allows every label)."""
+        cand = self.full
+        for j, cap in self.cons[i]:
+            cand &= self.allowed[cap][self.assigned[j]]
+        return cand
 
     def _decode(self, x: int) -> tuple:
         """(mask, label, last color) of label x."""
@@ -195,14 +214,21 @@ class _Searcher:
         return out
 
     def dfs(self, start: int, mx: int, out: list) -> bool:
-        """Extend out (labels of positions < start) to a full assignment.
+        """Extend out (labels of positions < start, assigned) to a full
+        assignment.
 
-        Iterative: one candidate stream per open position, so the depth of
-        the search never touches the interpreter's recursion limit.
+        Iterative, so the depth of the search never touches the
+        interpreter's recursion limit.
         """
-        n = self.g.n
-        if start == n:
+        if start == self.g.n:
             return True
+        if self.has is None:
+            return self._dfs_lazy(start, mx, out)
+        return self._dfs_compiled(start, mx, out)
+
+    def _dfs_lazy(self, start: int, mx: int, out: list) -> bool:
+        """One label_stream per open position."""
+        n = self.g.n
         assigned = self.assigned
         streams = [self.stream(start, mx)]
         i = start
@@ -226,18 +252,76 @@ class _Searcher:
                 return True
             streams.append(self.stream(i, top))
 
+    def _dfs_compiled(self, start: int, mx: int, out: list) -> bool:
+        """Forward checking over one stack of candidate bitsets, with tops
+        (the mx of each open position) beside it.  later[i] holds (j,
+        allowed[cap]) per constraint from i to a later j, all of them in
+        dom[i+1:span[i]]; saved[i] is that slice as it was before i's label
+        narrowed it."""
+        n = self.g.n
+        later = [[] for _ in range(n)]
+        for j, lst in enumerate(self.cons):
+            for i, cap in lst:
+                later[i].append((j, self.allowed[cap]))
+        span = [max((j for j, _ in lst), default=i) + 1
+                for i, lst in enumerate(later)]
+        dom = [self.domain(j) for j in range(n)]
+        if not all(dom[start:]):
+            return False
+        canonical, decoded = self.canonical, self.decoded
+        saved = [None] * n
+        cands = [canonical[mx] & dom[start]]
+        tops = [mx]
+        i = start
+        while True:
+            cand = cands[-1]
+            if not cand:
+                cands.pop()
+                tops.pop()
+                if not cands:
+                    return False
+                out.pop()
+                i -= 1
+                dom[i + 1:span[i]] = saved[i]
+                continue
+            low = cand & -cand
+            cands[-1] = cand ^ low
+            self.nodes += 1
+            self._check_time()
+            m, label, last = decoded[low.bit_length() - 1]
+            hi = span[i]
+            saved[i] = dom[i + 1:hi]
+            for j, allowed in later[i]:
+                d = dom[j] & allowed[m]
+                if not d:
+                    dom[i + 1:hi] = saved[i]
+                    break
+                dom[j] = d
+            else:
+                out.append(label)
+                i += 1
+                if i == n:
+                    return True
+                top = tops[-1]
+                tops.append(last if last > top else top)
+                cands.append(canonical[tops[-1]] & dom[i])
 
-def exact_decide(g: Graph, t: int, k: int, budget: SearchBudget = None) -> DecideResult:
+
+def exact_decide(g: Graph, t: int, k: int, budget: SearchBudget = None,
+                 *, layout: tuple = None) -> DecideResult:
     """Complete search for a tone-t coloring of g with k colors.
 
     Returns a verified coloring, "infeasible" after exhausting the
     canonicalized tree, or "timeout".  The first vertex gets (1..t) and the
-    second the first label its candidate stream offers; the search, with
-    one budget, runs over the rest.  Fixing the second label loses nothing:
-    on a graph with an edge the second vertex is adjacent to the first, so
+    second the first label its candidates offer; the search, with one
+    budget, runs over the rest.  Fixing the second label loses nothing: on
+    a graph with an edge the second vertex is adjacent to the first, so
     canonical introduction leaves it only (t+1..2t), and on an edgeless
     graph every label extends.  Nodes count the labels tried from the third
-    vertex on.
+    vertex on, those that forward checking rejects included; where the
+    first two labels already empty a domain, "infeasible" comes at 0 nodes.
+    layout is search_layout(g, t), for a caller that decides several k on
+    one graph; it is built when None.
     """
     if t < 1:
         raise ValueError("need t >= 1")
@@ -250,7 +334,7 @@ def exact_decide(g: Graph, t: int, k: int, budget: SearchBudget = None) -> Decid
     base = tuple(range(1, t + 1))
     if g.n == 1:
         return DecideResult("colored", Coloring(t, k, {0: base}), 1)
-    searcher = _Searcher(g, t, k)
+    searcher = _Searcher(g, t, k, layout)
     searcher.max_nodes = budget.max_nodes
     if budget.wall_limit is not None:
         searcher.deadline = time.monotonic() + budget.wall_limit
@@ -279,15 +363,29 @@ def tau(g: Graph, t: int, budget: SearchBudget = None) -> TauResult:
     Starts at the largest applicable lower bound and increments k until the
     decision search succeeds; the infeasibility evidence for value-1 is the
     starting certificate (when the first k works) or the exhausted search.
+    The search layout is built once for every k.  The budget's max_nodes
+    holds per k; its wall_limit is one deadline for the whole call, each k
+    getting what is left of it.
     """
     if g.n == 0:
         return TauResult("resolved", value=0, coloring=Coloring(t, 0))
+    if budget is None:
+        budget = SearchBudget()
+    deadline = None
+    if budget.wall_limit is not None:
+        deadline = time.monotonic() + budget.wall_limit
     cert = best_lower_bound(g, t)
     k0 = max(t, cert.bound)
+    layout = search_layout(g, t)
     total = 0
     last_refuted = None
     for k in range(k0, g.n * t + 1):
-        res = exact_decide(g, t, k, budget)
+        if deadline is not None:
+            left = deadline - time.monotonic()
+            if not left > 0:
+                return TauResult("timeout", lower_bound=k, nodes=total)
+            budget = SearchBudget(budget.max_nodes, left)
+        res = exact_decide(g, t, k, budget, layout=layout)
         total += res.nodes
         if res.status == "colored":
             if last_refuted is None:

@@ -125,6 +125,24 @@ def test_pinned_node_counts():
     assert res.status == "timeout" and res.nodes == 2
     res = exact_decide(Graph(3, []), 2, 4)
     assert res.status == "colored" and res.nodes == 1
+    # forward checking cuts here: the search without it took 150 nodes to
+    # refute k = 16, 362 to refute k = 17 and 527 in all for tau
+    g = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (1, 5), (2, 4),
+                  (3, 4), (3, 5)])
+    assert exact_decide(g, 4, 16).nodes == 6
+    res = exact_decide(g, 4, 17)
+    assert res.status == "infeasible" and res.nodes == 298
+    res = tau(g, 4)
+    assert res.value == 18 and res.nodes == 319
+    # a label that empties a domain leaves the others as it found them
+    # (149 nodes without forward checking)
+    g = Graph(7, [(0, 3), (0, 5), (0, 6), (1, 3), (2, 3), (2, 5), (3, 4),
+                  (3, 5), (3, 6), (4, 5), (5, 6)])
+    assert exact_decide(g, 2, 7) == ("infeasible", None, 93)
+    # the first two labels already empty the last vertex's domain (4 nodes
+    # without forward checking)
+    g = Graph(4, [(0, 2), (0, 3), (1, 3), (2, 3)])
+    assert exact_decide(g, 4, 11) == ("infeasible", None, 0)
 
 
 def test_deep_search_leaves_recursion_limit_alone():
@@ -172,37 +190,106 @@ def test_tau_matches_path_formula():
             assert tau(gen_path(n), t).value == path_tau(n, t)
 
 
+def _both_paths(g, t, k, budget=None):
+    """exact_decide compiled, and with the guard at 0, so that every
+    candidate comes from label_stream and nothing is forward-checked."""
+    compiled = exact_decide(g, t, k, budget)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_COMPILE_BITS", 0)
+        lazy = exact_decide(g, t, k, budget)
+    return compiled, lazy
+
+
+def _labels(res):
+    return None if res.coloring is None else res.coloring.labels
+
+
 @given(graphs(max_n=8), st.integers(1, 5), st.integers(0, 10),
        st.sampled_from([1, 2, 5, 20, 200, 5_000]))
 @settings(max_examples=80, deadline=None)
-def test_compiled_domains_walk_the_label_stream_tree(g, t, extra, max_nodes):
-    # The same search with the guard at 0 draws every candidate from
-    # label_stream; status, node count and witness must not move.
-    budget = SearchBudget(max_nodes=max_nodes)
-    compiled = exact_decide(g, t, t + extra, budget)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exact, "_COMPILE_BITS", 0)
-        lazy = exact_decide(g, t, t + extra, budget)
-    assert (compiled.status, compiled.nodes) == (lazy.status, lazy.nodes)
-    if compiled.coloring is None:
-        assert lazy.coloring is None
-    else:
-        assert compiled.coloring.labels == lazy.coloring.labels
+def test_compiled_search_prunes_the_label_stream_tree(g, t, extra, max_nodes):
+    # Forward checking cuts only prefixes that cannot extend, so the
+    # compiled path walks part of the lazy path's tree in the same order:
+    # it decides as the lazy one does, and never needs more nodes.
+    compiled, lazy = _both_paths(g, t, t + extra, SearchBudget(max_nodes))
+    assert compiled.nodes <= lazy.nodes
+    if compiled.status == "timeout":
+        assert lazy.status == "timeout"
+    if lazy.status != "timeout":
+        assert compiled.status == lazy.status
+        assert _labels(compiled) == _labels(lazy)
+
+
+@pytest.mark.parametrize("g, t, ks", [
+    (gen_cycle(7), 3, (8, 9)),
+    (gen_cycle(6), 5, (14, 15)),
+    (gen_path(5), 3, (5, 6, 7)),
+    (Graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (1, 5), (2, 4), (3, 4),
+               (3, 5)]), 4, (15, 16, 17, 18)),
+])
+def test_compiled_and_lazy_agree_without_budget(g, t, ks):
+    for k in ks:
+        compiled, lazy = _both_paths(g, t, k)
+        assert compiled.status == lazy.status != "timeout"
+        assert _labels(compiled) == _labels(lazy)
+        assert compiled.nodes <= lazy.nodes
 
 
 @given(graphs(max_n=8, min_n=2), st.integers(1, 5), st.integers(0, 10),
        st.randoms(use_true_random=False))
 @settings(max_examples=120, deadline=None)
 def test_compiled_candidates_equal_label_stream(g, t, extra, rng):
+    # stream reads a position's domain from the assigned labels, some of
+    # them left unassigned (mask 0), under a random reach bound.
     k = t + extra
     s = _Searcher(g, t, k)
     assert s.has is not None
     for j in range(g.n):
-        s.assigned[j] = label_mask(rng.sample(range(1, k + 1), t))
+        if rng.random() < 0.8:
+            s.assigned[j] = label_mask(rng.sample(range(1, k + 1), t))
     i = rng.randrange(g.n)
     mx = rng.randint(t, k)
     cons = [(s.assigned[j], cap) for j, cap in s.cons[i]]
     assert list(s.stream(i, mx)) == list(label_stream(k, t, cons, mx))
+
+
+def test_tau_wall_limit_is_one_deadline(monkeypatch):
+    # A fake clock that each decision advances by one second: the limit
+    # covers the whole call, and each k gets what is left of it.
+    now = [0.0]
+    limits = []
+    decide = exact.exact_decide
+
+    def one_second_decide(g, t, k, budget=None, **kwargs):
+        limits.append(budget.wall_limit)
+        try:
+            return decide(g, t, k, budget, **kwargs)
+        finally:
+            now[0] += 1.0
+
+    monkeypatch.setattr(exact.time, "monotonic", lambda: now[0])
+    monkeypatch.setattr(exact, "exact_decide", one_second_decide)
+    # tau(C7, 2): k = 5 is refuted, k = 6 colors
+    res = tau(gen_cycle(7), 2, SearchBudget(wall_limit=10))
+    assert (res.status, res.value) == ("resolved", 6)
+    assert limits == [10.0, 9.0]
+    limits.clear()
+    res = tau(gen_cycle(7), 2, SearchBudget(wall_limit=0.5))
+    assert (res.status, res.lower_bound) == ("timeout", 6)
+    assert limits == [0.5]
+    # max_nodes still holds per k: 26 nodes refute k = 5, 5 more color k = 6
+    now[0] = 0.0
+    res = tau(gen_cycle(7), 2, SearchBudget(max_nodes=26, wall_limit=10))
+    assert res.status == "resolved" and res.nodes == 31
+
+
+def test_tau_builds_the_layout_once(monkeypatch):
+    calls = []
+    build = exact.search_layout
+    monkeypatch.setattr(exact, "search_layout",
+                        lambda g, t: calls.append(t) or build(g, t))
+    res = tau(gen_cycle(7), 2)
+    assert res.lower_certificate.k == 5 and calls == [2]
 
 
 def test_search_above_the_guard_walks_lazily():
