@@ -171,6 +171,14 @@ def verify(g: Graph, coloring: Coloring) -> list:
     return verify_partial(g, coloring)
 
 
+def _checked(g: Graph, coloring: Coloring) -> Coloring:
+    """coloring, once verify(g, coloring) finds nothing; the one check of
+    every coloring a colorer or the search emits."""
+    bad = verify(g, coloring)
+    assert not bad, f"built an invalid coloring: {bad[0]}"
+    return coloring
+
+
 # ---------------------------------------------------------------------------
 # Label enumeration and extension
 # ---------------------------------------------------------------------------

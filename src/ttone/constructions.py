@@ -10,22 +10,16 @@ from math import comb, inf
 
 from .blocks import BLOCK_TABLES, cycle_value, ensure_validated, exceptional_witness
 from .bounds import _least_k, h_t_bounds, path_tau, star_lower
-from .coloring import (Coloring, available_labels, greedy_color, greedy_extend,
-                       verify)
+from .coloring import (Coloring, _checked, available_labels, greedy_color,
+                       greedy_extend)
 from .graphs import (OUTERPLANAR_HIGH, PLANAR_HIGH, Graph, LeastLive, Reduction,
                      _density_exceeds, find_thread_config, gen_cycle,
-                     gen_fat_triangle, gen_path, outerplanar_edge_at,
+                     gen_fat_triangle, gen_grid, gen_path, outerplanar_edge_at,
                      planar_reducible_at)
 
 
 class ClassPreconditionError(ValueError):
     """Input graph is outside the class a colorer is guaranteed for."""
-
-
-def _checked(g: Graph, coloring: Coloring) -> Coloring:
-    bad = verify(g, coloring)
-    assert not bad, f"construction produced an invalid coloring: {bad[0]}"
-    return coloring
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +133,7 @@ def color_grid(m: int, n: int, t: int) -> Coloring:
     for i in range(1, m + 1):
         for j in range(1, n + 1):
             labels[(i - 1) * n + (j - 1)] = _grid_label(i, j, t)
-    return Coloring(t, k, labels)
+    return _checked(gen_grid(m, n), Coloring(t, k, labels))
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +151,10 @@ def color_fat_triangle(t: int) -> Coloring:
         raise ValueError("need t >= 1")
     g = gen_fat_triangle(t)
     if t == 1:
-        ring = color_cycle(6, 2)
-        order = [0, 3, 1, 4, 2, 5]   # hub/middle ids around the hexagon
-        labels = {order[p]: ring.labels[p] for p in range(6)}
-        return _checked(g, Coloring(2, ring.k, labels))
+        # the hexagon block laid on hub/middle ids around the hexagon
+        table = BLOCK_TABLES[2]
+        labels = dict(zip((0, 3, 1, 4, 2, 5), table.blocks[6]))
+        return _checked(g, Coloring(2, table.k, labels))
     k = h_t_bounds(t)[1]
     labels = {0: (1, 2), 1: (3, 4), 2: (5, 6)}
     shared = iter(combinations(range(7, k + 1), 2))

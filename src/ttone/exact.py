@@ -8,7 +8,7 @@ from functools import partial
 from math import comb
 
 from .bounds import best_lower_bound
-from .coloring import Coloring, label_mask, label_stream, verify
+from .coloring import Coloring, _checked, label_mask, label_stream
 from .graphs import Graph, constraint_pairs
 
 
@@ -325,12 +325,12 @@ def exact_decide(g: Graph, t: int, k: int, budget: SearchBudget = None,
     """
     if t < 1:
         raise ValueError("need t >= 1")
+    if g.n == 0 and k >= 0:     # the empty coloring fits any palette
+        return DecideResult("colored", Coloring(t, k))
     if k < t:
         return DecideResult("infeasible")
     if budget is None:
         budget = SearchBudget()
-    if g.n == 0:
-        return DecideResult("colored", Coloring(t, k))
     base = tuple(range(1, t + 1))
     if g.n == 1:
         return DecideResult("colored", Coloring(t, k, {0: base}), 1)
@@ -352,9 +352,7 @@ def exact_decide(g: Graph, t: int, k: int, budget: SearchBudget = None,
     if not found:
         return DecideResult("infeasible", nodes=searcher.nodes)
     coloring = Coloring(t, k, {searcher.order[i]: out[i] for i in range(g.n)})
-    bad = verify(g, coloring)
-    assert not bad, f"search produced an invalid coloring: {bad[0]}"
-    return DecideResult("colored", coloring, searcher.nodes)
+    return DecideResult("colored", _checked(g, coloring), searcher.nodes)
 
 
 def tau(g: Graph, t: int, budget: SearchBudget = None) -> TauResult:

@@ -561,13 +561,6 @@ def planar_reducible_at(g: Graph, v: int):
     return v, nbrs[0]
 
 
-def find_planar_reducible(g: Graph):
-    """planar_reducible_at for the least vertex that has one.  Returns None
-    when no such vertex exists, which signals non-planar input."""
-    return next(filter(None, (planar_reducible_at(g, v) for v in g.vertices())),
-                None)
-
-
 def outerplanar_edge_at(g: Graph, x: int):
     """(x, y) with y the one neighbor of x if d(x) = 1, or the least
     neighbor of degree <= 4 if d(x) = 2; else None."""
@@ -578,13 +571,6 @@ def outerplanar_edge_at(g: Graph, x: int):
             if g.degree(y) < OUTERPLANAR_HIGH:
                 return x, y
     return None
-
-
-def find_outerplanar_edge(g: Graph):
-    """outerplanar_edge_at for the least vertex that has one; None if absent
-    (signals non-outerplanar input)."""
-    return next(filter(None, (outerplanar_edge_at(g, x) for x in g.vertices())),
-                None)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ from math import isqrt
 
 from hypothesis import strategies as st
 
+from ttone import blocks, coloring
 from ttone.coloring import Violation, check_structure, label_mask
-from ttone.graphs import Graph, distances_within
+from ttone.graphs import (Graph, distances_within, outerplanar_edge_at,
+                          planar_reducible_at)
 
 
 @st.composite
@@ -201,3 +203,34 @@ def scan_effective_diameter(g: Graph, cap: int) -> int:
         if best >= cap:
             return cap
     return best
+
+
+def find_planar_reducible(g) -> tuple:
+    """graphs.planar_reducible_at for the least vertex that has one, or None:
+    the scan color_planar made at every step before its picks were indexed."""
+    return next(filter(None, (planar_reducible_at(g, v) for v in g.vertices())),
+                None)
+
+
+def find_outerplanar_edge(g) -> tuple:
+    """graphs.outerplanar_edge_at for the least vertex that has one, or None:
+    the scan color_outerplanar made at every step before its picks were
+    indexed."""
+    return next(filter(None, (outerplanar_edge_at(g, x) for x in g.vertices())),
+                None)
+
+
+def count_verifies(monkeypatch) -> list:
+    """Validate the block tables, then record every later call of
+    coloring.verify_partial: returns the list that gets one vertex count per
+    call."""
+    blocks.ensure_validated()
+    real = coloring.verify_partial
+    calls = []
+
+    def counted(g, col):
+        calls.append(g.n)
+        return real(g, col)
+
+    monkeypatch.setattr(coloring, "verify_partial", counted)
+    return calls

@@ -1,15 +1,22 @@
+import io
 import json
 import random
 import re
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import ball_verify_partial, count_verifies
 from ttone import cli, constructions, instances
 from ttone.cli import run
 from ttone.coloring import Coloring, ColoringError
-from ttone.graphs import (MAX_EDGE_LIST_VERTICES, Graph, gen_cycle, gen_grid,
-                          read_edge_list, write_edge_list)
+from ttone.graphs import (MAX_EDGE_LIST_VERTICES, Graph, gen_cycle,
+                          gen_fat_triangle, gen_grid, gen_path, read_edge_list,
+                          write_edge_list)
 
 
 def invoke(argv, capsys, stdin=None, monkeypatch=None):
@@ -292,6 +299,78 @@ def test_internal_failure_exit_code(tmp_path, capsys, monkeypatch, error):
                             capsys)
     assert (code, out) == (5, "")
     assert err == f"error: internal: {error}\n"
+
+
+def test_grid_job_exits_5_on_an_invalid_grid_coloring(capsys, monkeypatch):
+    monkeypatch.setattr(constructions, "_grid_label", lambda i, j, t: (1, 2))
+    code, out, err = invoke(["color", "--family", "grid"], capsys,
+                            stdin=write_edge_list(gen_grid(3, 3)),
+                            monkeypatch=monkeypatch)
+    assert (code, out) == (5, "")
+    assert err.startswith("error: internal: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+# (family, tone, graph): one color job per family, each also run with auto
+_JOBS = [
+    ("path", 3, gen_path(7)),
+    ("cycle", 5, gen_cycle(9)),
+    ("cycle", 2, gen_cycle(23)),
+    ("grid", 2, gen_grid(3, 4)),
+    ("fat-triangle", 2, gen_fat_triangle(1)),
+    ("fat-triangle", 2, gen_fat_triangle(3)),
+    ("sparse", 2, instances.random_subdivided(random.Random(1))),
+    ("outerplanar", 2,
+     instances.random_maximal_outerplanar(random.Random(2), 12)),
+    ("planar", 2, instances.random_apollonian(random.Random(3), 12)),
+]
+
+
+@pytest.mark.parametrize("family", [*cli._FAMILIES, "auto"])
+def test_color_job_verifies_once(capsys, monkeypatch, family):
+    calls = count_verifies(monkeypatch)
+    jobs = [job for job in _JOBS if family in (job[0], "auto")]
+    assert jobs
+    for _, t, g in jobs:
+        calls.clear()
+        code, _, err = invoke(["color", "--family", family, "--t", str(t)],
+                              capsys, stdin=write_edge_list(g),
+                              monkeypatch=monkeypatch)
+        assert code == 0, err
+        assert len(calls) == 1, (family, t, g.n, calls)
+
+
+@st.composite
+def relabeled_lines(draw):
+    """(graph, tone): a path or cycle on at most 40 vertices with permuted
+    ids, at a tone its family colors."""
+    cycle = draw(st.booleans())
+    n = draw(st.integers(3 if cycle else 1, 40))
+    t = draw(st.integers(2 if cycle else 1, 5))
+    perm = draw(st.permutations(range(n)))
+    line = gen_cycle(n) if cycle else gen_path(n)
+    return Graph(n, [(perm[u], perm[v]) for u, v in line.edges()]), t
+
+
+@settings(max_examples=80, deadline=None)
+@given(relabeled_lines(), st.sampled_from(["line", "auto"]))
+def test_path_and_cycle_colorings_are_valid_on_the_input(case, family):
+    # color trusts _along to keep the coloring valid on g; check it there
+    # with an oracle that shares no code with verify
+    g, t = case
+    if family == "line":
+        family = "cycle" if g.m == g.n else "path"
+    out = io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(write_edge_list(g))
+    try:
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = run(["color", "--family", family, "--t", str(t)])
+    finally:
+        sys.stdin = saved
+    assert code == 0
+    col = Coloring.from_json(out.getvalue())
+    assert col.t == t and sorted(col.labels) == list(range(g.n))
+    assert ball_verify_partial(g, col) == []
 
 
 def test_auto_family_dispatch(tmp_path, capsys):

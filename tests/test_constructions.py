@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graphs
+from conftest import count_verifies, graphs
+from ttone import constructions
 from ttone.blocks import cycle_value
 from ttone.bounds import h_t_bounds, path_tau, star_lower
 from ttone.coloring import verify
@@ -118,6 +119,30 @@ def test_color_grid_counts_small_sample():
             col = color_grid(m, n, t)
             assert verify(gen_grid(m, n), col) == []
             assert len(col.colors_used()) == want[t]
+
+
+def test_color_grid_checks_its_output(monkeypatch):
+    monkeypatch.setattr(constructions, "_grid_label", lambda i, j, t: (1, 2))
+    with pytest.raises(AssertionError):
+        color_grid(3, 3, 2)
+
+
+@pytest.mark.parametrize("color", [
+    lambda: color_path(12, 3),
+    lambda: color_cycle(9, 5),          # a stored witness
+    lambda: color_cycle(23, 4),         # concatenated blocks
+    lambda: color_grid(3, 4, 5),
+    lambda: color_fat_triangle(1),
+    lambda: color_fat_triangle(3),
+    lambda: color_sparse(random_subdivided(random.Random(1))),
+    lambda: color_outerplanar(random_maximal_outerplanar(random.Random(2), 12)),
+    lambda: color_planar(random_apollonian(random.Random(3), 12)),
+], ids=["path", "cycle-witness", "cycle-blocks", "grid", "fat-triangle-1",
+        "fat-triangle-3", "sparse", "outerplanar", "planar"])
+def test_each_colorer_verifies_once(monkeypatch, color):
+    calls = count_verifies(monkeypatch)
+    color()
+    assert len(calls) == 1
 
 
 def test_color_fat_triangle():

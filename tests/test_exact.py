@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graphs, rescan_search_order
+from conftest import count_verifies, graphs, rescan_search_order
 from ttone.bounds import Certificate, path_tau
-from ttone.coloring import label_mask, label_stream, verify
+from ttone.coloring import Coloring, label_mask, label_stream, verify
 from ttone import exact
 from ttone.exact import (ExhaustionProof, SearchBudget, _Searcher,
                          exact_decide, search_order, tau)
@@ -69,7 +69,22 @@ def test_decide_small_palette_and_tiny_graphs():
     assert exact_decide(gen_path(2), 3, 2).status == "infeasible"
     res = exact_decide(Graph(1, []), 4, 4)
     assert res.coloring.labels[0] == (1, 2, 3, 4)
-    assert exact_decide(Graph(0, []), 2, 2).status == "colored"
+    # the empty coloring fits every palette k >= 0, k < t included
+    for t in (1, 2, 4):
+        for k in range(t + 1):
+            res = exact_decide(Graph(0, []), t, k)
+            assert (res.status, res.coloring) == ("colored", Coloring(t, k))
+    assert exact_decide(Graph(0, []), 2, -1).status == "infeasible"
+    assert tau(Graph(0, []), 3).value == 0
+
+
+@pytest.mark.parametrize("g, t, k", [
+    (gen_path(2), 3, 6), (gen_cycle(7), 3, 9), (gen_star(4), 2, 9),
+    (Graph(3, []), 2, 2), (gen_cycle(9), 4, 13)])
+def test_colored_decision_verifies_once(monkeypatch, g, t, k):
+    calls = count_verifies(monkeypatch)
+    assert exact_decide(g, t, k).status == "colored"
+    assert calls == [g.n]
 
 
 def test_first_vertex_canonical():

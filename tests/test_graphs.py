@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (bfs_distances, brute_mad, graphs, greedy_2tone_palette,
+from conftest import (bfs_distances, brute_mad, find_outerplanar_edge,
+                      find_planar_reducible, graphs, greedy_2tone_palette,
                       induced, scan_effective_diameter)
 from ttone.coloring import greedy_color
 from ttone import constructions
@@ -13,9 +14,8 @@ from ttone import graphs as graphs_mod
 from ttone.graphs import (OUTERPLANAR_HIGH, PLANAR_HIGH, Density, Graph,
                           GraphError, LeastLive, Reduction, ThreadConfig,
                           constraint_pairs, distances_within,
-                          effective_diameter, find_outerplanar_edge, find_planar_reducible,
-                          find_thread_config, gen_cycle, gen_fat_triangle,
-                          gen_grid, gen_path, gen_star, mad,
+                          effective_diameter, find_thread_config, gen_cycle,
+                          gen_fat_triangle, gen_grid, gen_path, gen_star, mad,
                           outerplanar_edge_at, planar_reducible_at,
                           read_edge_list, write_edge_list)
 from ttone.instances import (random_apollonian, random_maximal_outerplanar,
