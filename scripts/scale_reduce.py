@@ -12,21 +12,21 @@ Inputs are fixed-seed ttone.instances graphs:
                    `ttone gen --random subdivided` makes it: mostly tree,
                    so degree-1 stripping does most of the reduction
   sparse-threads   random_subdivided with one extra edge per ten base
-                   vertices, so the thread search runs about n / 50 times
+                   vertices, so color_sparse picks about n / 50 threads
 
 Sizes are 1 000, 3 000, 10 000, 30 000 and 100 000 vertices (for sparse,
 the base has a fifth of that, and the subdivided graph comes out near it).
 Each colorer has its own flag for its largest size, so a slow one can be
 cut short without dropping the others; 0 skips the colorer.  The default
-is 10^5, except 3*10^4 for sparse-threads: find_thread_config scans every
-live vertex per call, so that row grows quadratically (about 26 s at 10^5).
+is 10^5.
 
     PYTHONPATH=src python scripts/scale_reduce.py
     PYTHONPATH=src python scripts/scale_reduce.py --planar-max 10000
 
-The default run takes a few minutes on one core, most of it in the 10^5
-planar call and in generating the largest sparse graphs (random_subdivided
-checks mad on some of them).
+Most of a default run goes to generating the largest sparse graphs:
+random_subdivided checks mad on some of them, which took about ten minutes
+for the 10^5 sparse-threads graph on a shared 2-core host.  The colorer
+calls at 10^5 take seconds each.
 """
 
 import argparse
@@ -40,30 +40,26 @@ from ttone.instances import (random_apollonian, random_maximal_outerplanar,
 
 SIZES = (1_000, 3_000, 10_000, 30_000, 100_000)
 
-# name: (colorer, graph of about n vertices from a seeded rng, default
-# largest n)
+# name: (colorer, graph of about n vertices from a seeded rng)
 COLORERS = {
-    "planar": (color_planar, lambda rng, n: random_apollonian(rng, n - 3),
-               100_000),
-    "outerplanar": (color_outerplanar, random_maximal_outerplanar, 100_000),
-    "sparse": (color_sparse,
-               lambda rng, n: random_subdivided(rng, n // 5, 3), 100_000),
+    "planar": (color_planar, lambda rng, n: random_apollonian(rng, n - 3)),
+    "outerplanar": (color_outerplanar, random_maximal_outerplanar),
+    "sparse": (color_sparse, lambda rng, n: random_subdivided(rng, n // 5, 3)),
     "sparse-threads": (color_sparse,
-                       lambda rng, n: random_subdivided(rng, n // 5, n // 50),
-                       30_000),
+                       lambda rng, n: random_subdivided(rng, n // 5, n // 50)),
 }
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawTextHelpFormatter)
-    for name, (_, _, largest) in COLORERS.items():
-        parser.add_argument(f"--{name}-max", type=int, default=largest,
+    for name in COLORERS:
+        parser.add_argument(f"--{name}-max", type=int, default=SIZES[-1],
                             help=f"largest size for {name} (default %(default)s)")
     args = parser.parse_args()
 
     print(f"{'colorer':<15} {'n':>7} {'seconds':>9} {'us/vertex':>10}")
-    for name, (colorer, make, _) in COLORERS.items():
+    for name, (colorer, make) in COLORERS.items():
         largest = getattr(args, f"{name.replace('-', '_')}_max")
         for size in SIZES:
             if size > largest:

@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 verification violations, 2 usage or structural
 error (an unreadable or unwritable file, a tone below 1), 3 search budget
 exhausted, 4 class precondition failed, 5 internal failure (a construction
-broke one of its own invariants). `run` is the one place that maps
-exceptions to them.
+broke one of its own invariants, or the block tables failed their
+self-check). `run` is the one place that maps exceptions to them.
 
 `color` emits what its colorer verified and does not verify it again; for
 paths and cycles `_along` says why that check holds on the input graph.
@@ -20,7 +20,7 @@ import sys
 
 from . import bounds as bounds_mod
 from . import constructions, instances
-from .coloring import Coloring, ColoringError, verify
+from .coloring import Coloring, verify
 from .exact import SearchBudget, tau
 from .graphs import (MAX_EDGE_LIST_VERTICES, Graph, gen_cycle,
                      gen_fat_triangle, gen_grid, gen_path, gen_star, mad,
@@ -371,7 +371,7 @@ def run(argv) -> int:
         code, message = EXIT_CLASS, exc
     except (UsageError, ValueError, OSError) as exc:
         code, message = EXIT_USAGE, exc
-    except (AssertionError, ColoringError) as exc:
+    except (AssertionError, RuntimeError) as exc:
         code, message = EXIT_INTERNAL, f"internal: {exc}"
     print(f"error: {message}", file=sys.stderr)
     return code

@@ -13,9 +13,9 @@ from .bounds import _least_k, h_t_bounds, path_tau, star_lower
 from .coloring import (Coloring, _checked, available_labels, greedy_color,
                        greedy_extend)
 from .graphs import (OUTERPLANAR_HIGH, PLANAR_HIGH, Graph, LeastLive, Reduction,
-                     _density_exceeds, find_thread_config, gen_cycle,
+                     _density_exceeds, _run, degree_crossings, gen_cycle,
                      gen_fat_triangle, gen_grid, gen_path, outerplanar_edge_at,
-                     planar_reducible_at)
+                     planar_reducible_at, thread_at, thread_runs)
 
 
 class ClassPreconditionError(ValueError):
@@ -33,7 +33,7 @@ def color_path(n: int, t: int) -> Coloring:
     that fits, against the formula palette: the least label reuses colors of
     earlier vertices up to each pair's sharing cap and only then touches
     fresh colors, so the palette is consumed exactly when the formula says a
-    fresh color is due.  Color count and validity are asserted on the way
+    fresh color is due.  Color count and validity are checked on the way
     out; checked for n <= 50, t <= 8 in the suite.
     """
     if n < 1 or t < 1:
@@ -41,7 +41,8 @@ def color_path(n: int, t: int) -> Coloring:
     k = path_tau(n, t)
     g = gen_path(n)
     coloring = greedy_color(g, t, k)
-    assert len(coloring.colors_used()) == k
+    if len(coloring.colors_used()) != k:
+        raise AssertionError(f"path coloring misses its {k} colors")
     return _checked(g, coloring)
 
 
@@ -185,7 +186,6 @@ def _finish_two_thread(g: Graph, partial: Coloring, v1: int, v2: int) -> None:
     guarantees some choice works)."""
     current = partial.labels.pop(v2)
     options = available_labels(g, partial, v2)
-    assert options, "no valid label for the surviving thread vertex"
     if current in options:
         options.remove(current)
         options.insert(0, current)
@@ -254,19 +254,41 @@ def color_sparse(g: Graph) -> Coloring:
 
     def picks(red):
         low = LeastLive(red, lambda v: red.degree(v) <= 1)
+        # vertices of the 2-regular components met so far: exact, since a
+        # cycle component changes only by its own 2-thread step, and then
+        # stripping removes all of it
+        cycles = set()
+
+        def thread(x, width):
+            found = None if width > 2 and x in cycles else \
+                thread_at(red, x, width)
+            if found and width > 2:
+                run = list(_run(red, x, found[1]))
+                if run[-1] == x:
+                    cycles.update(run)
+                    return None
+            return found
+
+        threads = [(w, LeastLive(red, lambda x, w=w: thread(x, w) is not None,
+                                 thread_runs(red))) for w in (4, 3, 2)]
         while True:
             v = low()
             if v is not None:
                 yield [v], None, None
                 continue
-            cfg = find_thread_config(red)
-            assert cfg is not None, "no reducible thread despite the density gate"
-            if cfg.kind == "FourThread":
-                yield [cfg.internal[1], cfg.internal[2]], None, None
-            elif cfg.kind == "ThreeThread":
-                yield [cfg.internal[2], cfg.internal[1]], None, None
+            for width, index in threads:
+                x = index()
+                if x is not None:
+                    break
             else:
-                yield [cfg.internal[0]], None, cfg.internal[1]
+                raise AssertionError("no reducible thread despite the density gate")
+            internal = thread(x, width)
+            if width == 4:
+                yield [internal[1], internal[2]], None, None
+            elif width == 3:
+                yield [internal[2], internal[1]], None, None
+            else:
+                yield [x], None, internal[1]
 
     return _reduce_and_lift(g, max(7, star_lower(g.max_degree())), picks)
 
@@ -286,7 +308,7 @@ def color_outerplanar(g: Graph) -> Coloring:
     def picks(red):
         iso = LeastLive(red, lambda v: red.degree(v) == 0)
         low = LeastLive(red, lambda x: outerplanar_edge_at(red, x) is not None,
-                        near=OUTERPLANAR_HIGH)
+                        degree_crossings(red, OUTERPLANAR_HIGH))
         while True:
             v = iso()
             if v is not None:
@@ -318,7 +340,7 @@ def color_planar(g: Graph) -> Coloring:
     def picks(red):
         hub = LeastLive(red, lambda v: red.degree(v) >= 13)
         low = LeastLive(red, lambda v: planar_reducible_at(red, v) is not None,
-                        near=PLANAR_HIGH)
+                        degree_crossings(red, PLANAR_HIGH))
         while hub() is not None:       # None: maximum degree <= 12
             v = low()
             if v is None:

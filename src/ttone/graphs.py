@@ -1,6 +1,6 @@
 """Simple undirected graphs: builders, generators, distances, a reduction
 with vertex deletion and edge contraction undone step by step, exact maximum
-average degree, and searches for reducible configurations."""
+average degree, and the reducible-configuration rules LeastLive indexes."""
 
 from __future__ import annotations
 
@@ -270,34 +270,31 @@ class LeastLive:
     from the Reduction's touched list.
 
     A min-heap holds every live id that may pass, with lazy deletion: a call
-    first pushes the ids touched since the last call, then pops until the
-    top is alive and passes, and returns it (None when the heap runs dry).
-    Every live id that passes is in the heap, so the answer is the one a
-    scan in id order would give.  test(v) must read only v's neighbor set
-    and, when near is set, whether each neighbor has degree >= near; then
-    a touched id whose side of near changed also pushes its neighbors.
+    first pushes each live id u touched since the last call and the ids
+    feed(u) names, then pops until the top is alive and passes, and returns
+    it (None when the heap runs dry).  Every live id that passes is in the
+    heap, so the answer is a scan's in id order, if test(v) reads only v's
+    neighbor set or feed(u) names every id whose test can turn true when
+    u's neighbor set changes: degree_crossings and thread_runs do so.
     """
 
-    __slots__ = ("red", "test", "near", "heap", "read", "big")
+    __slots__ = ("red", "test", "feed", "heap", "read")
 
-    def __init__(self, red: Reduction, test, near: int = None):
-        self.red, self.test, self.near = red, test, near
+    def __init__(self, red: Reduction, test, feed=None):
+        self.red, self.test, self.feed = red, test, feed
         self.heap = [v for v, up in enumerate(red.alive) if up]
         heapify(self.heap)
         self.read = len(red.touched)
-        if near is not None:
-            self.big = [len(a) >= near for a in red.adj]
 
     def __call__(self):
-        heap, test, near = self.heap, self.test, self.near
-        adj, alive, touched = self.red.adj, self.red.alive, self.red.touched
+        heap, test, feed = self.heap, self.test, self.feed
+        alive, touched = self.red.alive, self.red.touched
         for u in set(touched[self.read:]):
             if alive[u]:
                 heappush(heap, u)
-            if near is not None and self.big[u] != (len(adj[u]) >= near):
-                self.big[u] = not self.big[u]
-                for w in adj[u]:
-                    heappush(heap, w)
+                if feed is not None:
+                    for w in feed(u):
+                        heappush(heap, w)
         self.read = len(touched)
         while heap:
             v = heap[0]
@@ -305,6 +302,20 @@ class LeastLive:
                 return v
             heappop(heap)
         return None
+
+
+def degree_crossings(red: Reduction, near: int):
+    """A LeastLive feed for a test that reads v's neighbor set and, of each
+    neighbor, only whether its degree is >= near: the neighbors of u when
+    u's degree has crossed near since u was last fed."""
+    big = [len(a) >= near for a in red.adj]
+
+    def feed(u):
+        if big[u] == (len(red.adj[u]) >= near):
+            return ()
+        big[u] = not big[u]
+        return red.adj[u]
+    return feed
 
 
 # ---------------------------------------------------------------------------
@@ -442,41 +453,15 @@ def mad(g: Graph) -> Density:
 # ---------------------------------------------------------------------------
 # Reducible configurations
 # ---------------------------------------------------------------------------
-# The searches read g only through vertices(), degree(), neighbors() and adj,
-# so g may be a Graph or a Reduction.
-
-class ThreadConfig(namedtuple("ThreadConfig", "kind internal endpoints")):
-    """A degree-2 chain with its two (possibly equal) endpoint vertices.
-
-    internal lists the chain in path order; endpoints[0] is adjacent to
-    internal[0] and endpoints[1] to internal[-1].  For ThreeThread the
-    second endpoint has degree <= 5; for TwoThread the first endpoint has
-    degree <= 3 and the second degree <= 5.
-    """
-
-    __slots__ = ()
-
-
-_THREAD_LEN = {"FourThread": 4, "ThreeThread": 3, "TwoThread": 2}
-
-
-def check_thread_config(g: Graph, cfg: ThreadConfig) -> None:
-    """Re-verify the kind-specific degree conditions; raises on breach."""
-    want = _THREAD_LEN[cfg.kind]
-    if len(cfg.internal) != want:
-        raise ValueError(f"{cfg.kind} needs {want} internal vertices")
-    for v in cfg.internal:
-        if g.degree(v) != 2:
-            raise ValueError(f"internal vertex {v} has degree {g.degree(v)}")
-    chain = [cfg.endpoints[0], *cfg.internal, cfg.endpoints[1]]
-    for a, b in zip(chain, chain[1:]):
-        if b not in g.adj[a]:
-            raise ValueError(f"({a},{b}) missing from thread")
-    d0, d1 = g.degree(cfg.endpoints[0]), g.degree(cfg.endpoints[1])
-    if cfg.kind == "ThreeThread" and d1 > 5:
-        raise ValueError("ThreeThread needs an endpoint of degree <= 5")
-    if cfg.kind == "TwoThread" and (d0 > 3 or d1 > 5):
-        raise ValueError("TwoThread needs endpoints of degree <= 3 and <= 5")
+# The rules read g only through degree(), neighbors() and adj, so g may be a
+# Graph or a Reduction.  From PLANAR_HIGH a neighbor counts as high for
+# planar_reducible_at, and from OUTERPLANAR_HIGH it is too high for
+# outerplanar_edge_at: the one neighbor fact each rule reads, so the
+# threshold of its index's degree_crossings feed.  From THREAD_HIGH a
+# thread's end fails every end test of thread_at.
+PLANAR_HIGH = 11
+OUTERPLANAR_HIGH = 5
+THREAD_HIGH = 6
 
 
 def _run(g: Graph, x: int, y: int):
@@ -490,56 +475,45 @@ def _run(g: Graph, x: int, y: int):
         prev, cur = cur, next(u for u in g.adj[cur] if u != prev)
 
 
-def find_thread_config(g: Graph):
-    """Find a reducible thread: a 4-thread, a 3-thread ending at a vertex of
-    degree <= 5, or a 2-thread with endpoint degrees <= 3 and <= 5.
-
-    Requires minimum degree 2.  A thread is a path of distinct degree-2
-    vertices read in one direction; its endpoints are the neighbors before
-    its first and after its last vertex, and may coincide.  4- and
-    3-threads lie outside 2-regular components.  Preference order is
-    FourThread, ThreeThread, TwoThread, ties broken by the smallest internal
-    vertex tuple.  So each kind is one scan of the degree-2 vertices x in
-    id order and of their neighbors y in sorted order, and the first window
-    x, y, ... that passes is the answer: x and y fix the rest of it.  The
-    vertices of a 2-regular component are recorded the first time the 4-
-    or 3-thread scan meets the component.  Returns None when no
-    configuration exists.
-    """
-    vs = g.vertices()
-    if any(g.degree(v) < 2 for v in vs):
-        raise ValueError("find_thread_config requires minimum degree 2")
-    twos = [v for v in vs if g.degree(v) == 2]
-    cyclic = set()
-    for kind, width in _THREAD_LEN.items():   # in preference order
-        for x in twos:
-            if width > 2 and x in cyclic:
-                continue
-            for y in g.neighbors(x):
-                walk = list(islice(_run(g, x, y), width))
-                if len(walk) < width:
-                    continue
-                start = next(u for u in g.adj[x] if u != y)
-                d0, d1 = g.degree(start), g.degree(walk[-1])
-                if kind == "ThreeThread" and d1 > 5 or \
-                        kind == "TwoThread" and (d0 > 3 or d1 > 5):
-                    continue
-                if width > 2:
-                    run = list(_run(g, x, y))
-                    if run[-1] == x:
-                        cyclic.update(run)
-                        break
-                cfg = ThreadConfig(kind, (x, *walk[:-1]), (start, walk[-1]))
-                check_thread_config(g, cfg)
-                return cfg
+def thread_at(g: Graph, x: int, width: int):
+    """The internal vertices (x, ...) of a reducible thread of width 4, 3 or
+    2 read from degree-2 x, or None.  A thread is a path of distinct degree-2
+    vertices; its ends, the neighbors before its first and after its last
+    vertex, may coincide.  A 3-thread needs a far end of degree < THREAD_HIGH,
+    a 2-thread also a near end of degree <= 3.  The first window x, y, ...
+    that passes, y in sorted order, is the answer.  4- and 3-threads in
+    2-regular components are not reducible; the caller excludes them."""
+    if g.degree(x) != 2:
+        return None
+    for y in g.neighbors(x):
+        walk = list(islice(_run(g, x, y), width))
+        if len(walk) < width:
+            continue
+        far = width == 4 or g.degree(walk[-1]) < THREAD_HIGH
+        near = width > 2 or g.degree(next(u for u in g.adj[x] if u != y)) <= 3
+        if far and near:
+            return (x, *walk[:-1])
     return None
 
 
-# Degree from which a neighbor counts as high for planar_reducible_at, and
-# from which it is too high for outerplanar_edge_at: the one neighbor fact
-# each rule reads, so the near threshold of its LeastLive index.
-PLANAR_HIGH = 11
-OUTERPLANAR_HIGH = 5
+def thread_runs(red: Reduction):
+    """The LeastLive feed of thread_at: the degree-2 runs that leave u, up to
+    3 vertices each when d(u) < THREAD_HIGH, and whole when u had degree 2
+    at its last feed and no longer has.  thread_at(g, x, w) reads vertices
+    within 3 steps of x along its runs, and of a run's end only whether its
+    degree is < THREAD_HIGH (or <= 3).  A component stops being 2-regular
+    only when one of its vertices leaves degree 2, so a rule that also asks
+    whether x's run closes is fed too."""
+    two = [len(a) == 2 for a in red.adj]
+
+    def feed(u):
+        d = len(red.adj[u])
+        left, two[u] = two[u] and d != 2, d == 2
+        if d >= THREAD_HIGH and not left:
+            return []
+        reach = None if left else 3
+        return [w for y in red.adj[u] for w in islice(_run(red, u, y), reach)]
+    return feed
 
 
 def planar_reducible_at(g: Graph, v: int):

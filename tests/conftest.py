@@ -4,16 +4,16 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
+from collections import deque, namedtuple
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import isqrt
 
 from hypothesis import strategies as st
 
 from ttone import blocks, coloring
 from ttone.coloring import Violation, check_structure, label_mask
-from ttone.graphs import (Graph, distances_within, outerplanar_edge_at,
+from ttone.graphs import (Graph, _run, distances_within, outerplanar_edge_at,
                           planar_reducible_at)
 
 
@@ -218,6 +218,56 @@ def find_outerplanar_edge(g) -> tuple:
     indexed."""
     return next(filter(None, (outerplanar_edge_at(g, x) for x in g.vertices())),
                 None)
+
+
+class ThreadConfig(namedtuple("ThreadConfig", "kind internal endpoints")):
+    """A thread found by find_thread_config: internal lists its vertices in
+    path order; endpoints[0] is adjacent to internal[0] and endpoints[1] to
+    internal[-1]."""
+
+    __slots__ = ()
+
+
+def find_thread_config(g):
+    """The reducible thread color_sparse removes, by one scan of the whole
+    graph, or None: the scan it made at every thread step before its picks
+    were indexed.
+
+    Requires minimum degree 2.  Preference order is 4-threads, 3-threads
+    whose far end has degree <= 5, then 2-threads with end degrees <= 3 and
+    <= 5, ties broken by the smallest internal vertex tuple; 4- and
+    3-threads lie outside 2-regular components.  So each kind is one scan
+    of the degree-2 vertices x in id order and of their neighbors y in
+    sorted order, and the first window x, y, ... that passes is the answer.
+    The vertices of a 2-regular component are recorded the first time the
+    4- or 3-thread scan meets the component.
+    """
+    vs = g.vertices()
+    if any(g.degree(v) < 2 for v in vs):
+        raise ValueError("find_thread_config requires minimum degree 2")
+    twos = [v for v in vs if g.degree(v) == 2]
+    cyclic = set()
+    for kind, width in (("FourThread", 4), ("ThreeThread", 3),
+                        ("TwoThread", 2)):
+        for x in twos:
+            if width > 2 and x in cyclic:
+                continue
+            for y in g.neighbors(x):
+                walk = list(islice(_run(g, x, y), width))
+                if len(walk) < width:
+                    continue
+                start = next(u for u in g.adj[x] if u != y)
+                d0, d1 = g.degree(start), g.degree(walk[-1])
+                if kind == "ThreeThread" and d1 > 5 or \
+                        kind == "TwoThread" and (d0 > 3 or d1 > 5):
+                    continue
+                if width > 2:
+                    run = list(_run(g, x, y))
+                    if run[-1] == x:
+                        cyclic.update(run)
+                        break
+                return ThreadConfig(kind, (x, *walk[:-1]), (start, walk[-1]))
+    return None
 
 
 def count_verifies(monkeypatch) -> list:

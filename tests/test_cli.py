@@ -1,7 +1,9 @@
 import io
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -11,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ball_verify_partial, count_verifies
-from ttone import cli, constructions, instances
+import ttone
+from ttone import blocks, cli, constructions, instances
 from ttone.cli import run
 from ttone.coloring import Coloring, ColoringError
 from ttone.graphs import (MAX_EDGE_LIST_VERTICES, Graph, gen_cycle,
@@ -309,6 +312,36 @@ def test_grid_job_exits_5_on_an_invalid_grid_coloring(capsys, monkeypatch):
     assert (code, out) == (5, "")
     assert err.startswith("error: internal: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_grid_job_exits_5_under_python_O():
+    # the check of every emitted coloring is an explicit raise, which -O
+    # keeps; a bare assert would be stripped and the job would exit 0
+    probe = ("import sys; from ttone import cli, constructions; "
+             "constructions._grid_label = lambda i, j, t: (1, 2); "
+             "sys.exit(cli.run(['color', '--family', 'grid', '--t', '2']))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ttone.__file__)))
+    out = subprocess.run([sys.executable, "-O", "-c", probe],
+                         input=write_edge_list(gen_grid(3, 3)),
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (5, "")
+    assert out.stderr.startswith("error: internal: ")
+    assert "Traceback" not in out.stderr
+
+
+def test_corrupt_block_table_exits_5(capsys, monkeypatch):
+    # the blocks self-check raises RuntimeError, an internal failure
+    seq = list(blocks._BLOCKS_T2[5])
+    seq[1] = seq[0]
+    monkeypatch.setitem(blocks._BLOCKS_T2, 5, tuple(seq))
+    monkeypatch.setattr(blocks, "_VALIDATED", False)
+    code, out, err = invoke(["color", "--family", "cycle", "--t", "2"], capsys,
+                            stdin=write_edge_list(gen_cycle(9)),
+                            monkeypatch=monkeypatch)
+    assert (code, out) == (5, "")
+    assert err.startswith("error: internal: tone-2 block 5 fails")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 # (family, tone, graph): one color job per family, each also run with auto

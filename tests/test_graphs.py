@@ -5,19 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (bfs_distances, brute_mad, find_outerplanar_edge,
-                      find_planar_reducible, graphs, greedy_2tone_palette,
+from conftest import (ThreadConfig, bfs_distances, brute_mad,
+                      find_outerplanar_edge, find_planar_reducible,
+                      find_thread_config, graphs, greedy_2tone_palette,
                       induced, scan_effective_diameter)
 from ttone.coloring import greedy_color
 from ttone import constructions
 from ttone import graphs as graphs_mod
 from ttone.graphs import (OUTERPLANAR_HIGH, PLANAR_HIGH, Density, Graph,
-                          GraphError, LeastLive, Reduction, ThreadConfig,
-                          constraint_pairs, distances_within,
-                          effective_diameter, find_thread_config, gen_cycle,
-                          gen_fat_triangle, gen_grid, gen_path, gen_star, mad,
+                          GraphError, LeastLive, Reduction, _run,
+                          constraint_pairs, degree_crossings, distances_within,
+                          effective_diameter, gen_cycle, gen_fat_triangle,
+                          gen_grid, gen_path, gen_star, mad,
                           outerplanar_edge_at, planar_reducible_at,
-                          read_edge_list, write_edge_list)
+                          read_edge_list, thread_at, thread_runs,
+                          write_edge_list)
 from ttone.instances import (random_apollonian, random_maximal_outerplanar,
                              random_subdivided, subdivide)
 import random
@@ -493,18 +495,31 @@ def _scan(red, test):
     return next((v for v in red.vertices() if test(v)), None)
 
 
+def _on_cycle(red, v):
+    """Whether v's component is 2-regular: v's run closes on v."""
+    return red.degree(v) == 2 and \
+        list(_run(red, v, red.neighbors(v)[0]))[-1] == v
+
+
 def _indexes(red):
     """(LeastLive index, the same predicate) pairs for each rule the
-    colorers index, plus a low threshold that small graphs reach."""
+    colorers index, with its feed, plus a low threshold that small graphs
+    reach.  The thread rules test 2-regularity directly, where color_sparse
+    keeps a set of the cycles it has met."""
     rules = [
         (lambda v: red.degree(v) <= 1, None),
         (lambda v: red.degree(v) == 0, None),
         (lambda v: red.degree(v) >= 13, None),
         (lambda v: red.degree(v) >= 3, None),
-        (lambda v: outerplanar_edge_at(red, v) is not None, OUTERPLANAR_HIGH),
-        (lambda v: planar_reducible_at(red, v) is not None, PLANAR_HIGH),
+        (lambda v: outerplanar_edge_at(red, v) is not None,
+         degree_crossings(red, OUTERPLANAR_HIGH)),
+        (lambda v: planar_reducible_at(red, v) is not None,
+         degree_crossings(red, PLANAR_HIGH)),
     ]
-    return [(LeastLive(red, test, near), test) for test, near in rules]
+    rules += [(lambda v, w=w: thread_at(red, v, w) is not None and
+               (w == 2 or not _on_cycle(red, v)),
+               thread_runs(red)) for w in (4, 3, 2)]
+    return [(LeastLive(red, test, feed), test) for test, feed in rules]
 
 
 def _indexes_agree(red, indexes):
@@ -524,9 +539,10 @@ def _outerplanar(seed: int) -> Graph:
 
 @given(st.one_of(graphs(max_n=13), st.integers(0, 10 ** 6).map(_subdivided),
                  st.integers(0, 10 ** 6).map(_apollonian),
-                 st.integers(0, 10 ** 6).map(_outerplanar)),
+                 st.integers(0, 10 ** 6).map(_outerplanar), _cycle_unions(),
+                 st.integers(0, 10 ** 6).map(_hub_threads)),
        st.randoms(use_true_random=False))
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 def test_least_live_matches_scan_along_steps_and_undos(g, rnd):
     red = Reduction(g)
     indexes = _indexes(red)
@@ -543,6 +559,24 @@ def test_least_live_matches_scan_along_steps_and_undos(g, rnd):
         red.undo()
         _indexes_agree(red, indexes)
     assert red.adj == [set(a) for a in g.adj]
+
+
+def test_thread_indexes_see_a_cycle_open_far_away():
+    # Deleting the pendant vertices 20..23 leaves a 2-regular 20-cycle, where
+    # no 4- or 3-thread is reducible.  Undoing the four steps at once gives
+    # vertex 10 degree 6 again, and the least 4-thread then starts at 0, ten
+    # steps away.
+    g = Graph(24, [(i, (i + 1) % 20) for i in range(20)] +
+              [(10, p) for p in range(20, 24)])
+    red = Reduction(g)
+    indexes = _indexes(red)
+    for p in range(20, 24):
+        red.delete(p)
+    _indexes_agree(red, indexes)
+    for _ in range(4):
+        red.undo()
+    _indexes_agree(red, indexes)
+    assert indexes[-3][0]() == 0
 
 
 def _scan_pick(kind, red):
@@ -618,3 +652,35 @@ def test_outerplanar_index_work_is_linear(monkeypatch):
     g = random_maximal_outerplanar(random.Random(5), 2000)
     constructions.color_outerplanar(g)
     assert 0 < evaluations <= 8 * (g.n + g.m)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_subdivided(random.Random(5), 2000, 200),
+    lambda: gen_cycle(20_000)], ids=["sparse-threads", "cycle"])
+def test_thread_index_work_is_linear(monkeypatch, make):
+    # Counts thread_at calls and _run steps, not time.  The whole-graph scan
+    # made about n / 50 passes over the live vertices on the sparse-threads
+    # graph (8 597 vertices; seed 5 subdivides every edge three times, which
+    # skips random_subdivided's mad check, 16 s at this size); without
+    # color_sparse's set of cycles each vertex of the cycle would walk all
+    # of it, about n^2 steps.
+    work = 0
+    real_at, real_run = thread_at, _run
+
+    def counted_at(g, x, width):
+        nonlocal work
+        work += 1
+        return real_at(g, x, width)
+
+    def counted_run(g, x, y):
+        nonlocal work
+        for v in real_run(g, x, y):
+            work += 1
+            yield v
+
+    monkeypatch.setattr(constructions, "thread_at", counted_at)
+    monkeypatch.setattr(constructions, "_run", counted_run)
+    monkeypatch.setattr(graphs_mod, "_run", counted_run)
+    g = make()
+    constructions.color_sparse(g)
+    assert 0 < work <= 8 * g.n

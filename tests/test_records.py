@@ -12,7 +12,7 @@ from ttone.bounds import Certificate
 from ttone.coloring import Coloring, Violation
 from ttone.exact import (DecideResult, ExhaustionProof, SearchBudget,
                          TauResult)
-from ttone.graphs import Density, ThreadConfig
+from ttone.graphs import Density
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(ttone.__file__)))
 
@@ -31,12 +31,11 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     (Violation(0, 1, 1, 1), "shared"),
     (Certificate("Star", {"max_degree": 3}, 7), "bound"),
     (Density(8, 5), "numerator"),
-    (ThreadConfig("ThreeThread", (4, 5, 6), (0, 1)), "internal"),
+    (TauResult("timeout", lower_bound=4), "value"),
     (BLOCK_TABLES[3], "k"),
     (ExhaustionProof(7, 84), "nodes"),
     (SearchBudget(), "max_nodes"),
     (DecideResult("infeasible"), "status"),
-    (TauResult("timeout", lower_bound=4), "value"),
 ])
 def test_records_are_frozen(record, field):
     with pytest.raises(AttributeError):
