@@ -23,10 +23,9 @@ is 10^5.
     PYTHONPATH=src python scripts/scale_reduce.py
     PYTHONPATH=src python scripts/scale_reduce.py --planar-max 10000
 
-Most of a default run goes to generating the largest sparse graphs:
-random_subdivided checks mad on some of them, which took about ten minutes
-for the 10^5 sparse-threads graph on a shared 2-core host.  The colorer
-calls at 10^5 take seconds each.
+Each sparse graph is generated in under a second, 10^5 included: their
+bases are 2-degenerate, so random_subdivided runs no exact mad check on
+them.  The colorer calls at 10^5 take seconds each.
 """
 
 import argparse

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from collections import deque, namedtuple
-from functools import partial
+from functools import lru_cache, partial
 from math import comb
 
 from .bounds import best_lower_bound
@@ -113,6 +113,63 @@ def _color_sets(k: int, t: int) -> list:
     return rows[t]
 
 
+_Palette = namedtuple("_Palette", "has full canonical decoded")
+
+# Palettes _palette keeps at once: a fixed bound on a long-lived process,
+# and above the 26 (k, t) that one pass of perfbench's exact-search decides.
+_PALETTES = 32
+
+
+@lru_cache(maxsize=_PALETTES)
+def _palette(k: int, t: int) -> _Palette:
+    """The tables of the t-subsets of [1..k] that a compiled search reads,
+    shared by every decision on that palette: has (from _color_sets), full
+    (every label), canonical[mx] for mx in 0..k (the reach bound: the
+    labels that hold c-1 whenever they hold a color c > mx+1, so that
+    their colors above mx are mx+1..mx+j) and decoded, a memo from label
+    index to (mask, label, last color).  Nothing here is keyed by label
+    masks, so what a search memoizes per assignment dies with it."""
+    has = _color_sets(k, t)
+    full = (1 << comb(k, t)) - 1
+    canonical = [full] * (k + 1)
+    for mx in range(k - 2, -1, -1):
+        canonical[mx] = canonical[mx + 1] & (~has[mx + 2] | has[mx + 1])
+    return _Palette(has, full, canonical, _Memo(partial(_unrank, k, t)))
+
+
+def _unrank(k: int, t: int, x: int) -> tuple:
+    """(mask, label, last color) of the x-th t-subset of [1..k] in lex
+    order.  Each color is the first c, counting up from the one before,
+    whose C(k-c, s) labels (those going on from c with s more colors)
+    reach past what is left of x; the labels skipped are taken off x."""
+    label = []
+    c = 0
+    for s in range(t - 1, -1, -1):
+        c += 1
+        while x >= comb(k - c, s):
+            x -= comb(k - c, s)
+            c += 1
+        label.append(c)
+    label = tuple(label)
+    mask = label_mask(label)
+    return mask, label, mask.bit_length()
+
+
+def _allowed(has: list, full: int, cap: int, mask: int) -> int:
+    """The labels sharing at most cap colors with mask: all labels minus
+    conflict(mask, cap), the OR over (cap+1)-subsets of mask's colors of
+    the AND of their has[], built as at_least[j] (the labels holding j of
+    the colors seen so far) over the set bits of mask."""
+    at_least = [full] + [0] * (cap + 1)
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        h = has[low.bit_length()]
+        for j in range(cap + 1, 0, -1):
+            at_least[j] |= at_least[j - 1] & h
+    return full & ~at_least[cap + 1]
+
+
 class _Searcher:
     """Backtracking over label assignments in a fixed vertex order.
 
@@ -122,16 +179,20 @@ class _Searcher:
     bound.
 
     When k * C(k, t) <= _COMPILE_BITS the labels are compiled to bits in
-    lex order.  A position's domain is the AND of allowed(mask, cap), the
-    labels sharing at most cap colors with mask, over its constraints to
-    assigned positions; L is in it iff L passes label_stream's caps, and in
-    canonical(mx) iff it passes label_stream's reach bound.  The search
-    forward-checks (Haralick and Elliott 1980): it keeps the domain of
-    every open position, and giving position i a label ANDs one allowed
-    set into the domain of each later position i constrains.  A label that
-    empties a domain is counted as a node and rejected, and the domains a
-    label narrowed are restored on backtrack.  A position's candidates are
-    canonical(mx) & its domain, read lowest bit first.
+    lex order, and the tables that depend on (k, t) alone come from
+    _palette, built once per palette and shared by the decisions on it.
+    A position's domain is the AND of allowed(mask, cap), the labels
+    sharing at most cap colors with mask, over its constraints to assigned
+    positions; L is in it iff L passes label_stream's caps, and in
+    canonical[mx] iff it passes label_stream's reach bound.  The allowed
+    memos are keyed by the masks this search assigns, so each decision
+    keeps its own.  The search forward-checks (Haralick and Elliott 1980):
+    it keeps the domain of every open position, and giving position i a
+    label ANDs one allowed set into the domain of each later position i
+    constrains.  A label that empties a domain is counted as a node and
+    rejected, and the domains a label narrowed are restored on backtrack.
+    A position's candidates are canonical[mx] & its domain, read lowest
+    bit first.
 
     Above the guard the candidates come from label_stream, unpruned.  Both
     paths read candidates in lex order, and forward checking cuts only
@@ -149,69 +210,49 @@ class _Searcher:
         self.nodes = 0
         self.max_nodes = 0
         self.deadline = None
-        self.has = None
+        self.palette = None
         if k * comb(k, t) <= _COMPILE_BITS:
-            self.has = _color_sets(k, t)
-            self.full = (1 << comb(k, t)) - 1
-            self.canonical = _Memo(self._canonical)
-            self.decoded = _Memo(self._decode)
-            self.allowed = [_Memo(partial(self._allowed, cap=cap))
+            self.palette = pal = _palette(k, t)
+            self.allowed = [_Memo(partial(_allowed, pal.has, pal.full, cap))
                             for cap in range(t)]
 
-    def _check_time(self):
-        if self.nodes > self.max_nodes:
+    def _budget(self, nodes: int) -> int:
+        """Record nodes and raise _Timeout past max_nodes, or past the
+        deadline on a clock read every 2048 nodes; else return the next
+        node count at which the search must call again."""
+        self.nodes = nodes
+        if nodes > self.max_nodes:
             raise _Timeout
-        if self.deadline is not None and self.nodes % 2048 == 0:
-            if time.monotonic() > self.deadline:
-                raise _Timeout
+        stop = self.max_nodes + 1
+        if self.deadline is None:
+            return stop
+        if nodes % 2048 == 0 and time.monotonic() > self.deadline:
+            raise _Timeout
+        return min(stop, nodes - nodes % 2048 + 2048)
 
     def stream(self, i: int, mx: int):
         """Candidates (mask, label, top) for position i under the current
         assignments, in lexicographic order; top is mx plus the colors the
         label introduces."""
-        if self.has is None:
+        if self.palette is None:
             cons = [(self.assigned[j], cap) for j, cap in self.cons[i]]
             yield from label_stream(self.k, self.t, cons, mx)
             return
-        cand = self.canonical[mx] & self.domain(i)
+        cand = self.palette.canonical[mx] & self.domain(i)
+        decoded = self.palette.decoded
         while cand:
             low = cand & -cand
             cand ^= low
-            m, label, last = self.decoded[low.bit_length() - 1]
+            m, label, last = decoded[low.bit_length() - 1]
             yield m, label, max(last, mx)
 
     def domain(self, i: int) -> int:
         """The labels that the assigned positions leave position i (mask 0
         marks an unassigned one, which allows every label)."""
-        cand = self.full
+        cand = self.palette.full
         for j, cap in self.cons[i]:
             cand &= self.allowed[cap][self.assigned[j]]
         return cand
-
-    def _decode(self, x: int) -> tuple:
-        """(mask, label, last color) of label x."""
-        label = tuple(c for c in range(1, self.k + 1) if self.has[c] >> x & 1)
-        return label_mask(label), label, label[-1]
-
-    def _allowed(self, mask: int, cap: int) -> int:
-        """The labels sharing at most cap colors with mask: all labels minus
-        conflict(mask, cap), the OR over (cap+1)-subsets of mask's colors
-        of the AND of their has[], built as at_least[j] (the labels holding
-        j of the colors seen so far)."""
-        at_least = [self.full] + [0] * (cap + 1)
-        for c in range(1, self.k + 1):
-            if mask >> (c - 1) & 1:
-                for j in range(cap + 1, 0, -1):
-                    at_least[j] |= at_least[j - 1] & self.has[c]
-        return self.full & ~at_least[cap + 1]
-
-    def _canonical(self, mx: int) -> int:
-        """The reach bound: the labels that hold c-1 whenever they hold a
-        color c > mx+1, so that their colors above mx are mx+1..mx+j."""
-        out = self.full
-        for c in range(mx + 2, self.k + 1):
-            out &= ~self.has[c] | self.has[c - 1]
-        return out
 
     def dfs(self, start: int, mx: int, out: list) -> bool:
         """Extend out (labels of positions < start, assigned) to a full
@@ -222,7 +263,7 @@ class _Searcher:
         """
         if start == self.g.n:
             return True
-        if self.has is None:
+        if self.palette is None:
             return self._dfs_lazy(start, mx, out)
         return self._dfs_compiled(start, mx, out)
 
@@ -231,6 +272,8 @@ class _Searcher:
         n = self.g.n
         assigned = self.assigned
         streams = [self.stream(start, mx)]
+        nodes = self.nodes
+        check = nodes + 1
         i = start
         while True:
             nxt = next(streams[-1], None)
@@ -238,17 +281,20 @@ class _Searcher:
                 streams.pop()
                 assigned[i] = 0
                 if not streams:
+                    self.nodes = nodes
                     return False
                 out.pop()
                 i -= 1
                 continue
-            self.nodes += 1
-            self._check_time()
+            nodes += 1
+            if nodes >= check:
+                check = self._budget(nodes)
             m, combo, top = nxt
             assigned[i] = m
             out.append(combo)
             i += 1
             if i == n:
+                self.nodes = nodes
                 return True
             streams.append(self.stream(i, top))
 
@@ -268,10 +314,12 @@ class _Searcher:
         dom = [self.domain(j) for j in range(n)]
         if not all(dom[start:]):
             return False
-        canonical, decoded = self.canonical, self.decoded
+        canonical, decoded = self.palette.canonical, self.palette.decoded
         saved = [None] * n
         cands = [canonical[mx] & dom[start]]
         tops = [mx]
+        nodes = self.nodes
+        check = nodes + 1
         i = start
         while True:
             cand = cands[-1]
@@ -279,6 +327,7 @@ class _Searcher:
                 cands.pop()
                 tops.pop()
                 if not cands:
+                    self.nodes = nodes
                     return False
                 out.pop()
                 i -= 1
@@ -286,8 +335,9 @@ class _Searcher:
                 continue
             low = cand & -cand
             cands[-1] = cand ^ low
-            self.nodes += 1
-            self._check_time()
+            nodes += 1
+            if nodes >= check:
+                check = self._budget(nodes)
             m, label, last = decoded[low.bit_length() - 1]
             hi = span[i]
             saved[i] = dom[i + 1:hi]
@@ -301,6 +351,7 @@ class _Searcher:
                 out.append(label)
                 i += 1
                 if i == n:
+                    self.nodes = nodes
                     return True
                 top = tops[-1]
                 tops.append(last if last > top else top)

@@ -37,6 +37,19 @@ def random_subdivided(rng: random.Random, n_base: int = 8,
     2 (all short threads).  The uniform modes keep the density below 12/5
     for these bases; the mixed mode resamples with 5+ subdivisions in the
     rare case the exact check fails.
+
+    The mixed mode runs the exact check only when its base is not
+    2-degenerate, because a 2-degenerate base subdivided at least twice
+    per edge has mad < 12/5.  Proof: if some subgraph has average degree
+    at least 12/5 > 2, stripping its vertices of degree at most 1 keeps
+    that so, which gives one, H, of minimum degree 2.  An interior vertex in H has both
+    path neighbors in H, so H is a set U of base vertices plus the whole
+    paths of a set F of base edges between them.  With s_e interior
+    vertices on e, |V(H)| = |U| + sum s_e and |E(H)| = sum (s_e + 1), and
+    5|E(H)| >= 6|V(H)| reads sum (5 - s_e) >= 6|U|.  But s_e >= 2 gives
+    sum (5 - s_e) <= 3|F|, and (U, F) is a subgraph of a 2-degenerate
+    graph, so |F| < 2|U| and 3|F| < 6|U|.  Skipping the check draws
+    nothing from rng, so the graphs are those the check would pass.
     """
     base = random_tree(rng, n_base)
     edges = set(base.edges())
@@ -51,9 +64,24 @@ def random_subdivided(rng: random.Random, n_base: int = 8,
     if mode < 0.4 and n_base >= 4:
         return subdivide(base, lambda u, v: 2)
     g = subdivide(base, lambda u, v: rng.randint(2, 6))
-    if mad(g).fraction >= Fraction(12, 5):
+    if not _two_degenerate(base) and mad(g).fraction >= Fraction(12, 5):
         g = subdivide(base, lambda u, v: rng.randint(5, 7))
     return g
+
+
+def _two_degenerate(g: Graph) -> bool:
+    """Whether stripping vertices of degree at most 2 empties g.  Each
+    vertex is stacked once: at the start, or when its degree falls to 2."""
+    deg = [g.degree(v) for v in range(g.n)]
+    stack = [v for v in range(g.n) if deg[v] <= 2]
+    stripped = 0
+    while stack:
+        stripped += 1
+        for w in g.adj[stack.pop()]:
+            deg[w] -= 1
+            if deg[w] == 2:
+                stack.append(w)
+    return stripped == g.n
 
 
 def random_maximal_outerplanar(rng: random.Random, n: int) -> Graph:

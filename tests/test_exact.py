@@ -1,5 +1,9 @@
+import gc
+import random
 import sys
+import weakref
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -258,7 +262,7 @@ def test_compiled_candidates_equal_label_stream(g, t, extra, rng):
     # them left unassigned (mask 0), under a random reach bound.
     k = t + extra
     s = _Searcher(g, t, k)
-    assert s.has is not None
+    assert s.palette is not None
     for j in range(g.n):
         if rng.random() < 0.8:
             s.assigned[j] = label_mask(rng.sample(range(1, k + 1), t))
@@ -311,7 +315,93 @@ def test_search_above_the_guard_walks_lazily():
     # K5 at tone 8 needs 40 pairwise disjoint colors; compiling C(40, 8)
     # labels would take ~3e9 bits, the lazy walk three nodes.
     k5 = Graph(5, list(combinations(range(5), 2)))
-    assert _Searcher(k5, 8, 40).has is None
+    assert _Searcher(k5, 8, 40).palette is None
     res = exact_decide(k5, 8, 40, SearchBudget(wall_limit=10))
     assert res.status == "colored" and res.nodes == 3
     assert verify(k5, res.coloring) == []
+
+
+def test_palette_tables_match_their_definitions():
+    for k, t in ((1, 1), (6, 1), (7, 3), (9, 4), (12, 5)):
+        pal = exact._palette(k, t)
+        labels = list(combinations(range(1, k + 1), t))
+        assert pal.full == (1 << len(labels)) - 1
+        for x, label in enumerate(labels):
+            assert pal.decoded[x] == (label_mask(label), label, label[-1])
+            for c in range(1, k + 1):
+                assert (pal.has[c] >> x & 1) == (c in label)
+        for mx in range(k + 1):
+            # canonical[mx]: the colors above mx are mx+1..mx+j
+            above = [{c for c in label if c > mx} for label in labels]
+            want = sum(1 << x for x, a in enumerate(above)
+                       if a == set(range(mx + 1, mx + 1 + len(a))))
+            assert pal.canonical[mx] == want
+
+
+def _mixed_decisions():
+    """Budgeted decisions over 45 (k, t) pairs, more than _palette keeps,
+    each pair on two graphs, in a seeded shuffle."""
+    gs = [gen_cycle(5), gen_cycle(6), gen_cycle(7), gen_cycle(9),
+          gen_path(5), gen_star(3),
+          Graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (1, 5), (2, 4),
+                    (3, 4), (3, 5)])]
+    rng = random.Random(14)
+    out = [(rng.choice(gs), t, k) for t in range(1, 6)
+           for k in range(2 * t, 2 * t + 9) for _ in range(2)]
+    rng.shuffle(out)
+    return out
+
+
+def _outcome(g, t, k):
+    res = exact_decide(g, t, k, SearchBudget(max_nodes=60))
+    return res.status, res.nodes, _labels(res)
+
+
+def test_shared_palettes_change_no_decision():
+    # Each decision cold, on an emptied cache, then all of them in a new
+    # order on a warm one that hits, misses and evicts.
+    decisions = _mixed_decisions()
+    cold = {}
+    for d in decisions:
+        exact._palette.cache_clear()
+        cold[d] = _outcome(*d)
+    exact._palette.cache_clear()
+    random.Random(41).shuffle(decisions)
+    warm = {d: _outcome(*d) for d in decisions}
+    info = exact._palette.cache_info()
+    assert info.hits and info.currsize == exact._PALETTES
+    assert warm == cold
+    assert {status for status, _, _ in cold.values()} == {
+        "colored", "infeasible", "timeout"}
+
+
+def test_compile_guard_holds_on_a_warm_palette(monkeypatch):
+    g = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (1, 5), (2, 4),
+                  (3, 4), (3, 5)])
+    assert exact_decide(g, 4, 17) == ("infeasible", None, 298)
+    monkeypatch.setattr(exact, "_COMPILE_BITS", 0)
+    assert _Searcher(g, 4, 17).palette is None
+    assert exact_decide(g, 4, 17) == ("infeasible", None, 362)
+
+
+def test_palette_cache_is_bounded_and_keeps_no_mask_memo(monkeypatch):
+    # The cache holds at most 32 palettes, and a palette holds nothing
+    # keyed by label masks: the allowed memos die with their decision.
+    assert exact._palette.cache_info().maxsize == exact._PALETTES == 32
+    memos = []
+    init = _Searcher.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        memos.extend(weakref.ref(memo) for memo in self.allowed)
+
+    monkeypatch.setattr(_Searcher, "__init__", spy)
+    assert exact_decide(gen_cycle(7), 3, 8).status == "infeasible"
+    assert exact_decide(gen_cycle(9), 5, 16,
+                        SearchBudget(max_nodes=50)).status == "timeout"
+    assert len(memos) == 3 + 5
+    gc.collect()
+    assert all(ref() is None for ref in memos)
+    pal = exact._palette(8, 3)
+    assert [type(v) for v in pal] == [list, int, list, exact._Memo]
+    assert set(pal.decoded) <= set(range(comb(8, 3)))

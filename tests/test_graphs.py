@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (ThreadConfig, bfs_distances, brute_mad,
-                      find_outerplanar_edge, find_planar_reducible,
-                      find_thread_config, graphs, greedy_2tone_palette,
-                      induced, scan_effective_diameter)
+                      degeneracy_order, find_outerplanar_edge,
+                      find_planar_reducible, find_thread_config, graphs,
+                      greedy_2tone_palette, induced, scan_effective_diameter)
 from ttone.coloring import greedy_color
-from ttone import constructions
+from ttone import constructions, instances
 from ttone import graphs as graphs_mod
 from ttone.graphs import (OUTERPLANAR_HIGH, PLANAR_HIGH, Density, Graph,
                           GraphError, LeastLive, Reduction, _run,
@@ -20,8 +20,9 @@ from ttone.graphs import (OUTERPLANAR_HIGH, PLANAR_HIGH, Density, Graph,
                           outerplanar_edge_at, planar_reducible_at,
                           read_edge_list, thread_at, thread_runs,
                           write_edge_list)
-from ttone.instances import (random_apollonian, random_maximal_outerplanar,
-                             random_subdivided, subdivide)
+from ttone.instances import (_two_degenerate, random_apollonian,
+                             random_maximal_outerplanar, random_subdivided,
+                             subdivide)
 import random
 
 
@@ -489,6 +490,43 @@ def test_subdivide_helper():
     assert (g.n, g.m) == (5, 4)
     assert sorted(g.degree(v) for v in range(5)) == [1, 1, 2, 2, 2]
     assert bfs_distances(g, 0)[1] == 4   # the old endpoints sit 4 apart
+
+
+@given(graphs(max_n=7), st.randoms(use_true_random=False))
+@settings(max_examples=120, deadline=None)
+def test_two_degenerate_base_subdivided_twice_is_below_12_5(base, rnd):
+    # random_subdivided's shortcut, against the exact mad: at least two
+    # interior vertices per edge of a 2-degenerate base keep mad < 12/5
+    assert _two_degenerate(base) == (degeneracy_order(base)[1] <= 2)
+    g = subdivide(base, lambda u, v: rnd.choice((2, 2, 3, 6)))
+    if _two_degenerate(base):
+        assert mad(g).fraction < Fraction(12, 5)
+
+
+def test_two_degenerate_bound_is_tight():
+    # K5 is 4-degenerate, and subdivided twice per edge it reaches 12/5:
+    # 30 edges on 25 vertices
+    k5 = Graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
+    assert not _two_degenerate(k5)
+    assert mad(subdivide(k5, lambda u, v: 2)).fraction == Fraction(12, 5)
+
+
+@given(st.integers(0, 10 ** 6), st.integers(2, 40), st.integers(0, 12))
+@settings(max_examples=60, deadline=None)
+def test_random_subdivided_is_below_12_5(seed, n_base, extra):
+    g = random_subdivided(random.Random(seed), n_base, extra)
+    assert mad(g).fraction < Fraction(12, 5)
+
+
+def test_mixed_subdivided_draw_skips_mad(monkeypatch):
+    # A mixed-mode draw of 10 791 vertices, whose exact mad took 16 s.  Its
+    # base is 2-degenerate, so mad is never called.
+    calls = []
+    monkeypatch.setattr(instances, "mad", lambda g: calls.append(g) or mad(g))
+    g = random_subdivided(random.Random(3), 2000, 200)
+    base_edges = g.m - (g.n - 2000)     # each interior vertex adds one edge
+    assert g.n == 10_791 and g.n - 2000 not in (2 * base_edges, 3 * base_edges)
+    assert calls == []
 
 
 def _scan(red, test):
