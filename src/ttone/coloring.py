@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
+from itertools import combinations, filterfalse
 
-from .graphs import Graph, distances_within
+from .graphs import Graph
 
 
 class StructuralError(ValueError):
@@ -253,21 +254,55 @@ def label_stream(k: int, t: int, cons, mx: int = None):
             above += 1
 
 
-def _stream_at(g: Graph, partial: Coloring, v: int):
-    """label_stream for v, constrained by the labeled vertices within t."""
-    if v in partial.labels:
+def _labels_at(g: Graph, partial: Coloring, v: int):
+    """The labels assignable to v, lazily and in lexicographic order.
+
+    One ring walk of radius t from v over g.adj (g a Graph or a Reduction)
+    sorts the labeled vertices it meets: near, the OR of the label masks at
+    distance 1 < t (cap 0); middle, (mask, d - 1) for each label at
+    1 < d < t; banned, the labels at distance t.  The partial coloring's
+    labels are t-sets, so a t-set may share t - 1 colors with a banned label
+    exactly when it differs from it.  With middle empty, as always at tones
+    1 and 2, the answer is the t-combinations of the colors outside near,
+    which come out in lexicographic order, less the banned ones; otherwise
+    label_stream takes all three groups as caps.
+    """
+    labels, t, k = partial.labels, partial.t, partial.k
+    if v in labels:
         raise StructuralError(f"vertex {v} already assigned")
-    cons = []
-    for u, d in distances_within(g, v, partial.t).items():
-        lab = partial.labels.get(u)
-        if lab is not None:
-            cons.append((label_mask(lab), d - 1))
-    return label_stream(partial.k, partial.t, cons)
+    adj = g.adj
+    near = 0
+    middle = []
+    seen = {v}
+    ring = [v]
+    for d in range(1, t):
+        nxt = []
+        for u in ring:
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+                    lab = labels.get(w)
+                    if lab is None:
+                        continue
+                    if d == 1:
+                        near |= label_mask(lab)
+                    else:
+                        middle.append((label_mask(lab), d - 1))
+        ring = nxt
+    # the last ring is only read, so it needs no seen marks
+    banned = {labels[w] for u in ring for w in adj[u]
+              if w not in seen and w in labels}
+    if not middle:
+        free = [c for c in range(1, k + 1) if not near >> (c - 1) & 1]
+        return filterfalse(banned.__contains__, combinations(free, t))
+    cons = [(near, 0), *middle, *((label_mask(lab), t - 1) for lab in banned)]
+    return (label for _, label, _ in label_stream(k, t, cons))
 
 
 def available_labels(g: Graph, partial: Coloring, v: int) -> list:
     """All labels assignable to v without any violation, in lexicographic order."""
-    return [label for _, label, _ in _stream_at(g, partial, v)]
+    return list(_labels_at(g, partial, v))
 
 
 def greedy_extend(g: Graph, partial: Coloring, v: int):
@@ -276,7 +311,7 @@ def greedy_extend(g: Graph, partial: Coloring, v: int):
     Returns the label, or None when no label is available (the partial
     coloring is left untouched in that case).
     """
-    _, label, _ = next(_stream_at(g, partial, v), (None, None, None))
+    label = next(_labels_at(g, partial, v), None)
     if label is not None:
         partial.assign(v, label)
     return label

@@ -269,7 +269,7 @@ def color_sparse(g: Graph) -> Coloring:
                     return None
             return found
 
-        threads = [(w, LeastLive(red, lambda x, w=w: thread(x, w) is not None,
+        threads = [(w, LeastLive(red, lambda x, w=w: thread(x, w),
                                  thread_runs(red))) for w in (4, 3, 2)]
         while True:
             v = low()
@@ -282,7 +282,7 @@ def color_sparse(g: Graph) -> Coloring:
                     break
             else:
                 raise AssertionError("no reducible thread despite the density gate")
-            internal = thread(x, width)
+            internal = index.found
             if width == 4:
                 yield [internal[1], internal[2]], None, None
             elif width == 3:
@@ -307,7 +307,7 @@ def color_outerplanar(g: Graph) -> Coloring:
     """
     def picks(red):
         iso = LeastLive(red, lambda v: red.degree(v) == 0)
-        low = LeastLive(red, lambda x: outerplanar_edge_at(red, x) is not None,
+        low = LeastLive(red, lambda x: outerplanar_edge_at(red, x),
                         degree_crossings(red, OUTERPLANAR_HIGH))
         while True:
             v = iso()
@@ -318,7 +318,7 @@ def color_outerplanar(g: Graph) -> Coloring:
             if x is None:
                 raise ClassPreconditionError(
                     "input not outerplanar: no reducible edge")
-            yield [x], outerplanar_edge_at(red, x)[1], None
+            yield [x], low.found[1], None
 
     return _reduce_and_lift(g, outerplanar_palette(g.max_degree()), picks)
 
@@ -339,13 +339,13 @@ def color_planar(g: Graph) -> Coloring:
     """
     def picks(red):
         hub = LeastLive(red, lambda v: red.degree(v) >= 13)
-        low = LeastLive(red, lambda v: planar_reducible_at(red, v) is not None,
+        low = LeastLive(red, lambda v: planar_reducible_at(red, v),
                         degree_crossings(red, PLANAR_HIGH))
         while hub() is not None:       # None: maximum degree <= 12
             v = low()
             if v is None:
                 raise ClassPreconditionError(
                     "input not planar: no reducible vertex")
-            yield [v], planar_reducible_at(red, v)[1], None
+            yield [v], low.found[1], None
 
     return _reduce_and_lift(g, planar_palette(g.max_degree()), picks)

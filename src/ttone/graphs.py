@@ -4,7 +4,7 @@ average degree, and the reducible-configuration rules LeastLive indexes."""
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import compress, islice
@@ -276,15 +276,18 @@ class LeastLive:
     heap, so the answer is a scan's in id order, if test(v) reads only v's
     neighbor set or feed(u) names every id whose test can turn true when
     u's neighbor set changes: degree_crossings and thread_runs do so.
+    found keeps what test returned for the id last returned, so a rule that
+    returns its configuration is run once per pick.
     """
 
-    __slots__ = ("red", "test", "feed", "heap", "read")
+    __slots__ = ("red", "test", "feed", "heap", "read", "found")
 
     def __init__(self, red: Reduction, test, feed=None):
         self.red, self.test, self.feed = red, test, feed
         self.heap = [v for v, up in enumerate(red.alive) if up]
         heapify(self.heap)
         self.read = len(red.touched)
+        self.found = None
 
     def __call__(self):
         heap, test, feed = self.heap, self.test, self.feed
@@ -298,8 +301,11 @@ class LeastLive:
         self.read = len(touched)
         while heap:
             v = heap[0]
-            if alive[v] and test(v):
-                return v
+            if alive[v]:
+                found = test(v)
+                if found:
+                    self.found = found
+                    return v
             heappop(heap)
         return None
 
@@ -335,68 +341,86 @@ class Density(namedtuple("Density", "numerator denominator")):
 class _Dinic:
     """Max-flow with arbitrary integer capacities (Python ints stay exact)."""
 
-    def __init__(self, size: int):
+    def __init__(self, size: int, arcs):
+        """arcs: (u, v, c, back) for an arc u -> v of capacity c whose
+        reverse arc, index ^ 1 in the arc arrays, has capacity back."""
         self.size = size
-        self.head = [[] for _ in range(size)]
-        # edge arrays: to, capacity; reverse edge is index ^ 1
-        self.to = []
-        self.cap = []
-
-    def add(self, u: int, v: int, c: int):
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(c)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
+        self.head = head = [[] for _ in range(size)]
+        self.to = to = []
+        self.cap = cap = []
+        for u, v, c, back in arcs:
+            head[u].append(len(to))
+            head[v].append(len(to) + 1)
+            to += (v, u)
+            cap += (c, back)
 
     def max_flow(self, s: int, t: int) -> int:
+        """Dinic: a BFS ring by ring up to t's ring gives the level graph,
+        then a blocking flow saturates it, until t is out of reach."""
+        to, cap, head = self.to, self.cap, self.head
         flow = 0
         while True:
             level = [-1] * self.size
             level[s] = 0
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                for e in self.head[u]:
-                    if self.cap[e] > 0 and level[self.to[e]] < 0:
-                        level[self.to[e]] = level[u] + 1
-                        queue.append(self.to[e])
+            ring, d = [s], 0
+            while ring and level[t] < 0:
+                d += 1
+                nxt = []
+                for u in ring:
+                    for e in head[u]:
+                        if cap[e] and level[to[e]] < 0:
+                            level[to[e]] = d
+                            nxt.append(to[e])
+                ring = nxt
             if level[t] < 0:
                 return flow
-            it = [0] * self.size
-            while True:
-                pushed = self._dfs(s, t, None, level, it)
-                if pushed == 0:
-                    break
-                flow += pushed
+            flow += self._blocking_flow(s, t, level)
 
-    def _dfs(self, u, t, limit, level, it):
-        if u == t:
-            return limit
-        while it[u] < len(self.head[u]):
-            e = self.head[u][it[u]]
-            v = self.to[e]
-            if self.cap[e] > 0 and level[v] == level[u] + 1:
-                cap = self.cap[e] if limit is None else min(limit, self.cap[e])
-                pushed = self._dfs(v, t, cap, level, it)
-                if pushed:
-                    self.cap[e] -= pushed
-                    self.cap[e ^ 1] += pushed
-                    return pushed
-            it[u] += 1
-        return 0
+    def _blocking_flow(self, s, t, level) -> int:
+        """Saturate the level graph by a DFS on an explicit path: advance
+        along arcs one level up, retreat past dead ends (moving the tail's
+        arc pointer on), and after each push resume from the tail of the
+        first arc it saturated.  No recursion, so paths may be long."""
+        to, cap, head = self.to, self.cap, self.head
+        it = [0] * self.size
+        path = []
+        total = 0
+        u = s
+        while True:
+            if u == t:
+                pushed = min(cap[e] for e in path)
+                total += pushed
+                for e in path:
+                    cap[e] -= pushed
+                    cap[e ^ 1] += pushed
+                j = next(j for j, e in enumerate(path) if not cap[e])
+                u = to[path[j] ^ 1]
+                del path[j:]
+                continue
+            arcs, i, up = head[u], it[u], level[u] + 1
+            end = len(arcs)
+            while i < end and not (cap[arcs[i]] and level[to[arcs[i]]] == up):
+                i += 1
+            it[u] = i
+            if i < end:
+                path.append(arcs[i])
+                u = to[arcs[i]]
+            elif path:
+                u = to[path.pop() ^ 1]
+                it[u] += 1
+            else:
+                return total
 
     def source_side(self, s: int) -> set:
-        """Vertices reachable from s in the residual network (a min cut side)."""
+        """Nodes reachable from s in the residual network (a min cut side)."""
+        to, cap, head = self.to, self.cap, self.head
         seen = {s}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for e in self.head[u]:
-                if self.cap[e] > 0 and self.to[e] not in seen:
-                    seen.add(self.to[e])
-                    queue.append(self.to[e])
+        stack = [s]
+        while stack:
+            for e in head[stack.pop()]:
+                if cap[e] and to[e] not in seen:
+                    seen.add(to[e])
+                    stack.append(to[e])
         return seen
 
 
@@ -404,26 +428,51 @@ def _density_exceeds(g: Graph, threshold: Fraction):
     """Does some nonempty subgraph H satisfy |E(H)|/|V(H)| > threshold?
 
     Returns a witness vertex set, or None when the answer is no.
-    Standard source / edge-node / vertex-node / sink construction: with
-    threshold p/q, cut capacity q*m - max_S (q|E(S)| - p|S|), so the strict
-    test is max_flow < q*m.
+    Goldberg's (1984) network on the vertices alone, n + 2 nodes: with
+    threshold p/q, one arc of capacity q each way per edge, and for each
+    vertex v an arc s -> v of capacity q*m and v -> sink of capacity
+    q*m + 2p - q*d(v).  The cut that puts S on the source side costs
+    q*m*n + 2(p|S| - q|E(S)|).  Every cut crosses exactly one of s -> v and
+    v -> sink, so the network here takes min(q*m, q*m + 2p - q*d(v)) off
+    both, which lowers every cut by the same sum: s -> v keeps
+    max(0, q*d(v) - 2p), v -> sink max(0, 2p - q*d(v)), and S = {} cuts the
+    sum of the s -> v capacities, so the strict test is max_flow < that sum.
+
+    The residual source side of a maximum flow is the smallest minimum cut,
+    so the witness, that side without s, is the smallest maximizer of
+    q|E(S)| - p|S|: the set the source / edge-node / vertex-node / sink
+    network gives too, since there every edge node of E(S) joins S on the
+    source side of a minimum cut.  mad's witnesses rest on that set.
+
+    Below threshold 1 no flow is run: a vertex joined to S by an edge adds
+    at least 1 - threshold > 0 to |E(S)| - threshold*|S|, so the maximizers
+    are unions of components, and the smallest is the union of those denser
+    than threshold.  There every vertex of degree 2 has excess, so on a long
+    path the flow would carry it to the ends, Dinic one phase per step.
     """
     p, q = threshold.numerator, threshold.denominator
-    m, n = g.m, g.n
-    src, snk = 0, 1 + m + n
-    net = _Dinic(m + n + 2)
-    big = q * m + abs(p) * n + 1
-    for i, (u, v) in enumerate(g.edges()):
-        net.add(src, 1 + i, q)
-        net.add(1 + i, 1 + m + u, big)
-        net.add(1 + i, 1 + m + v, big)
-    for v in range(n):
-        net.add(1 + m + v, snk, p)
-    flow = net.max_flow(src, snk)
-    if flow >= q * m:
+    n = g.n
+    if p < q:
+        side, done = set(), set()
+        for root in range(n):
+            if root not in done:
+                comp = [root, *distances_within(g, root, n)]
+                done.update(comp)
+                if q * sum(len(g.adj[u]) for u in comp) > 2 * p * len(comp):
+                    side.update(comp)
+        return side or None
+    src, snk = n, n + 1
+    excess = [q * len(a) - 2 * p for a in g.adj]
+    arcs = [(src, v, x, 0) if x > 0 else (v, snk, -x, 0)
+            for v, x in enumerate(excess) if x]
+    arcs += [(u, v, q, q) for u, v in g.edges()]
+    net = _Dinic(n + 2, arcs)
+    total = sum(x for x in excess if x > 0)
+    if net.max_flow(src, snk) >= total:
         return None
     side = net.source_side(src)
-    return {v for v in range(n) if 1 + m + v in side}
+    side.discard(src)
+    return side
 
 
 def mad(g: Graph) -> Density:

@@ -12,9 +12,10 @@ from math import isqrt
 from hypothesis import strategies as st
 
 from ttone import blocks, coloring
-from ttone.coloring import Violation, check_structure, label_mask
-from ttone.graphs import (Graph, _run, distances_within, outerplanar_edge_at,
-                          planar_reducible_at)
+from ttone.coloring import (StructuralError, Violation, check_structure,
+                            label_mask, label_stream)
+from ttone.graphs import (Graph, _Dinic, _run, distances_within,
+                          outerplanar_edge_at, planar_reducible_at)
 
 
 @st.composite
@@ -38,6 +39,23 @@ def induced(g, keep) -> Graph:
                              for w in g.adj[v] if w in index and v < w])
 
 
+def random_steps(red, rnd, count: int) -> list:
+    """Apply up to count random deletions and contractions to a Reduction;
+    returns the adjacency and live vertices seen before each step."""
+    seen = []
+    for _ in range(count):
+        live = red.vertices()
+        if not live:
+            break
+        seen.append(([set(a) for a in red.adj], live))
+        edges = [(u, w) for u in live for w in red.neighbors(u)]
+        if edges and rnd.random() < 0.6:
+            red.contract(*rnd.choice(edges))
+        else:
+            red.delete(*rnd.sample(live, min(len(live), rnd.randint(1, 2))))
+    return seen
+
+
 def brute_mad(g: Graph) -> tuple:
     """(2|E(S)|, |S|) for the largest vertex set S of maximum density,
     by exhaustion over nonempty subsets; (0, 1) when g has no edges."""
@@ -52,6 +70,58 @@ def brute_mad(g: Graph) -> tuple:
             if Fraction(inside, r) >= best:
                 best, witness = Fraction(inside, r), (2 * inside, r)
     return witness
+
+
+def edge_node_density_exceeds(g: Graph, threshold: Fraction):
+    """graphs._density_exceeds on the network it used before Goldberg's:
+    source -> edge node (capacity q), edge node -> each of its two vertex
+    nodes (unbounded), vertex node -> sink (capacity p), for threshold
+    p/q >= 0.  A cut costs q*m - max_S (q|E(S)| - p|S|), so the strict test
+    is max_flow < q*m; the witness is the vertex nodes on the residual
+    source side, or None."""
+    p, q = threshold.numerator, threshold.denominator
+    m, n = g.m, g.n
+    src, snk = 0, 1 + m + n
+    big = q * m + p * n + 1
+    arcs = [(1 + m + v, snk, p, 0) for v in range(n)]
+    for i, (u, v) in enumerate(g.edges()):
+        arcs += [(src, 1 + i, q, 0), (1 + i, 1 + m + u, big, 0),
+                 (1 + i, 1 + m + v, big, 0)]
+    net = _Dinic(m + n + 2, arcs)
+    if net.max_flow(src, snk) >= q * m:
+        return None
+    side = net.source_side(src)
+    return {v for v in range(n) if 1 + m + v in side}
+
+
+def brute_densest_witness(g: Graph, threshold: Fraction):
+    """The smallest vertex set S maximizing |E(S)| - threshold*|S|, by
+    exhaustion over subsets, when that maximum is positive; else None.
+    The maximizers are closed under intersection, so the smallest one is
+    the intersection of them all."""
+    edges = g.edges()
+    best, witness = Fraction(0), None
+    for r in range(1, g.n + 1):
+        for sub in combinations(range(g.n), r):
+            s = set(sub)
+            gain = sum(1 for u, v in edges if u in s and v in s) - threshold * r
+            if gain > best:
+                best, witness = gain, s
+            elif gain == best and witness is not None:
+                witness &= s
+    return witness
+
+
+def stream_at(g, partial, v):
+    """The labels assignable to v as greedy extension streamed them before
+    it read each ball once: one label_stream cap d - 1 for each labeled
+    vertex at distance d <= t, from distances_within's ball."""
+    if v in partial.labels:
+        raise StructuralError(f"vertex {v} already assigned")
+    cons = [(label_mask(partial.labels[u]), d - 1)
+            for u, d in distances_within(g, v, partial.t).items()
+            if u in partial.labels]
+    return (label for _, label, _ in label_stream(partial.k, partial.t, cons))
 
 
 def sample_small_graphs(target=500, seed=20250810, max_n=7, reps=25):

@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 
 from conftest import (ball_verify_partial, degeneracy_order,
                       degenerate_palette, greedy_2tone_palette, graphs,
-                      induced)
+                      induced, random_steps, stream_at)
+from ttone import coloring, constructions
 from ttone.coloring import (Coloring, ColoringError, StructuralError,
                             Violation, available_labels, greedy_color,
                             greedy_extend, label_mask, label_stream, verify,
                             verify_partial)
-from ttone.graphs import Graph, distances_within, gen_cycle, gen_grid, gen_path
+from ttone.graphs import (Graph, Reduction, distances_within, gen_cycle,
+                          gen_grid, gen_path)
+from ttone.instances import random_apollonian, random_subdivided
 import random
 
 
@@ -156,6 +159,68 @@ def test_available_labels_matches_bruteforce(g, t, k, rnd):
         if new == list(range(mx + 1, mx + 1 + len(new))):
             bounded.append((label_mask(combo), combo, mx + len(new)))
     assert list(label_stream(k, t, cons, mx)) == bounded
+
+
+@given(graphs(max_n=12), st.integers(1, 4), st.integers(0, 14),
+       st.booleans(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_greedy_extend_matches_label_stream(g, t, extra, reduce, rnd):
+    # On the Graph, or on a Reduction after random deletions, contractions
+    # and undos, with a partial coloring mixing greedy labels and random
+    # t-sets, so the ball holds labels at every distance up to t.
+    k = t + extra
+    if reduce:
+        g = Reduction(g)
+        random_steps(g, rnd, rnd.randint(0, g.live))
+        for _ in range(rnd.randint(0, len(g.log))):
+            g.undo()
+    live = list(g.vertices())
+    if not live:
+        return
+    partial = Coloring(t, k)
+    for v in rnd.sample(live, rnd.randint(0, len(live) - 1)):
+        if rnd.random() < 0.5:
+            partial.assign(v, rnd.sample(range(1, k + 1), t))
+        else:
+            greedy_extend(g, partial, v)
+    for v in live:
+        if v in partial.labels:
+            with pytest.raises(StructuralError):
+                greedy_extend(g, partial, v)
+            continue
+        assert available_labels(g, partial, v) == list(stream_at(g, partial, v))
+        want = next(stream_at(g, partial, v), None)
+        before = dict(partial.labels)
+        assert greedy_extend(g, partial, v) == want
+        if want is None:
+            assert partial.labels == before
+
+
+def test_tone2_lifts_stream_no_labels(monkeypatch):
+    # Tone 2 has no constraint between cap 0 and the label at distance t,
+    # so greedy extension and the 2-thread recolor list the free colors'
+    # pairs; tone 3 paths have distance-2 caps, which take label_stream.
+    streams = recolors = 0
+    real_stream, real_recolor = coloring.label_stream, constructions._finish_two_thread
+
+    def counted_stream(*args):
+        nonlocal streams
+        streams += 1
+        return real_stream(*args)
+
+    def counted_recolor(*args):
+        nonlocal recolors
+        recolors += 1
+        return real_recolor(*args)
+
+    monkeypatch.setattr(coloring, "label_stream", counted_stream)
+    monkeypatch.setattr(constructions, "_finish_two_thread", counted_recolor)
+    for seed in range(3):
+        constructions.color_planar(random_apollonian(random.Random(seed), 200))
+        constructions.color_sparse(random_subdivided(random.Random(seed), 30, 8))
+    assert streams == 0 and recolors > 0
+    constructions.color_path(20, 3)
+    assert streams > 0
 
 
 def test_greedy_extend():

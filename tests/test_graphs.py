@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (ThreadConfig, bfs_distances, brute_mad,
-                      degeneracy_order, find_outerplanar_edge,
-                      find_planar_reducible, find_thread_config, graphs,
-                      greedy_2tone_palette, induced, scan_effective_diameter)
+from conftest import (ThreadConfig, bfs_distances, brute_densest_witness,
+                      brute_mad, degeneracy_order, edge_node_density_exceeds,
+                      find_outerplanar_edge, find_planar_reducible,
+                      find_thread_config, graphs, greedy_2tone_palette,
+                      induced, random_steps, scan_effective_diameter)
 from ttone.coloring import greedy_color
 from ttone import constructions, instances
 from ttone import graphs as graphs_mod
@@ -125,28 +126,11 @@ def test_contract_never_increases_distances(g):
                 assert after.get(merged(y), math.inf) <= before[y]
 
 
-def _random_steps(red: Reduction, rnd, count: int) -> list:
-    """Apply up to count random deletions and contractions; returns the
-    adjacency and live vertices seen before each step."""
-    seen = []
-    for _ in range(count):
-        live = red.vertices()
-        if not live:
-            break
-        seen.append(([set(a) for a in red.adj], live))
-        edges = [(u, w) for u in live for w in red.neighbors(u)]
-        if edges and rnd.random() < 0.6:
-            red.contract(*rnd.choice(edges))
-        else:
-            red.delete(*rnd.sample(live, min(len(live), rnd.randint(1, 2))))
-    return seen
-
-
 @given(graphs(max_n=9), st.randoms(use_true_random=False))
 @settings(max_examples=80)
 def test_reduction_undo_restores_each_step(g, rnd):
     red = Reduction(g)
-    seen = _random_steps(red, rnd, rnd.randint(0, g.n + 1))
+    seen = random_steps(red, rnd, rnd.randint(0, g.n + 1))
     live = red.vertices()
     assert red.live == len(live)
     for v in range(g.n):
@@ -171,7 +155,7 @@ def test_searches_on_reduction_match_compacted_rebuild(g, rnd):
     # The reduce-and-lift colorers are byte-identical to rebuilding a
     # compacted Graph at every step only because of this correspondence.
     red = Reduction(g)
-    _random_steps(red, rnd, rnd.randint(0, g.n // 2))
+    random_steps(red, rnd, rnd.randint(0, g.n // 2))
     ids = red.vertices()
     h = induced(red, ids)
 
@@ -280,7 +264,7 @@ def _thread_search_agrees(g: Graph, rnd) -> None:
     assert find_thread_config(stripped) == _thread_by_definition(stripped)
     # and on a random reduction state, read on its own vertex ids
     red = Reduction(g)
-    _random_steps(red, rnd, rnd.randint(0, g.n // 2))
+    random_steps(red, rnd, rnd.randint(0, g.n // 2))
     strip(red)
     assert find_thread_config(red) == _thread_by_definition(red)
 
@@ -333,6 +317,59 @@ def test_mad_flow_calls(monkeypatch):
         got = mad(g)
         assert len(calls) == want, (g, calls)
     assert got == Density(12, 4)
+
+
+@given(graphs(max_n=9), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_density_gate_matches_edge_node_network(g, rnd):
+    # At the density of a random subgraph (a tie for that subgraph) and just
+    # below it: subgraph densities are fractions with denominator <= n, so
+    # no density lies strictly between the two thresholds but the tie.
+    sub = set(rnd.sample(range(g.n), rnd.randint(1, g.n)))
+    inside = sum(1 for u, v in g.edges() if u in sub and v in sub)
+    tie = Fraction(inside, len(sub))
+    for threshold in {tie, max(0, tie - Fraction(1, g.n * g.n + 1))}:
+        got = graphs_mod._density_exceeds(g, threshold)
+        assert got == edge_node_density_exceeds(g, threshold)
+        assert got == brute_densest_witness(g, threshold)
+
+
+def test_mad_on_long_chains():
+    # K4 with a 4 500-vertex tail: the flow carries the clique's excess far
+    # down the tail, along augmenting paths of over 1 100 arcs, more than
+    # Python's recursion limit would allow a search with a frame per arc.
+    lollipop = Graph(4504, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)] +
+                     [(v, v + 1) for v in range(3, 4503)])
+    assert mad(lollipop) == Density(12, 4)
+    # below threshold 1, decided by components without flow
+    perm = list(range(1500))
+    random.Random(0).shuffle(perm)
+    path = Graph(1500, [(perm[i], perm[i + 1]) for i in range(1499)])
+    assert mad(path) == Density(2 * 1499, 1500)
+
+
+def test_density_gate_network_is_on_the_vertices(monkeypatch):
+    sizes = []
+
+    class Counted(graphs_mod._Dinic):
+        def __init__(self, size, arcs):
+            sizes.append(size)
+            super().__init__(size, arcs)
+
+    monkeypatch.setattr(graphs_mod, "_Dinic", Counted)
+    k4_tail = Graph(7, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                        (3, 4), (4, 5), (5, 6)])
+    for g in [gen_cycle(6), gen_grid(3, 3), k4_tail]:
+        sizes.clear()
+        mad(g)
+        assert sizes and set(sizes) == {g.n + 2}, (g, sizes)
+    sizes.clear()
+    mad(gen_star(4))            # density 4/5: below 1, decided without flow
+    assert sizes == []
+    g = random_subdivided(random.Random(0), 30, 8)
+    sizes.clear()
+    constructions.color_sparse(g)
+    assert sizes == [g.n + 2]
 
 
 def test_thread_config_on_cycles():
@@ -590,7 +627,7 @@ def test_least_live_matches_scan_along_steps_and_undos(g, rnd):
         if red.log and rnd.random() < 0.25:
             red.undo()
             steps -= 1
-        elif _random_steps(red, rnd, 1):
+        elif random_steps(red, rnd, 1):
             steps += 1
         _indexes_agree(red, indexes)
     for _ in range(steps):
