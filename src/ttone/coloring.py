@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from itertools import combinations, filterfalse
+from functools import reduce
+from itertools import chain, combinations, filterfalse
+from operator import or_
 
 from .graphs import Graph
 
@@ -51,10 +53,7 @@ class Coloring:
         self.labels[v] = tuple(sorted(label))
 
     def colors_used(self) -> set:
-        used = set()
-        for lab in self.labels.values():
-            used.update(lab)
-        return used
+        return set(chain.from_iterable(self.labels.values()))
 
     def to_json(self) -> str:
         payload = {
@@ -105,38 +104,66 @@ class Violation(namedtuple("Violation", "u v distance shared")):
     __slots__ = ()
 
 
-def check_structure(g: Graph, coloring: Coloring) -> None:
-    """Raise StructuralError unless every assigned label is a valid t-set."""
+def check_structure(g: Graph, coloring: Coloring) -> list:
+    """Raise StructuralError unless every assigned label is a valid t-set
+    (t distinct colors, each an int, not a bool, in 1..k, in any order) on
+    an int vertex id in 0..n-1.
+
+    Returns the label masks over the ranks of the colors in use, so their
+    width does not grow with the color values (0 where unassigned; a label
+    is a nonempty t-set).  The types of the colors and of the ids are taken
+    in one pass each, the colors' range over the set in use and each
+    label's size on its mask; only a coloring that fails is walked again
+    vertex by vertex, to name its first bad label."""
     t, k = coloring.t, coloring.k
     if t < 1 or k < 0:
         raise StructuralError(f"need t >= 1 and k >= 0, got t={t}, k={k}")
-    for v, lab in coloring.labels.items():
-        if not (0 <= v < g.n):
-            raise StructuralError(f"label on unknown vertex {v}")
+    n, labels = g.n, coloring.labels
+    used = coloring.colors_used()
+    # types per color and id: True or 2.0 hides in a set that holds 1 or 2
+    if set(map(type, chain.from_iterable(labels.values()))) <= {int} and \
+            set(map(type, labels)) <= {int} and \
+            all(1 <= c <= k for c in used) and \
+            (not labels or min(labels) >= 0 and max(labels) < n):
+        bit = {c: 1 << i for i, c in enumerate(sorted(used))}
+        masks = [0] * n
+        for v, lab in labels.items():
+            m = 0
+            for c in lab:
+                m |= bit[c]
+            if len(lab) != t or m.bit_count() != t:
+                break
+            masks[v] = m
+        else:
+            return masks
+    for v, lab in labels.items():
+        if type(v) is not int or not (0 <= v < n):
+            raise StructuralError(f"label on unknown vertex {v!r}")
         if len(lab) != t or len(set(lab)) != t:
             raise StructuralError(f"vertex {v}: label {lab} is not a {t}-set")
-        if lab[0] < 1 or lab[-1] > k:
+        if not all(type(c) is int and 1 <= c <= k for c in lab):
             raise StructuralError(f"vertex {v}: label {lab} outside [1,{k}]")
 
 
 def verify_partial(g: Graph, coloring: Coloring) -> list:
-    """Violations among assigned pairs at distance <= t; empty list means ok.
+    """Violations among assigned pairs at distance <= t, sorted; an empty
+    list means ok.
 
-    One BFS of radius t per assigned vertex u, over a seen list stamped with
-    u, tests each w > u as it is reached; u's violations are sorted by w."""
-    check_structure(g, coloring)
+    For t <= 2 no ball is walked.  Distance 1 is each edge u < w with both
+    ends assigned.  Labels are t-sets, so at t = 2 a pair shares at least 2
+    colors exactly when its labels are equal, and the pairs at distance 2
+    are the non-adjacent pairs with a common neighbor: grouping each vertex's
+    assigned neighbors by label finds them, each pair reported once however
+    many common neighbors it has.  That is O(m) on a valid coloring, where a
+    ball walk costs the sum of the squared degrees.  For t >= 3, one BFS of
+    radius t per assigned vertex u, over a seen list stamped with u, tests
+    each w > u as it is reached; u's violations are sorted by w.  Shared
+    counts are taken on check_structure's rank masks."""
+    masks = check_structure(g, coloring)
     t = coloring.t
-    # masks over the ranks of the colors in use, so their width does not
-    # grow with the color values; shared counts are the same.  An assigned
-    # label is a nonempty t-set, so mask 0 means unassigned.
-    rank = {c: i for i, c in enumerate(sorted(coloring.colors_used()))}
-    masks = [0] * g.n
-    for v, lab in coloring.labels.items():
-        m = 0
-        for c in lab:
-            m |= 1 << rank[c]
-        masks[v] = m
     adj = g.adj
+    if t <= 2:
+        return _verify_low_tone(adj, masks, t)
     seen = [-1] * g.n
     bad = []
     for u in sorted(coloring.labels):
@@ -161,6 +188,35 @@ def verify_partial(g: Graph, coloring: Coloring) -> list:
         if found:
             found.sort()
             bad += found
+    return bad
+
+
+def _verify_low_tone(adj, masks, t: int) -> list:
+    """verify_partial's violations at t <= 2, from the edges and, at t = 2,
+    the assigned neighbors each vertex shares (masks: 0 when unassigned)."""
+    bad = []
+    twins = set()
+    for x, nbrs in enumerate(adj):
+        if not nbrs:
+            continue
+        ms = list(map(masks.__getitem__, nbrs))
+        mx = masks[x]
+        if mx & reduce(or_, ms):
+            for w, m in zip(nbrs, ms):
+                if mx & m and w > x:
+                    bad.append(Violation(x, w, 1, (mx & m).bit_count()))
+        if t == 1 or len(set(ms)) == len(ms):
+            continue                # no mask twice among x's neighbors
+        groups = {}
+        for w, m in zip(nbrs, ms):
+            if m:
+                groups.setdefault(m, []).append(w)
+        for group in groups.values():
+            for a, b in combinations(group, 2):     # a < b: nbrs is sorted
+                if b not in adj[a]:
+                    twins.add((a, b))
+    bad += (Violation(a, b, 2, 2) for a, b in twins)
+    bad.sort()
     return bad
 
 

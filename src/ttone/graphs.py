@@ -276,28 +276,36 @@ class LeastLive:
     heap, so the answer is a scan's in id order, if test(v) reads only v's
     neighbor set or feed(u) names every id whose test can turn true when
     u's neighbor set changes: degree_crossings and thread_runs do so.
+    Each id is queued at most once: queued[v] is set exactly while v is in
+    the heap, and a push of a queued id is skipped, since the id will be
+    tested when it comes to the top anyway.
     found keeps what test returned for the id last returned, so a rule that
     returns its configuration is run once per pick.
     """
 
-    __slots__ = ("red", "test", "feed", "heap", "read", "found")
+    __slots__ = ("red", "test", "feed", "heap", "queued", "read", "found")
 
     def __init__(self, red: Reduction, test, feed=None):
         self.red, self.test, self.feed = red, test, feed
         self.heap = [v for v, up in enumerate(red.alive) if up]
         heapify(self.heap)
+        self.queued = bytearray(red.alive)
         self.read = len(red.touched)
         self.found = None
 
     def __call__(self):
-        heap, test, feed = self.heap, self.test, self.feed
+        heap, test, feed, queued = self.heap, self.test, self.feed, self.queued
         alive, touched = self.red.alive, self.red.touched
         for u in set(touched[self.read:]):
             if alive[u]:
-                heappush(heap, u)
+                if not queued[u]:
+                    queued[u] = 1
+                    heappush(heap, u)
                 if feed is not None:
                     for w in feed(u):
-                        heappush(heap, w)
+                        if not queued[w]:
+                            queued[w] = 1
+                            heappush(heap, w)
         self.read = len(touched)
         while heap:
             v = heap[0]
@@ -307,6 +315,7 @@ class LeastLive:
                     self.found = found
                     return v
             heappop(heap)
+            queued[v] = 0
         return None
 
 

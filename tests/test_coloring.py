@@ -15,7 +15,7 @@ from ttone.coloring import (Coloring, ColoringError, StructuralError,
                             greedy_extend, label_mask, label_stream, verify,
                             verify_partial)
 from ttone.graphs import (Graph, Reduction, distances_within, gen_cycle,
-                          gen_grid, gen_path)
+                          gen_grid, gen_path, gen_star)
 from ttone.instances import random_apollonian, random_subdivided
 import random
 
@@ -63,6 +63,35 @@ def test_verify_palette_smaller_than_tone():
             verify(Graph(0, []), Coloring(t, k))
 
 
+@pytest.mark.parametrize("label", [(5, 1), (3, 0), (1.5, 2), (True, 2),
+                                   (2, True), (2.0, 3), ("1", "2")])
+def test_verify_rejects_colors_outside_the_palette(label):
+    # a label of the API's Coloring need not be sorted, so every color is
+    # checked; and a bool or a float is no color, even where it equals one
+    with pytest.raises(StructuralError, match=r"outside \[1,4\]"):
+        verify(Graph(1, []), Coloring(2, 4, {0: label}))
+    with pytest.raises(StructuralError, match=r"vertex 2: label .* outside"):
+        verify_partial(gen_path(3), Coloring(2, 4, {0: (1, 2), 2: label}))
+
+
+def test_verify_names_the_first_bad_label():
+    # the checks run vertex by vertex, in label order, each in the order
+    # range, size, palette, so a coloring with several faults always gets
+    # the message of its first one
+    g = gen_path(3)
+    for labels, message in [
+            ({0: (1, 9), 1: (1,)}, r"vertex 0: label \(1, 9\) outside \[1,4\]"),
+            ({1: (1,), 0: (1, 9)}, r"vertex 1: label \(1,\) is not a 2-set"),
+            ({0: (3, 4), 1: (2, 2), 2: (0, 1)}, "vertex 1: .* not a 2-set"),
+            ({0: (0, 1), 5: (1, 2)}, r"vertex 0: label \(0, 1\) outside"),
+            ({5: (1, 2), 0: (0, 1)}, "label on unknown vertex 5"),
+            ({-1: (1, 2)}, "label on unknown vertex -1"),
+            ({0: (1, 2), True: (3, 4)}, "label on unknown vertex True"),
+            ({0.0: (1, 2)}, "label on unknown vertex 0.0")]:
+        with pytest.raises(StructuralError, match=message):
+            verify_partial(g, Coloring(2, 4, labels))
+
+
 def test_verify_memory_independent_of_color_values():
     # colors come from untrusted JSON; masks one bit per color value would
     # need 2^value bits (keep the value small enough for that to finish)
@@ -106,6 +135,77 @@ def test_verify_partial_matches_ball_oracle(g, t, spare, p, force, rnd):
     assert all(type(bad) is Violation for bad in got)
     if force and g.m:
         assert got
+
+
+def _wheel(rim: int) -> Graph:
+    """Hub 0 joined to every vertex of the cycle 1..rim."""
+    return Graph(rim + 1, [(0, i) for i in range(1, rim + 1)] +
+                 [(i, i % rim + 1) for i in range(1, rim + 1)])
+
+
+def _double_star(m: int) -> Graph:
+    """K_{2,m}: vertices 0 and 1 have the m common neighbors 2..m+1."""
+    return Graph(m + 2, [(h, i) for h in (0, 1) for i in range(2, m + 2)])
+
+
+@given(st.one_of(graphs(max_n=10), st.integers(25, 35).map(gen_star),
+                 st.integers(25, 35).map(_wheel),
+                 st.integers(2, 6).map(_double_star)),
+       st.integers(1, 2), st.integers(0, 3), st.sampled_from([0.3, 0.8, 1.0]),
+       st.sampled_from(["twins", "twins-middle-unassigned", "adjacent", "none"]),
+       st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_low_tone_verify_matches_ball_oracle(g, t, spare, p, case, rnd):
+    # verify_partial takes no ball walk at t <= 2.  Each case plants twins
+    # (equal labels): two neighbors a, b of a middle vertex x, at distance 2
+    # when not adjacent (on a wheel or K_{2,m} with several common
+    # neighbors), with x unassigned or not, or the two ends of an edge.
+    k = t + spare
+    offset, stride = rnd.choice([(0, 1), (10**6, 7)])
+
+    def label():
+        return tuple(offset + stride * c
+                     for c in sorted(rnd.sample(range(1, k + 1), t)))
+
+    col = Coloring(t, offset + stride * k,
+                   {v: label() for v in range(g.n) if rnd.random() < p})
+    middles = [x for x in range(g.n) if g.degree(x) >= 2]
+    if case.startswith("twins") and middles:
+        x = rnd.choice(middles)
+        a, b = rnd.sample(g.adj[x], 2)
+        col.labels[a] = col.labels[b] = col.labels.get(a) or label()
+        if case == "twins-middle-unassigned":
+            col.labels.pop(x, None)
+    elif case == "adjacent" and g.m:
+        a, b = rnd.choice(g.edges())
+        col.labels[a] = col.labels[b] = label()
+    else:
+        a = b = None
+    got = verify_partial(g, col)
+    assert got == ball_verify_partial(g, col)
+    assert len({(bad.u, bad.v) for bad in got}) == len(got)    # each pair once
+    if a is not None and t == 2:
+        u, v = sorted((a, b))
+        d = 1 if v in g.adj[u] else 2
+        assert Violation(u, v, d, 2) in got
+
+
+def test_low_tone_verify_examples():
+    c3 = Coloring(2, 6, {0: (1, 2), 1: (1, 2), 2: (3, 4), 3: (5, 6)})
+    # K_{2,2}: the twins 0 and 1 have two common neighbors, reported once
+    assert verify(_double_star(2), c3) == [Violation(0, 1, 2, 2)]
+    # the middle vertex of a path unassigned: still distance 2
+    assert verify_partial(gen_path(3), Coloring(2, 4, {0: (1, 2), 2: (1, 2)})) \
+        == [Violation(0, 2, 2, 2)]
+    # adjacent twins in a triangle: distance 1 only
+    tri = Graph(3, [(0, 1), (1, 2), (0, 2)])
+    assert verify(tri, Coloring(2, 6, {0: (1, 2), 1: (1, 2), 2: (3, 4)})) == \
+        [Violation(0, 1, 1, 2)]
+    # a star's leaves may share one color at tone 2, and anything at tone 1
+    assert verify(gen_star(3), Coloring(2, 5, {0: (1, 2), 1: (3, 4),
+                                               2: (3, 5), 3: (4, 5)})) == []
+    assert verify(gen_star(3), Coloring(1, 2, {0: (1,), 1: (2,), 2: (2,),
+                                               3: (2,)})) == []
 
 
 def test_available_labels_examples():

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings
@@ -600,6 +601,10 @@ def _indexes(red):
 def _indexes_agree(red, indexes):
     for index, test in indexes:
         assert index() == _scan(red, test)
+        # each id queued at most once, and flagged exactly while queued
+        assert len(set(index.heap)) == len(index.heap)
+        assert set(compress(range(len(index.queued)), index.queued)) == \
+            set(index.heap)
 
 
 def _apollonian(seed: int) -> Graph:
@@ -710,23 +715,39 @@ def test_colorer_picks_match_scans(kind, monkeypatch):
     assert taken
 
 
+def _count_rule_evaluations(monkeypatch) -> list:
+    """Make constructions' LeastLive count its test calls, in the one-item
+    list returned."""
+    evaluations = [0]
+
+    class Counted(LeastLive):
+        def __init__(self, red, test, feed=None):
+            def counted(v):
+                evaluations[0] += 1
+                return test(v)
+            super().__init__(red, counted, feed)
+
+    monkeypatch.setattr(constructions, "LeastLive", Counted)
+    return evaluations
+
+
 def test_outerplanar_index_work_is_linear(monkeypatch):
     # Counts predicate evaluations, not time: a scan of the live vertices
     # at every step would make about n^2 / 2 of them.
-    evaluations = 0
-
-    class Counted(LeastLive):
-        def __init__(self, red, test, near=None):
-            def counted(v):
-                nonlocal evaluations
-                evaluations += 1
-                return test(v)
-            super().__init__(red, counted, near)
-
-    monkeypatch.setattr(constructions, "LeastLive", Counted)
+    evaluations = _count_rule_evaluations(monkeypatch)
     g = random_maximal_outerplanar(random.Random(5), 2000)
     constructions.color_outerplanar(g)
-    assert 0 < evaluations <= 8 * (g.n + g.m)
+    assert 0 < evaluations[0] <= 8 * (g.n + g.m)
+
+
+def test_planar_index_work_is_linear(monkeypatch):
+    # The same count for color_planar, on 2 000 vertices; it measures about
+    # 1.3 (n + m).
+    evaluations = _count_rule_evaluations(monkeypatch)
+    g = random_apollonian(random.Random(5), 1997)
+    assert g.n == 2000
+    constructions.color_planar(g)
+    assert 0 < evaluations[0] <= 4 * (g.n + g.m)
 
 
 @pytest.mark.parametrize("make", [
