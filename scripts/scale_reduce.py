@@ -3,7 +3,10 @@
 
 Prints one line per colorer and size: vertex count, seconds for one
 colorer call (graph generation excluded; the best of as many calls as fit
-in one second, at least one), and microseconds per vertex.
+in one second, at least one), the median and the maximum of those calls,
+and microseconds per vertex of the best.  The best alone does not compare
+two commits on a shared machine; a median far above it, or a wide maximum,
+says that the row moved with the machine's load.
 Inputs are fixed-seed ttone.instances graphs:
 
   planar           random_apollonian (a stacked triangulation)
@@ -30,6 +33,7 @@ them.  The colorer calls at 10^5 take seconds each.
 
 import argparse
 import random
+import statistics
 import sys
 import time
 
@@ -57,21 +61,23 @@ def main():
                             help=f"largest size for {name} (default %(default)s)")
     args = parser.parse_args()
 
-    print(f"{'colorer':<15} {'n':>7} {'seconds':>9} {'us/vertex':>10}")
+    print(f"{'colorer':<15} {'n':>7} {'seconds':>9} {'median':>9} {'max':>9} "
+          f"{'us/vertex':>10}")
     for name, (colorer, make) in COLORERS.items():
         largest = getattr(args, f"{name.replace('-', '_')}_max")
         for size in SIZES:
             if size > largest:
                 break
             g = make(random.Random(f"1/{name}/{size}"), size)
-            elapsed, spent = float("inf"), 0.0
-            while spent < 1.0:      # best of the calls that fit in a second
+            calls = []
+            while sum(calls) < 1.0:     # the calls that fit in a second
                 start = time.perf_counter()
                 colorer(g)
-                took = time.perf_counter() - start
-                elapsed, spent = min(elapsed, took), spent + took
-            print(f"{name:<15} {g.n:>7} {elapsed:>9.3f} "
-                  f"{elapsed / g.n * 1e6:>10.1f}", flush=True)
+                calls.append(time.perf_counter() - start)
+            best = min(calls)
+            print(f"{name:<15} {g.n:>7} {best:>9.3f} "
+                  f"{statistics.median(calls):>9.3f} {max(calls):>9.3f} "
+                  f"{best / g.n * 1e6:>10.1f}", flush=True)
     return 0
 
 

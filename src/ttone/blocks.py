@@ -3,9 +3,10 @@
 Each tone t has a table of explicit colorings of short cycles that can be
 laid end to end around a longer cycle.  Gluing block A after block B is safe
 when the window made of A's last t labels followed by B's first t labels
-verifies as a path coloring; every ordered pair of blocks is checked at
-startup, as is each block on its own cycle, so a transcription typo cannot
-ship.  Blocks for tones 3..5 are literal data; the tone-2 blocks and the
+verifies as a path coloring.  ensure_validated checks every ordered pair of
+blocks, each distinct window once, and each block on its own cycle, on
+first use (color_cycle calls it), so a transcription typo cannot ship.
+Blocks for tones 3..5 are literal data; the tone-2 blocks and the
 exceptional witnesses without published colorings were generated once by
 the exact solver (scripts/derive_fixtures.py) and frozen here.
 """
@@ -149,7 +150,12 @@ class BlockTable(namedtuple("BlockTable", "t k blocks")):
         return Coloring(self.t, self.k, dict(enumerate(window)))
 
     def validate(self) -> None:
-        """Every block colors its own cycle and every ordered pair glues."""
+        """Every block colors its own cycle and every ordered pair glues.
+
+        A pair's window is its labels alone, and the blocks of a table share
+        heads and tails, so each distinct window is verified once: the pairs
+        are walked in order and the first bad one is named, as by a check of
+        every pair."""
         for n, seq in self.blocks.items():
             col = Coloring(self.t, self.k, dict(enumerate(seq)))
             bad = verify(gen_cycle(n), col)
@@ -157,9 +163,14 @@ class BlockTable(namedtuple("BlockTable", "t k blocks")):
                 raise RuntimeError(
                     f"tone-{self.t} block {n} fails on its cycle: {bad[0]}")
         path = gen_path(2 * self.t)
+        verdicts = {}
         for first in self.lengths:
             for second in self.lengths:
-                bad = verify(path, self.glue_window(first, second))
+                window = self.glue_window(first, second)
+                key = tuple(window.labels.values())
+                if key not in verdicts:
+                    verdicts[key] = verify(path, window)
+                bad = verdicts[key]
                 if bad:
                     raise RuntimeError(
                         f"tone-{self.t} glue ({first},{second}) fails: {bad[0]}")
@@ -198,7 +209,8 @@ _VALIDATED = False
 
 
 def ensure_validated() -> None:
-    """Run the startup self-check once: blocks, glue pairs, and witnesses."""
+    """Run the self-check once, on first use: blocks, glue pairs (each
+    distinct window once), and witnesses."""
     global _VALIDATED
     if _VALIDATED:
         return

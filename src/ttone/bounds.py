@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from math import comb
 
@@ -15,6 +14,7 @@ class Certificate(namedtuple("Certificate", "kind parameters bound")):
     __slots__ = ()
 
     def to_json_line(self) -> str:
+        import json     # on first use, so import ttone does not load it
         payload = {"kind": self.kind, "parameters": self.parameters, "bound": self.bound}
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 

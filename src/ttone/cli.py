@@ -15,11 +15,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import random
 import sys
+from math import gcd
 
 from . import bounds as bounds_mod
-from . import constructions, instances
+from . import constructions
 from .coloring import Coloring, verify
 from .exact import SearchBudget, tau
 from .graphs import (MAX_EDGE_LIST_VERTICES, Graph, gen_cycle,
@@ -66,14 +66,23 @@ def _json_line(obj) -> str:
 # gen
 # ---------------------------------------------------------------------------
 
+def _instance(name: str):
+    """generate(rng, size): ttone.instances.<name>, imported on the first
+    call, since only gen --random needs that module and random."""
+    def generate(rng, size):
+        from . import instances
+        return getattr(instances, name)(rng, size)
+    return generate
+
+
 # random family: (generator, --size when absent, least --size, the most
 # vertices it can make from a --size).  A subdivided graph is a tree plus
 # at most 3 extra edges, each edge subdivided at most 7 times.
 _RANDOM = {
-    "subdivided": (instances.random_subdivided, 8, 1, lambda s: 8 * s + 14),
-    "outerplanar": (instances.random_maximal_outerplanar, 12, 3,
+    "subdivided": (_instance("random_subdivided"), 8, 1, lambda s: 8 * s + 14),
+    "outerplanar": (_instance("random_maximal_outerplanar"), 12, 3,
                     lambda s: s),
-    "apollonian": (instances.random_apollonian, 12, 0, lambda s: s + 3),
+    "apollonian": (_instance("random_apollonian"), 12, 0, lambda s: s + 3),
 }
 
 
@@ -95,6 +104,7 @@ def cmd_gen(args) -> int:
         t = args.fat_triangle
         make, sizes, n = gen_fat_triangle, [t], 3 * t + 3
     else:
+        import random
         generator, size, least, most = _RANDOM[args.random]
         if args.size is not None:
             size = args.size
@@ -282,10 +292,10 @@ def cmd_bounds(args) -> int:
 def cmd_mad(args) -> int:
     g = read_edge_list(_read(args.input))
     dens = mad(g)
-    frac = dens.fraction
+    d = gcd(dens.numerator, dens.denominator)
     _emit(_json_line({"numerator": dens.numerator,
                       "denominator": dens.denominator,
-                      "reduced": [frac.numerator, frac.denominator]}))
+                      "reduced": [dens.numerator // d, dens.denominator // d]}))
     return EXIT_OK
 
 

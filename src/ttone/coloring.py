@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from functools import reduce
 from itertools import chain, combinations, filterfalse
@@ -56,6 +55,7 @@ class Coloring:
         return set(chain.from_iterable(self.labels.values()))
 
     def to_json(self) -> str:
+        import json     # on first use, so import ttone does not load it
         payload = {
             "t": self.t,
             "k": self.k,
@@ -67,6 +67,7 @@ class Coloring:
     def from_json(cls, text: str) -> "Coloring":
         """Parse without coercion: t, k and colors must be JSON integers,
         labels lists, and vertex keys the canonical decimal of their id."""
+        import json
         try:
             payload = json.loads(text, object_pairs_hook=_unique_keys)
             t, k, raw = payload["t"], payload["k"], payload["labels"]

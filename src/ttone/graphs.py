@@ -5,9 +5,9 @@ average degree, and the reducible-configuration rules LeastLive indexes."""
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import compress, islice
+from math import gcd
 
 
 class GraphError(ValueError):
@@ -20,10 +20,13 @@ class Graph:
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges):
-        if n < 0:
-            raise GraphError(f"vertex count must be nonnegative, got {n}")
+        # ids are ints, not bools: True would index as 1 but print as "True"
+        if type(n) is not int or n < 0:
+            raise GraphError(f"vertex count must be a nonnegative int, got {n!r}")
         nbrs = [set() for _ in range(n)]
         for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                raise GraphError(f"edge ({u!r},{v!r}) has a non-int endpoint")
             if not (0 <= u < n) or not (0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
@@ -344,6 +347,7 @@ class Density(namedtuple("Density", "numerator denominator")):
 
     @property
     def fraction(self) -> Fraction:
+        from fractions import Fraction      # here, so import ttone skips it
         return Fraction(self.numerator, self.denominator)
 
 
@@ -433,15 +437,16 @@ class _Dinic:
         return seen
 
 
-def _density_exceeds(g: Graph, threshold: Fraction):
-    """Does some nonempty subgraph H satisfy |E(H)|/|V(H)| > threshold?
+def _density_exceeds(g: Graph, p: int, q: int):
+    """Does some nonempty subgraph H satisfy |E(H)|/|V(H)| > p/q?
 
+    The threshold is two ints in lowest terms, p >= 0 and q >= 1; callers
+    reduce by gcd, so the capacities are those of the reduced fraction.
     Returns a witness vertex set, or None when the answer is no.
-    Goldberg's (1984) network on the vertices alone, n + 2 nodes: with
-    threshold p/q, one arc of capacity q each way per edge, and for each
-    vertex v an arc s -> v of capacity q*m and v -> sink of capacity
-    q*m + 2p - q*d(v).  The cut that puts S on the source side costs
-    q*m*n + 2(p|S| - q|E(S)|).  Every cut crosses exactly one of s -> v and
+    Goldberg's (1984) network on the vertices alone, n + 2 nodes: one arc
+    of capacity q each way per edge, and for each vertex v an arc s -> v of
+    capacity q*m and v -> sink of capacity q*m + 2p - q*d(v).  The cut that
+    puts S on the source side costs q*m*n + 2(p|S| - q|E(S)|).  Every cut crosses exactly one of s -> v and
     v -> sink, so the network here takes min(q*m, q*m + 2p - q*d(v)) off
     both, which lowers every cut by the same sum: s -> v keeps
     max(0, q*d(v) - 2p), v -> sink max(0, 2p - q*d(v)), and S = {} cuts the
@@ -453,13 +458,12 @@ def _density_exceeds(g: Graph, threshold: Fraction):
     network gives too, since there every edge node of E(S) joins S on the
     source side of a minimum cut.  mad's witnesses rest on that set.
 
-    Below threshold 1 no flow is run: a vertex joined to S by an edge adds
-    at least 1 - threshold > 0 to |E(S)| - threshold*|S|, so the maximizers
+    Below threshold 1 (p < q) no flow is run: a vertex joined to S by an
+    edge adds at least 1 - p/q > 0 to |E(S)| - (p/q)|S|, so the maximizers
     are unions of components, and the smallest is the union of those denser
-    than threshold.  There every vertex of degree 2 has excess, so on a long
+    than p/q.  There every vertex of degree 2 has excess, so on a long
     path the flow would carry it to the ends, Dinic one phase per step.
     """
-    p, q = threshold.numerator, threshold.denominator
     n = g.n
     if p < q:
         side, done = set(), set()
@@ -501,7 +505,8 @@ def mad(g: Graph) -> Density:
         return Density(0, 1)
     size, edges_in = g.n, g.m
     while True:
-        denser = _density_exceeds(g, Fraction(edges_in, size))
+        d = gcd(edges_in, size)
+        denser = _density_exceeds(g, edges_in // d, size // d)
         if denser is None:
             return Density(2 * edges_in, size)
         size = len(denser)

@@ -1,5 +1,6 @@
 import ast
 import os
+import random
 import subprocess
 import sys
 from itertools import takewhile
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ttone import blocks
+from ttone import blocks, coloring
 from ttone.blocks import (BLOCK_TABLES, BlockTable, cycle_value,
                           ensure_validated, exceptional_witness)
 from ttone.coloring import Coloring, verify
@@ -60,6 +61,95 @@ def test_validate_catches_corruption():
     broken[6] = tuple(seq)
     with pytest.raises(RuntimeError):
         BlockTable(3, 8, broken).validate()
+
+
+def per_pair_validate(table: BlockTable):
+    """BlockTable.validate as it was before windows were shared: one verify
+    per ordered pair.  Returns the message it raised, or None."""
+    try:
+        for n, seq in table.blocks.items():
+            bad = verify(gen_cycle(n), Coloring(table.t, table.k,
+                                                dict(enumerate(seq))))
+            if bad:
+                raise RuntimeError(
+                    f"tone-{table.t} block {n} fails on its cycle: {bad[0]}")
+        path = gen_path(2 * table.t)
+        for first in table.lengths:
+            for second in table.lengths:
+                bad = verify(path, table.glue_window(first, second))
+                if bad:
+                    raise RuntimeError(f"tone-{table.t} glue ({first},{second}) "
+                                       f"fails: {bad[0]}")
+    except RuntimeError as exc:
+        return str(exc)
+    return None
+
+
+def validate_message(table: BlockTable):
+    try:
+        table.validate()
+    except RuntimeError as exc:
+        return str(exc)
+    return None
+
+
+def test_validation_verifies_each_distinct_window_once(monkeypatch):
+    calls = []
+    real = coloring.verify_partial
+
+    def counted(g, col):
+        calls.append(g.n)
+        return real(g, col)
+
+    monkeypatch.setattr(coloring, "verify_partial", counted)
+    monkeypatch.setattr(blocks, "_VALIDATED", False)
+    ensure_validated()
+    windows = {table.blocks[a][-t:] + table.blocks[b][:t]
+               for t, table in BLOCK_TABLES.items()
+               for a in table.lengths for b in table.lengths}
+    pairs = sum(len(table.lengths) ** 2 for table in BLOCK_TABLES.values())
+    assert (len(windows), pairs) == (46, 132)
+    # 22 blocks on their cycles, 46 windows and 19 witnesses
+    assert len(calls) == 22 + 46 + 19 == 87
+    ensure_validated()
+    assert len(calls) == 87
+
+
+def test_validate_names_the_first_bad_glue_pair():
+    # No one-label change of a tone-5 tail keeps its block valid on its own
+    # cycle, so this bad head fails the glue check instead: block 12 still
+    # colors C12, but the head glues badly after most of the 8 tails.
+    broken = dict(BLOCK_TABLES[5].blocks)
+    broken[12] = ((2, 3, 4, 5, 14), *broken[12][1:])
+    table = BlockTable(5, 16, broken)
+    assert verify(gen_cycle(12), Coloring(5, 16, dict(enumerate(broken[12])))) == []
+    path = gen_path(10)
+    bad_pairs = [(a, b) for a in table.lengths for b in table.lengths
+                 if verify(path, table.glue_window(a, b))]
+    assert len(bad_pairs) > 1
+    first, second = bad_pairs[0]
+    message = validate_message(table)
+    assert message.startswith(f"tone-5 glue ({first},{second}) fails: ")
+    assert message == per_pair_validate(table)
+
+
+def test_validate_rejects_what_the_per_pair_check_rejects():
+    # one label of one block replaced, at random: the same verdict and the
+    # same message as a verify of every ordered pair
+    rng = random.Random(17)
+    rejected = 0
+    for _ in range(120):
+        t = rng.choice(sorted(BLOCK_TABLES))
+        base = BLOCK_TABLES[t]
+        n = rng.choice(base.lengths)
+        seq = list(base.blocks[n])
+        seq[rng.choice((0, 1, -2, -1))] = tuple(sorted(
+            rng.sample(range(1, base.k + 1), t)))
+        table = BlockTable(t, base.k, {**base.blocks, n: tuple(seq)})
+        want = per_pair_validate(table)
+        assert validate_message(table) == want
+        rejected += want is not None
+    assert rejected > 60
 
 
 def test_cycle_values():

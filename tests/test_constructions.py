@@ -10,7 +10,7 @@ from conftest import count_verifies, graphs
 from ttone import constructions
 from ttone.blocks import cycle_value
 from ttone.bounds import h_t_bounds, path_tau, star_lower
-from ttone.coloring import verify
+from ttone.coloring import greedy_color, verify
 from ttone.constructions import (ClassPreconditionError, color_cycle,
                                  color_fat_triangle, color_grid,
                                  color_outerplanar, color_path, color_planar,
@@ -33,6 +33,14 @@ def test_color_path_matches_formula():
         for t in range(1, 9):
             col = color_path(n, t)   # verifies and counts internally
             assert len(col.colors_used()) == path_tau(n, t)
+
+
+def test_color_path_is_greedy_in_id_order():
+    # the window cache changes no label: greedy_color on the same palette
+    for n in [*range(1, 41), 64, 97, 150, 211, 300]:
+        for t in range(1, 9):
+            want = greedy_color(gen_path(n), t, path_tau(n, t))
+            assert color_path(n, t) == want, (n, t)
 
 
 def test_decompose_examples():

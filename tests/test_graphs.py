@@ -44,6 +44,18 @@ def test_build_graph_rejects_bad_input():
         Graph(3, [(1, 1)])
 
 
+def test_build_graph_rejects_non_int_ids():
+    # True indexes as 1 but would be written as "True", which
+    # read_edge_list refuses; 1.0 used to fail as a bare TypeError
+    for n, edges in [(2, [(0, True)]), (2, [(False, 1)]), (True, []),
+                     (3, [(0, 1.0)]), (3, [(1.0, 0)]), (2.0, []),
+                     (3, [("0", 1)]), (3, [(None, 1)])]:
+        with pytest.raises(GraphError):
+            Graph(n, edges)
+    g = Graph(2, [(0, 1)])
+    assert read_edge_list(write_edge_list(g)) == g
+
+
 def test_generators():
     assert gen_grid(2, 3).n == 6 and gen_grid(2, 3).m == 7
     assert gen_cycle(3) == Graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -305,9 +317,9 @@ def test_mad_flow_calls(monkeypatch):
     calls = []
     exceeds = graphs_mod._density_exceeds
 
-    def counted(g, threshold):
-        calls.append(threshold)
-        return exceeds(g, threshold)
+    def counted(g, p, q):
+        calls.append((p, q))
+        return exceeds(g, p, q)
 
     monkeypatch.setattr(graphs_mod, "_density_exceeds", counted)
     k4_tail = Graph(7, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
@@ -318,6 +330,8 @@ def test_mad_flow_calls(monkeypatch):
         got = mad(g)
         assert len(calls) == want, (g, calls)
     assert got == Density(12, 4)
+    # thresholds in lowest terms: 9 edges on 7 vertices, then K4's 6 on 4
+    assert calls == [(9, 7), (3, 2)]
 
 
 @given(graphs(max_n=9), st.randoms(use_true_random=False))
@@ -330,7 +344,8 @@ def test_density_gate_matches_edge_node_network(g, rnd):
     inside = sum(1 for u, v in g.edges() if u in sub and v in sub)
     tie = Fraction(inside, len(sub))
     for threshold in {tie, max(0, tie - Fraction(1, g.n * g.n + 1))}:
-        got = graphs_mod._density_exceeds(g, threshold)
+        got = graphs_mod._density_exceeds(g, threshold.numerator,
+                                          threshold.denominator)
         assert got == edge_node_density_exceeds(g, threshold)
         assert got == brute_densest_witness(g, threshold)
 

@@ -17,14 +17,47 @@ from ttone.graphs import Density
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(ttone.__file__)))
 
 
-def test_cli_import_loads_no_dataclasses_or_inspect():
-    # both cost every CLI child process ~20 ms of import time
-    probe = ("import ttone.cli, sys; "
-             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+def loaded_after(code: str) -> set:
+    """The modules a fresh interpreter holds after running code.  It runs
+    with -S: the site hooks of an installation import modules of their own
+    (random among them, on some), and these tests are about ttone's."""
+    probe = f"{code}\nimport sys\nprint(' '.join(sys.modules))"
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return set(out.stdout.split())
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # both cost every CLI child process ~20 ms of import time
+    assert not loaded_after("import ttone.cli") & {"dataclasses", "inspect"}
+
+
+def test_import_ttone_loads_no_fractions_json_or_random():
+    loaded = loaded_after("import ttone")
+    assert {"ttone.graphs", "ttone.constructions"} <= loaded
+    assert not loaded & {"fractions", "decimal", "json", "random",
+                         "ttone.instances"}
+
+
+def test_cli_import_loads_no_fractions_random_or_instances():
+    loaded = loaded_after("import ttone.cli")
+    assert {"ttone.cli", "argparse", "json"} <= loaded
+    assert not loaded & {"fractions", "decimal", "random", "ttone.instances"}
+
+
+def test_serializing_and_gen_random_load_what_they_use():
+    loaded = loaded_after(
+        "import ttone\n"
+        "ttone.color_path(4, 2).to_json()\n"
+        "assert ttone.mad(ttone.gen_cycle(5)).fraction == 2")
+    assert {"json", "fractions"} <= loaded
+    assert "ttone.instances" not in loaded
+    loaded = loaded_after(
+        "import contextlib, io, ttone.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert ttone.cli.run(['gen', '--random', 'apollonian']) == 0")
+    assert {"random", "ttone.instances"} <= loaded
 
 
 @pytest.mark.parametrize("record, field", [
