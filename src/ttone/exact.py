@@ -192,13 +192,16 @@ class _Searcher:
     constrains.  A label that empties a domain is counted as a node and
     rejected, and the domains a label narrowed are restored on backtrack.
     A position's candidates are canonical[mx] & its domain, read lowest
-    bit first.
+    bit first.  A candidate whose subtree is isomorphic to that of an
+    earlier sibling, which failed, is not walked: the sibling's node count
+    is added in its place (see _dfs_compiled).  The nodes are those of the
+    same tree, some counted by isomorphism, and the witness is the same.
 
     Above the guard the candidates come from label_stream, unpruned.  Both
     paths read candidates in lex order, and forward checking cuts only
     prefixes that cannot be extended, so both reach the same first witness:
-    with no budget, the same status and witness; the compiled path visits
-    a subset of the lazy path's nodes, so it never needs more.
+    with no budget, the same status and witness; the compiled path's
+    nodes are a subset of the lazy path's, so it never needs more.
     """
 
     def __init__(self, g: Graph, t: int, k: int, layout: tuple = None):
@@ -218,15 +221,18 @@ class _Searcher:
 
     def _budget(self, nodes: int) -> int:
         """Record nodes and raise _Timeout past max_nodes, or past the
-        deadline on a clock read every 2048 nodes; else return the next
-        node count at which the search must call again."""
-        self.nodes = nodes
-        if nodes > self.max_nodes:
-            raise _Timeout
+        deadline on a clock read each time the count reaches or jumps past
+        a multiple of 2048; else return the next node count at which the
+        search must call again.  A count that jumps past max_nodes is
+        recorded as max_nodes + 1, where a walk one node at a time stops."""
+        last, self.nodes = self.nodes, nodes
         stop = self.max_nodes + 1
+        if nodes >= stop:
+            self.nodes = stop
+            raise _Timeout
         if self.deadline is None:
             return stop
-        if nodes % 2048 == 0 and time.monotonic() > self.deadline:
+        if nodes >> 11 != last >> 11 and time.monotonic() > self.deadline:
             raise _Timeout
         return min(stop, nodes - nodes % 2048 + 2048)
 
@@ -300,10 +306,27 @@ class _Searcher:
 
     def _dfs_compiled(self, start: int, mx: int, out: list) -> bool:
         """Forward checking over one stack of candidate bitsets, with tops
-        (the mx of each open position) beside it.  later[i] holds (j,
-        allowed[cap]) per constraint from i to a later j, all of them in
+        (the mx of each open position) and seen beside it.  later[i] holds
+        (j, allowed[cap]) per constraint from i to a later j, all of them in
         dom[i+1:span[i]]; saved[i] is that slice as it was before i's label
-        narrowed it."""
+        narrowed it.
+
+        sig[c] is the bitset of the assigned positions whose labels hold c,
+        and a candidate's orbit key is the sorted tuple of its colors' sig.
+        seen[-1] maps each key tried at the open position to the nodes
+        counted under the first label with it (1 when forward checking
+        rejected that label), and a later candidate with a key in it adds
+        that count in place of its walk.  The count is that of the subtree
+        skipped: two candidates with one key differ by a swap of colors of
+        equal sig, which fixes the partial assignment.  Constraints read
+        only intersection sizes, so the swap maps one subtree onto the
+        other.  The colors above mx all have sig 0, and both labels' new
+        colors are the next unused ones, so the swap can fix every color
+        above mx, and with them tops and the reach bound.  Forward checking
+        reads only the partial assignment.  The skipped subtree is thus
+        isomorphic to one that failed completely, and fails with the same
+        count; a budget or deadline the count jumps past is handled as
+        the walk would have met it (see _budget)."""
         n = self.g.n
         later = [[] for _ in range(n)]
         for j, lst in enumerate(self.cons):
@@ -315,9 +338,16 @@ class _Searcher:
         if not all(dom[start:]):
             return False
         canonical, decoded = self.palette.canonical, self.palette.decoded
+        sig = [0] * (self.k + 1)
+        for p, label in enumerate(out):
+            for c in label:
+                sig[c] |= 1 << p
         saved = [None] * n
+        keys = [None] * n
+        base = [0] * n
         cands = [canonical[mx] & dom[start]]
         tops = [mx]
+        seen = [{}]
         nodes = self.nodes
         check = nodes + 1
         i = start
@@ -326,29 +356,46 @@ class _Searcher:
             if not cand:
                 cands.pop()
                 tops.pop()
+                seen.pop()
                 if not cands:
                     self.nodes = nodes
                     return False
-                out.pop()
                 i -= 1
+                bit = 1 << i
+                for c in out.pop():
+                    sig[c] ^= bit
                 dom[i + 1:span[i]] = saved[i]
+                seen[-1][keys[i]] = nodes - base[i]
                 continue
             low = cand & -cand
             cands[-1] = cand ^ low
+            m, label, last = decoded[low.bit_length() - 1]
+            key = tuple(sorted([sig[c] for c in label]))
+            count = seen[-1].get(key)
+            if count is not None:
+                nodes += count
+                if nodes >= check:
+                    check = self._budget(nodes)
+                continue
             nodes += 1
             if nodes >= check:
                 check = self._budget(nodes)
-            m, label, last = decoded[low.bit_length() - 1]
             hi = span[i]
             saved[i] = dom[i + 1:hi]
             for j, allowed in later[i]:
                 d = dom[j] & allowed[m]
                 if not d:
                     dom[i + 1:hi] = saved[i]
+                    seen[-1][key] = 1
                     break
                 dom[j] = d
             else:
                 out.append(label)
+                bit = 1 << i
+                for c in label:
+                    sig[c] ^= bit
+                keys[i] = key
+                base[i] = nodes - 1
                 i += 1
                 if i == n:
                     self.nodes = nodes
@@ -356,6 +403,7 @@ class _Searcher:
                 top = tops[-1]
                 tops.append(last if last > top else top)
                 cands.append(canonical[tops[-1]] & dom[i])
+                seen.append({})
 
 
 def exact_decide(g: Graph, t: int, k: int, budget: SearchBudget = None,
@@ -369,7 +417,8 @@ def exact_decide(g: Graph, t: int, k: int, budget: SearchBudget = None,
     a graph with an edge the second vertex is adjacent to the first, so
     canonical introduction leaves it only (t+1..2t), and on an edgeless
     graph every label extends.  Nodes count the labels tried from the third
-    vertex on, those that forward checking rejects included; where the
+    vertex on, those that forward checking rejects included, and some
+    counted by isomorphism rather than walked (see _Searcher); where the
     first two labels already empty a domain, "infeasible" comes at 0 nodes.
     layout is search_layout(g, t), for a caller that decides several k on
     one graph; it is built when None.

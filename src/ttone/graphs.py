@@ -24,7 +24,12 @@ class Graph:
         if type(n) is not int or n < 0:
             raise GraphError(f"vertex count must be a nonnegative int, got {n!r}")
         nbrs = [set() for _ in range(n)]
-        for u, v in edges:
+        for edge in edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise GraphError(
+                    f"edge {edge!r} is not a pair of vertex ids") from None
             if type(u) is not int or type(v) is not int:
                 raise GraphError(f"edge ({u!r},{v!r}) has a non-int endpoint")
             if not (0 <= u < n) or not (0 <= v < n):

@@ -354,3 +354,65 @@ def count_verifies(monkeypatch) -> list:
 
     monkeypatch.setattr(coloring, "verify_partial", counted)
     return calls
+
+
+def walk_dfs_compiled(self, start: int, mx: int, out: list) -> bool:
+    """exact._Searcher._dfs_compiled as it was before it counted the
+    subtrees of symmetric siblings: it walks every node.  Forward
+    checking over one stack of candidate bitsets, with tops (the mx of
+    each open position) beside it.  later[i] holds (j, allowed[cap]) per
+    constraint from i to a later j, all of them in dom[i+1:span[i]];
+    saved[i] is that slice as it was before i's label narrowed it.
+    Bound to a _Searcher, it decides as exact_decide did then."""
+    n = self.g.n
+    later = [[] for _ in range(n)]
+    for j, lst in enumerate(self.cons):
+        for i, cap in lst:
+            later[i].append((j, self.allowed[cap]))
+    span = [max((j for j, _ in lst), default=i) + 1
+            for i, lst in enumerate(later)]
+    dom = [self.domain(j) for j in range(n)]
+    if not all(dom[start:]):
+        return False
+    canonical, decoded = self.palette.canonical, self.palette.decoded
+    saved = [None] * n
+    cands = [canonical[mx] & dom[start]]
+    tops = [mx]
+    nodes = self.nodes
+    check = nodes + 1
+    i = start
+    while True:
+        cand = cands[-1]
+        if not cand:
+            cands.pop()
+            tops.pop()
+            if not cands:
+                self.nodes = nodes
+                return False
+            out.pop()
+            i -= 1
+            dom[i + 1:span[i]] = saved[i]
+            continue
+        low = cand & -cand
+        cands[-1] = cand ^ low
+        nodes += 1
+        if nodes >= check:
+            check = self._budget(nodes)
+        m, label, last = decoded[low.bit_length() - 1]
+        hi = span[i]
+        saved[i] = dom[i + 1:hi]
+        for j, allowed in later[i]:
+            d = dom[j] & allowed[m]
+            if not d:
+                dom[i + 1:hi] = saved[i]
+                break
+            dom[j] = d
+        else:
+            out.append(label)
+            i += 1
+            if i == n:
+                self.nodes = nodes
+                return True
+            top = tops[-1]
+            tops.append(last if last > top else top)
+            cands.append(canonical[tops[-1]] & dom[i])

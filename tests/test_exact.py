@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_verifies, graphs, rescan_search_order
+from conftest import (count_verifies, graphs, rescan_search_order,
+                      walk_dfs_compiled)
 from ttone.bounds import Certificate, path_tau
 from ttone.coloring import Coloring, label_mask, label_stream, verify
 from ttone import exact
@@ -223,6 +224,10 @@ def _labels(res):
     return None if res.coloring is None else res.coloring.labels
 
 
+def _decision(res):
+    return res.status, res.nodes, _labels(res)
+
+
 @given(graphs(max_n=8), st.integers(1, 5), st.integers(0, 10),
        st.sampled_from([1, 2, 5, 20, 200, 5_000]))
 @settings(max_examples=80, deadline=None)
@@ -270,6 +275,60 @@ def test_compiled_candidates_equal_label_stream(g, t, extra, rng):
     mx = rng.randint(t, k)
     cons = [(s.assigned[j], cap) for j, cap in s.cons[i]]
     assert list(s.stream(i, mx)) == list(label_stream(k, t, cons, mx))
+
+
+def test_counted_subtrees_match_the_walk(monkeypatch):
+    # The compiled search adds the node count of a sibling's subtree where
+    # the two are isomorphic; the walk of every node must decide alike, with
+    # the same nodes, under budgets that run out inside a counted subtree.
+    jumps = []
+    budget = _Searcher._budget
+
+    def spy(self, nodes):
+        if nodes > self.max_nodes + 1:      # the walk steps one node at a time
+            jumps.append(nodes)
+        return budget(self, nodes)
+
+    monkeypatch.setattr(_Searcher, "_budget", spy)
+    rng = random.Random(18)
+    gs = [gen_cycle(n) for n in range(3, 12)]
+    for n in (rng.randint(2, 8) for _ in range(30)):
+        gs.append(Graph(n, [e for e in combinations(range(n), 2)
+                            if rng.random() < 0.45]))
+    cases = 0
+    for g in gs:
+        for t in range(1, 6):
+            for k in range(t, min(g.n * t, 3 * t + 3) + 1):
+                for max_nodes in (50, 777, 3_000, 20_000):
+                    b = SearchBudget(max_nodes)
+                    counted = exact_decide(g, t, k, b)
+                    with monkeypatch.context() as mp:
+                        mp.setattr(_Searcher, "_dfs_compiled",
+                                   walk_dfs_compiled)
+                        walked = exact_decide(g, t, k, b)
+                    assert _decision(counted) == _decision(walked), \
+                        (g.edges(), t, k, max_nodes)
+                    cases += 1
+    assert cases > 6000 and len(jumps) >= 40
+
+
+def test_deadline_is_read_when_a_count_jumps_past_2048(monkeypatch):
+    # C9/t5/k16 first passes 2048 nodes by adding a counted subtree, from
+    # below 2048 to 2049; a fake clock that reads past the deadline from its
+    # second read on stops the search there.
+    reads = []
+
+    def clock():
+        reads.append(None)
+        return 0.0 if len(reads) == 1 else 100.0
+
+    monkeypatch.setattr(exact.time, "monotonic", clock)
+    res = exact_decide(gen_cycle(9), 5, 16, SearchBudget(wall_limit=1))
+    assert (res.status, res.nodes, len(reads)) == ("timeout", 2049, 2)
+    # a clock that never passes the deadline lets the same search end
+    monkeypatch.setattr(exact.time, "monotonic", lambda: 0.0)
+    res = exact_decide(gen_cycle(9), 5, 16, SearchBudget(wall_limit=1))
+    assert (res.status, res.nodes) == ("infeasible", 20_762_256)
 
 
 def test_tau_wall_limit_is_one_deadline(monkeypatch):
@@ -353,8 +412,7 @@ def _mixed_decisions():
 
 
 def _outcome(g, t, k):
-    res = exact_decide(g, t, k, SearchBudget(max_nodes=60))
-    return res.status, res.nodes, _labels(res)
+    return _decision(exact_decide(g, t, k, SearchBudget(max_nodes=60)))
 
 
 def test_shared_palettes_change_no_decision():

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from itertools import compress
 
@@ -54,6 +55,13 @@ def test_build_graph_rejects_non_int_ids():
             Graph(n, edges)
     g = Graph(2, [(0, 1)])
     assert read_edge_list(write_edge_list(g)) == g
+
+
+@pytest.mark.parametrize("edge", [(0, 1, 2), (0,), 5, None, ()])
+def test_build_graph_rejects_an_edge_that_is_not_a_pair(edge):
+    # these used to fail unpacking, as a bare ValueError or TypeError
+    with pytest.raises(GraphError, match=re.escape(f"edge {edge!r} is not")):
+        Graph(3, [(0, 1), edge])
 
 
 def test_generators():
