@@ -316,17 +316,18 @@ class _Searcher:
         seen[-1] maps each key tried at the open position to the nodes
         counted under the first label with it (1 when forward checking
         rejected that label), and a later candidate with a key in it adds
-        that count in place of its walk.  The count is that of the subtree
-        skipped: two candidates with one key differ by a swap of colors of
-        equal sig, which fixes the partial assignment.  Constraints read
-        only intersection sizes, so the swap maps one subtree onto the
-        other.  The colors above mx all have sig 0, and both labels' new
-        colors are the next unused ones, so the swap can fix every color
-        above mx, and with them tops and the reach bound.  Forward checking
-        reads only the partial assignment.  The skipped subtree is thus
-        isomorphic to one that failed completely, and fails with the same
-        count; a budget or deadline the count jumps past is handled as
-        the walk would have met it (see _budget)."""
+        that count in place of its walk; keys[i] and base[i] are the key of
+        i's label and the node count before it.  The count is that of the
+        subtree skipped: two candidates with one key differ by a swap of
+        colors of equal sig, which fixes the partial assignment.
+        Constraints read only intersection sizes, so the swap maps one
+        subtree onto the other.  The colors above mx all have sig 0, and
+        both labels' new colors are the next unused ones, so the swap can
+        fix every color above mx, and with them tops and the reach bound.
+        Forward checking reads only the partial assignment.  The skipped
+        subtree is thus isomorphic to one that failed completely, and fails
+        with the same count; a jump past max_nodes or past a multiple of
+        2048 is checked as the walk's single steps were (see _budget)."""
         n = self.g.n
         later = [[] for _ in range(n)]
         for j, lst in enumerate(self.cons):
