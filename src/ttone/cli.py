@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 from math import gcd
@@ -388,6 +389,8 @@ def run(argv) -> int:
 
 
 def main() -> None:
+    # start-up's objects live until exit: keep collections from walking them
+    gc.freeze()
     sys.exit(run(sys.argv[1:]))
 
 

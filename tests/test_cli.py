@@ -557,3 +557,41 @@ def test_exit_codes_documented_once():
     in_doc = {int(c) for c in re.findall(r"(?:^|,)\s*(\d+) [a-z]", doc)}
     in_code = {v for name, v in vars(cli).items() if name.startswith("EXIT_")}
     assert in_table == in_doc == in_code == set(range(6))
+
+
+def test_entry_point_processes(tmp_path, capsys):
+    """`python -m ttone.cli` goes through `main()`, which the in-process
+    tests skip: each job's bytes and exit code equal what `run()` gives."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ttone.__file__)))
+
+    def ttone_process(*argv, stdin=""):
+        out = subprocess.run([sys.executable, "-m", "ttone.cli", *argv],
+                             input=stdin.encode(), capture_output=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        return out.returncode, out.stdout, out.stderr
+
+    gfile, cfile = tmp_path / "c12.el", tmp_path / "c12.json"
+    assert ttone_process("gen", "--cycle", "12", "-o", str(gfile)) \
+        == (0, b"", b"")
+    assert gfile.read_text() == write_edge_list(gen_cycle(12))
+    code, out, err = ttone_process("color", "--t", "3", "--in", str(gfile))
+    assert (code, err) == (0, b"")
+    assert out.decode() == invoke(["color", "--t", "3", "--in", str(gfile)],
+                                  capsys)[1]
+    cfile.write_bytes(out)
+    verify = ("verify", "--graph", str(gfile), "--in", str(cfile))
+    assert ttone_process(*verify) == (0, b'{"ok":true}\n', b"")
+    # the graph piped through stdin: the same coloring
+    assert ttone_process("color", "--t", "3", stdin=gfile.read_text()) \
+        == (0, out, b"")
+    # a corrupted coloring: the same violation lines as in-process
+    col = Coloring.from_json(out.decode())
+    col.labels[1] = col.labels[0]
+    cfile.write_text(col.to_json())
+    code, out, err = ttone_process(*verify)
+    assert (code, out.decode(), err.decode()) == invoke(list(verify), capsys)
+    assert code == 1 and out
+    assert all("shared" in ln for ln in out.decode().splitlines())
+    # a usage error
+    code, out, err = ttone_process("color", "--bogus")
+    assert (code, out) == (2, b"") and b"error:" in err

@@ -60,6 +60,37 @@ def test_serializing_and_gen_random_load_what_they_use():
     assert {"random", "ttone.instances"} <= loaded
 
 
+def gc_state_after(code: str) -> tuple:
+    """(gc.isenabled(), gc.get_freeze_count()) in a fresh interpreter after
+    running code, so the collector of the test process is left alone."""
+    probe = (f"{code}\nimport gc\n"
+             "print(gc.isenabled(), gc.get_freeze_count())")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    enabled, frozen = out.stdout.split()
+    return enabled == "True", int(frozen)
+
+
+def test_only_the_cli_entry_point_touches_the_collector():
+    # the library leaves collector settings to its caller
+    assert gc_state_after(
+        "import ttone\n"
+        "ttone.color_sparse(ttone.gen_cycle(20))\n"
+        "ttone.tau(ttone.gen_cycle(5), 2)\n"
+        "ttone.mad(ttone.gen_star(4))") == (True, 0)
+    # main() freezes what start-up built and keeps collecting the rest
+    enabled, frozen = gc_state_after(
+        "import contextlib, io, sys, ttone.cli\n"
+        "sys.argv = ['ttone', 'gen', '--star', '2']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        ttone.cli.main()\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0, exc.code")
+    assert enabled and frozen > 0
+
+
 @pytest.mark.parametrize("record, field", [
     (Violation(0, 1, 1, 1), "shared"),
     (Certificate("Star", {"max_degree": 3}, 7), "bound"),
