@@ -1,4 +1,5 @@
-"""The result records callers rely on, and what importing the CLI loads."""
+"""The result records callers rely on, what importing the CLI loads, and
+that only the CLI entry point changes the cyclic collector's settings."""
 
 import os
 import subprocess
@@ -17,15 +18,21 @@ from ttone.graphs import Density
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(ttone.__file__)))
 
 
-def loaded_after(code: str) -> set:
-    """The modules a fresh interpreter holds after running code.  It runs
-    with -S: the site hooks of an installation import modules of their own
-    (random among them, on some), and these tests are about ttone's."""
-    probe = f"{code}\nimport sys\nprint(' '.join(sys.modules))"
+def printed_after(code: str, report: str) -> list:
+    """The words a fresh interpreter prints for report after running code.
+    It runs with -S: the site hooks of an installation import modules of
+    their own (random among them, on some), and these tests are about
+    ttone's.  A fresh process also leaves the test process alone."""
+    probe = f"{code}\nimport sys\nprint({report})"
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
-    return set(out.stdout.split())
+    return out.stdout.split()
+
+
+def loaded_after(code: str) -> set:
+    """The modules a fresh interpreter holds after running code."""
+    return set(printed_after(code, "' '.join(sys.modules)"))
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
@@ -61,14 +68,9 @@ def test_serializing_and_gen_random_load_what_they_use():
 
 
 def gc_state_after(code: str) -> tuple:
-    """(gc.isenabled(), gc.get_freeze_count()) in a fresh interpreter after
-    running code, so the collector of the test process is left alone."""
-    probe = (f"{code}\nimport gc\n"
-             "print(gc.isenabled(), gc.get_freeze_count())")
-    env = dict(os.environ, PYTHONPATH=SRC)
-    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
-                         capture_output=True, text=True, check=True)
-    enabled, frozen = out.stdout.split()
+    """(gc.isenabled(), gc.get_freeze_count()) after running code."""
+    enabled, frozen = printed_after(
+        f"{code}\nimport gc", "gc.isenabled(), gc.get_freeze_count()")
     return enabled == "True", int(frozen)
 
 
