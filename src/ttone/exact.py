@@ -113,28 +113,53 @@ def _color_sets(k: int, t: int) -> list:
     return rows[t]
 
 
-_Palette = namedtuple("_Palette", "has full canonical decoded")
-
 # Palettes _palette keeps at once: a fixed bound on a long-lived process,
 # and above the 26 (k, t) that one pass of perfbench's exact-search decides.
 _PALETTES = 32
 
+# Most bits of allowed sets (entries * C(k, t)) a palette keeps between
+# decisions: with _PALETTES, at most 32 * 2**20 bits (4 MiB) plus dict
+# overhead in all.
+_MEMO_BITS = 1 << 20
 
-@lru_cache(maxsize=_PALETTES)
-def _palette(k: int, t: int) -> _Palette:
+
+class _Palette:
     """The tables of the t-subsets of [1..k] that a compiled search reads,
     shared by every decision on that palette: has (from _color_sets), full
     (every label), canonical[mx] for mx in 0..k (the reach bound: the
     labels that hold c-1 whenever they hold a color c > mx+1, so that
-    their colors above mx are mx+1..mx+j) and decoded, a memo from label
-    index to (mask, label, last color).  Nothing here is keyed by label
-    masks, so what a search memoizes per assignment dies with it."""
-    has = _color_sets(k, t)
-    full = (1 << comb(k, t)) - 1
-    canonical = [full] * (k + 1)
-    for mx in range(k - 2, -1, -1):
-        canonical[mx] = canonical[mx + 1] & (~has[mx + 2] | has[mx + 1])
-    return _Palette(has, full, canonical, _Memo(partial(_unrank, k, t)))
+    their colors above mx are mx+1..mx+j), decoded, a memo from label
+    index to (mask, label, last color), and allowed[cap] for cap in
+    0..t-1, a memo from a mask to _allowed(has, full, cap, mask).  An
+    allowed set depends on (k, t, cap, mask) alone, never on the graph,
+    so the decisions on a palette share them.  They are the only memos
+    keyed by label masks; trim, called after every compiled decision,
+    drops them when they hold more than _MEMO_BITS bits."""
+
+    __slots__ = ("has", "full", "canonical", "decoded", "allowed")
+
+    def __init__(self, k: int, t: int):
+        self.has = has = _color_sets(k, t)
+        self.full = full = (1 << comb(k, t)) - 1
+        canonical = [full] * (k + 1)
+        for mx in range(k - 2, -1, -1):
+            canonical[mx] = canonical[mx + 1] & (~has[mx + 2] | has[mx + 1])
+        self.canonical = canonical
+        self.decoded = _Memo(partial(_unrank, k, t))
+        self.allowed = [_Memo(partial(_allowed, has, full, cap))
+                        for cap in range(t)]
+
+    def trim(self) -> None:
+        """Drop the allowed memos if they hold more than _MEMO_BITS bits."""
+        if sum(map(len, self.allowed)) * self.full.bit_length() > _MEMO_BITS:
+            for memo in self.allowed:
+                memo.clear()
+
+
+@lru_cache(maxsize=_PALETTES)
+def _palette(k: int, t: int) -> _Palette:
+    """The _Palette of (k, t), built once and shared."""
+    return _Palette(k, t)
 
 
 def _unrank(k: int, t: int, x: int) -> tuple:
@@ -185,9 +210,9 @@ class _Searcher:
     sharing at most cap colors with mask, over its constraints to assigned
     positions; L is in it iff L passes label_stream's caps, and in
     canonical[mx] iff it passes label_stream's reach bound.  The allowed
-    memos are keyed by the masks this search assigns, so each decision
-    keeps its own.  The search forward-checks (Haralick and Elliott 1980):
-    it keeps the domain of every open position, and giving position i a
+    memos are the palette's, kept across decisions up to _MEMO_BITS (see
+    _Palette).  The search forward-checks (Haralick and Elliott 1980): it
+    keeps the domain of every open position, and giving position i a
     label ANDs one allowed set into the domain of each later position i
     constrains.  A label that empties a domain is counted as a node and
     rejected, and the domains a label narrowed are restored on backtrack.
@@ -215,9 +240,8 @@ class _Searcher:
         self.deadline = None
         self.palette = None
         if k * comb(k, t) <= _COMPILE_BITS:
-            self.palette = pal = _palette(k, t)
-            self.allowed = [_Memo(partial(_allowed, pal.has, pal.full, cap))
-                            for cap in range(t)]
+            self.palette = _palette(k, t)
+            self.allowed = self.palette.allowed
 
     def _budget(self, nodes: int) -> int:
         """Record nodes and raise _Timeout past max_nodes, or past the
@@ -440,16 +464,19 @@ def exact_decide(g: Graph, t: int, k: int, budget: SearchBudget = None,
     if budget.wall_limit is not None:
         searcher.deadline = time.monotonic() + budget.wall_limit
     searcher.assigned[0] = label_mask(base)
-    second = next(searcher.stream(1, t), None)
-    if second is None:
-        return DecideResult("infeasible")
-    m, combo, mx = second
-    searcher.assigned[1] = m
-    out = [base, combo]
     try:
+        second = next(searcher.stream(1, t), None)
+        if second is None:
+            return DecideResult("infeasible")
+        m, combo, mx = second
+        searcher.assigned[1] = m
+        out = [base, combo]
         found = searcher.dfs(2, mx, out)
     except _Timeout:
         return DecideResult("timeout", nodes=searcher.nodes)
+    finally:
+        if searcher.palette is not None:
+            searcher.palette.trim()
     if not found:
         return DecideResult("infeasible", nodes=searcher.nodes)
     coloring = Coloring(t, k, {searcher.order[i]: out[i] for i in range(g.n)})

@@ -1,7 +1,5 @@
-import gc
 import random
 import sys
-import weakref
 from itertools import combinations
 from math import comb
 
@@ -380,8 +378,17 @@ def test_search_above_the_guard_walks_lazily():
     assert verify(k5, res.coloring) == []
 
 
+def _masks(k, t):
+    """Each label mask of the t-subsets of [1..k], mapped to its label, and
+    0, the mask of an unassigned position (see _Searcher.domain)."""
+    labels = combinations(range(1, k + 1), t)
+    return {0: (), **{label_mask(label): label for label in labels}}
+
+
 def test_palette_tables_match_their_definitions():
     for k, t in ((1, 1), (6, 1), (7, 3), (9, 4), (12, 5)):
+        exact._palette.cache_clear()
+        exact_decide(gen_cycle(7), t, k, SearchBudget(max_nodes=200))
         pal = exact._palette(k, t)
         labels = list(combinations(range(1, k + 1), t))
         assert pal.full == (1 << len(labels)) - 1
@@ -395,6 +402,15 @@ def test_palette_tables_match_their_definitions():
             want = sum(1 << x for x, a in enumerate(above)
                        if a == set(range(mx + 1, mx + 1 + len(a))))
             assert pal.canonical[mx] == want
+        # allowed[cap][mask]: the labels sharing at most cap colors with
+        # the mask's label, for every entry the decision filled
+        masks = _masks(k, t)
+        assert len(pal.allowed) == t and pal.allowed[0]
+        for cap, memo in enumerate(pal.allowed):
+            for mask, value in memo.items():
+                colors = set(masks[mask])
+                assert value == sum(1 << x for x, label in enumerate(labels)
+                                    if len(colors.intersection(label)) <= cap)
 
 
 def _mixed_decisions():
@@ -442,24 +458,63 @@ def test_compile_guard_holds_on_a_warm_palette(monkeypatch):
     assert exact_decide(g, 4, 17) == ("infeasible", None, 362)
 
 
-def test_palette_cache_is_bounded_and_keeps_no_mask_memo(monkeypatch):
-    # The cache holds at most 32 palettes, and a palette holds nothing
-    # keyed by label masks: the allowed memos die with their decision.
+def _kept_bits(pal):
+    """The bits of allowed sets pal keeps, each checked against a fresh
+    _allowed and each keyed by a mask of pal's palette."""
+    k, t = len(pal.has) - 1, len(pal.allowed)
+    masks = _masks(k, t)
+    for cap, memo in enumerate(pal.allowed):
+        for mask, value in memo.items():
+            assert mask in masks
+            assert value == exact._allowed(pal.has, pal.full, cap, mask)
+    return sum(map(len, pal.allowed)) * comb(k, t)
+
+
+def test_palette_memos_are_bounded(monkeypatch):
+    # The cache holds at most 32 palettes.  A palette keeps the allowed
+    # sets its decisions filled, for caps 0..t-1 and keyed by masks, while
+    # they hold at most _MEMO_BITS bits; a decision that leaves more,
+    # ending normally or timing out, drops them all.
     assert exact._palette.cache_info().maxsize == exact._PALETTES == 32
-    memos = []
-    init = _Searcher.__init__
+    assert exact._MEMO_BITS == 1 << 20
+    for g, t, k, budget, status in (
+            (gen_cycle(7), 3, 8, None, "infeasible"),
+            (gen_cycle(9), 5, 16, SearchBudget(max_nodes=50), "timeout")):
+        exact._palette.cache_clear()
+        assert exact_decide(g, t, k, budget).status == status
+        pal = exact._palette(k, t)
+        assert len(pal.allowed) == t
+        bits = _kept_bits(pal)
+        assert 0 < bits <= exact._MEMO_BITS
+        for cap, kept in ((bits, bits), (bits - 1, 0)):
+            monkeypatch.setattr(exact, "_MEMO_BITS", cap)
+            exact._palette.cache_clear()
+            assert exact_decide(g, t, k, budget).status == status
+            assert _kept_bits(exact._palette(k, t)) == kept
+        monkeypatch.undo()
+    exact._palette.cache_clear()
 
-    def spy(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        memos.extend(weakref.ref(memo) for memo in self.allowed)
 
-    monkeypatch.setattr(_Searcher, "__init__", spy)
-    assert exact_decide(gen_cycle(7), 3, 8).status == "infeasible"
-    assert exact_decide(gen_cycle(9), 5, 16,
-                        SearchBudget(max_nodes=50)).status == "timeout"
-    assert len(memos) == 3 + 5
-    gc.collect()
-    assert all(ref() is None for ref in memos)
-    pal = exact._palette(8, 3)
-    assert [type(v) for v in pal] == [list, int, list, exact._Memo]
-    assert set(pal.decoded) <= set(range(comb(8, 3)))
+def test_allowed_sets_are_filled_once_per_key(monkeypatch):
+    # Budgeted decisions over 30 palettes, fewer than _palette keeps, on a
+    # cleared cache: each (k, t, cap, mask) is filled once, whatever graph
+    # or decision asks for it, and a second run fills nothing.
+    real = exact._allowed
+    fills = []
+
+    def counted(has, full, cap, mask):
+        fills.append((len(has) - 1, full.bit_length(), cap, mask))
+        return real(has, full, cap, mask)
+
+    monkeypatch.setattr(exact, "_allowed", counted)
+    decisions = [d for d in _mixed_decisions() if d[2] <= 2 * d[1] + 5]
+    assert len({(k, t) for _, t, k in decisions}) == 30 <= exact._PALETTES
+    exact._palette.cache_clear()
+    try:
+        first = [_outcome(*d) for d in decisions]
+        assert len(fills) == len(set(fills)) > 0
+        count = len(fills)
+        assert [_outcome(*d) for d in decisions] == first
+        assert len(fills) == count
+    finally:
+        exact._palette.cache_clear()
