@@ -311,45 +311,68 @@ def label_stream(k: int, t: int, cons, mx: int = None):
             above += 1
 
 
+def _tone2_near_banned(adj, labels, v: int):
+    """Tone 2's view of an unassigned v: near, the OR of its neighbors'
+    label masks over every color of each label, and banned, the labels at
+    distance 2, which a 2-set outside near only has to differ from.
+
+    banned is read over every vertex one step beyond a neighbor, without
+    seen marks, and may hold None for unlabeled ones: v has no label, and
+    each neighbor's label lies inside near, so neither equals a 2-set of
+    colors outside near."""
+    get = labels.get
+    near = 0
+    for w in adj[v]:
+        lab = get(w)
+        if lab is not None:
+            for c in lab:
+                near |= 1 << (c - 1)
+    return near, {get(w) for u in adj[v] for w in adj[u]}
+
+
 def _labels_at(g: Graph, partial: Coloring, v: int):
     """The labels assignable to v, lazily and in lexicographic order.
 
-    One ring walk of radius t from v over g.adj (g a Graph or a Reduction)
-    sorts the labeled vertices it meets: near, the OR of the label masks at
-    distance 1 < t (cap 0); middle, (mask, d - 1) for each label at
-    1 < d < t; banned, the labels at distance t.  The partial coloring's
-    labels are t-sets, so a t-set may share t - 1 colors with a banned label
-    exactly when it differs from it.  With middle empty, as always at tones
-    1 and 2, the answer is the t-combinations of the colors outside near,
-    which come out in lexicographic order, less the banned ones; otherwise
-    label_stream takes all three groups as caps.
+    The labeled vertices near v fall into three groups: near, the OR of
+    the label masks at distance 1 < t (cap 0); middle, (mask, d - 1) for
+    each label at 1 < d < t; banned, the labels at distance t.  The partial
+    coloring's labels are t-sets, so a t-set may share t - 1 colors with a
+    banned label exactly when it differs from it.  At t = 2 they come from
+    _tone2_near_banned, as for greedy_extend; otherwise from one ring walk
+    of radius t from v over g.adj (g a Graph or a Reduction).  With middle
+    empty, as always at tones 1 and 2, the answer is the t-combinations of
+    the colors outside near, which come out in lexicographic order, less
+    the banned ones; otherwise label_stream takes all three groups as caps.
     """
     labels, t, k = partial.labels, partial.t, partial.k
     if v in labels:
         raise StructuralError(f"vertex {v} already assigned")
     adj = g.adj
-    near = 0
     middle = []
-    seen = {v}
-    ring = [v]
-    for d in range(1, t):
-        nxt = []
-        for u in ring:
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-                    lab = labels.get(w)
-                    if lab is None:
-                        continue
-                    if d == 1:
-                        near |= label_mask(lab)
-                    else:
-                        middle.append((label_mask(lab), d - 1))
-        ring = nxt
-    # the last ring is only read, so it needs no seen marks
-    banned = {labels[w] for u in ring for w in adj[u]
-              if w not in seen and w in labels}
+    if t == 2:
+        near, banned = _tone2_near_banned(adj, labels, v)
+    else:
+        near = 0
+        seen = {v}
+        ring = [v]
+        for d in range(1, t):
+            nxt = []
+            for u in ring:
+                for w in adj[u]:
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
+                        lab = labels.get(w)
+                        if lab is None:
+                            continue
+                        if d == 1:
+                            near |= label_mask(lab)
+                        else:
+                            middle.append((label_mask(lab), d - 1))
+            ring = nxt
+        # the last ring is only read, so it needs no seen marks
+        banned = {labels[w] for u in ring for w in adj[u]
+                  if w not in seen and w in labels}
     if not middle:
         free = [c for c in range(1, k + 1) if not near >> (c - 1) & 1]
         return filterfalse(banned.__contains__, combinations(free, t))
@@ -367,11 +390,37 @@ def greedy_extend(g: Graph, partial: Coloring, v: int):
 
     Returns the label, or None when no label is available (the partial
     coloring is left untouched in that case).
+
+    At t = 2 no label stream is built: over _tone2_near_banned, the label
+    is the least free color a (outside near) with the least free b > a such
+    that (a, b) is not banned, a moving to the next free color when no b
+    fits.  It is stored as found, already sorted.  Other tones take the
+    first label of _labels_at.
     """
-    label = next(_labels_at(g, partial, v), None)
-    if label is not None:
-        partial.assign(v, label)
-    return label
+    if partial.t != 2:
+        label = next(_labels_at(g, partial, v), None)
+        if label is not None:
+            partial.assign(v, label)
+        return label
+    labels = partial.labels
+    if v in labels:
+        raise StructuralError(f"vertex {v} already assigned")
+    near, banned = _tone2_near_banned(g.adj, labels, v)
+    k = partial.k
+    free = ~near & ((1 << k) - 1) if k > 0 else 0
+    while free:
+        low = free & -free
+        free ^= low
+        a = low.bit_length()
+        rest = free             # the free colors above a
+        while rest:
+            high = rest & -rest
+            rest ^= high
+            label = (a, high.bit_length())
+            if label not in banned:
+                labels[v] = label
+                return label
+    return None
 
 
 def greedy_color(g: Graph, t: int, k: int, order=None) -> Coloring:

@@ -34,15 +34,16 @@ def random_subdivided(rng: random.Random, n_base: int = 8,
     A random tree plus a few extra edges, subdivided in one of three modes:
     per-edge 2..6 interior vertices (long threads dominate), uniformly 3
     (every maximal thread has exactly three interior vertices), or uniformly
-    2 (all short threads).  The uniform modes keep the density below 12/5
-    for these bases; the mixed mode resamples with 5+ subdivisions in the
-    rare case the exact check fails.
+    2 (all short threads).  Each mode resamples with 5+ subdivisions per
+    edge, which is always below 12/5, in the rare case the exact check
+    fails: a base with a subgraph of average degree 4 (6 when uniformly 3)
+    reaches 12/5, and enough extra edges make one.
 
-    The mixed mode runs the exact check only when its base is not
-    2-degenerate, because a 2-degenerate base subdivided at least twice
-    per edge has mad < 12/5.  Proof: if some subgraph has average degree
-    at least 12/5 > 2, stripping its vertices of degree at most 1 keeps
-    that so, which gives one, H, of minimum degree 2.  An interior vertex in H has both
+    The exact check runs only when the base is not 2-degenerate, because a
+    2-degenerate base subdivided at least twice per edge has mad < 12/5.
+    Proof: if some subgraph has average degree at least 12/5 > 2, stripping
+    its vertices of degree at most 1 keeps that so, which gives one, H, of
+    minimum degree 2.  An interior vertex in H has both
     path neighbors in H, so H is a set U of base vertices plus the whole
     paths of a set F of base edges between them.  With s_e interior
     vertices on e, |V(H)| = |U| + sum s_e and |E(H)| = sum (s_e + 1), and
@@ -60,10 +61,11 @@ def random_subdivided(rng: random.Random, n_base: int = 8,
     base = Graph(n_base, sorted(edges))
     mode = rng.random()
     if mode < 0.2:
-        return subdivide(base, lambda u, v: 3)
-    if mode < 0.4 and n_base >= 4:
-        return subdivide(base, lambda u, v: 2)
-    g = subdivide(base, lambda u, v: rng.randint(2, 6))
+        g = subdivide(base, lambda u, v: 3)
+    elif mode < 0.4 and n_base >= 4:
+        g = subdivide(base, lambda u, v: 2)
+    else:
+        g = subdivide(base, lambda u, v: rng.randint(2, 6))
     if not _two_degenerate(base) and mad(g).fraction >= Fraction(12, 5):
         g = subdivide(base, lambda u, v: rng.randint(5, 7))
     return g

@@ -6,7 +6,7 @@ import math
 import random
 from collections import deque, namedtuple
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations, filterfalse, islice
 from math import isqrt
 
 from hypothesis import strategies as st
@@ -122,6 +122,37 @@ def stream_at(g, partial, v):
             for u, d in distances_within(g, v, partial.t).items()
             if u in partial.labels]
     return (label for _, label, _ in label_stream(partial.k, partial.t, cons))
+
+
+def ring_walk_labels(g, partial, v):
+    """The labels assignable to v at tone 2 as greedy extension listed them
+    before it took the least one from two masks: a ring walk over a seen
+    set, near from the neighbors' label masks, banned from the labels met
+    one ring further out, and the 2-combinations of the colors outside near
+    less the banned ones."""
+    labels, k, adj = partial.labels, partial.k, g.adj
+    if v in labels:
+        raise StructuralError(f"vertex {v} already assigned")
+    near = 0
+    seen = {v}
+    ring = []
+    for w in adj[v]:
+        seen.add(w)
+        ring.append(w)
+        if w in labels:
+            near |= label_mask(labels[w])
+    banned = {labels[w] for u in ring for w in adj[u]
+              if w not in seen and w in labels}
+    free = [c for c in range(1, k + 1) if not near >> (c - 1) & 1]
+    return filterfalse(banned.__contains__, combinations(free, 2))
+
+
+def ring_walk_extend(g, partial, v):
+    """coloring.greedy_extend at tone 2 on ring_walk_labels."""
+    label = next(ring_walk_labels(g, partial, v), None)
+    if label is not None:
+        partial.assign(v, label)
+    return label
 
 
 def sample_small_graphs(target=500, seed=20250810, max_n=7, reps=25):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (ball_verify_partial, degeneracy_order,
                       degenerate_palette, greedy_2tone_palette, graphs,
-                      induced, random_steps, stream_at)
+                      induced, random_steps, ring_walk_extend, stream_at)
 from ttone import coloring, constructions
 from ttone.coloring import (Coloring, ColoringError, StructuralError,
                             Violation, available_labels, greedy_color,
@@ -294,6 +294,99 @@ def test_greedy_extend_matches_label_stream(g, t, extra, reduce, rnd):
         assert greedy_extend(g, partial, v) == want
         if want is None:
             assert partial.labels == before
+
+
+@st.composite
+def tone2_cases(draw):
+    """A graph whose distance-2 rings hold many labels (a star, a wheel,
+    K_{2,m} or a random graph), as a Graph or as a Reduction after random
+    steps and undos, with a palette of 4 to 2 * max_degree + 4 colors, so
+    the first free pairs are often banned."""
+    kind = draw(st.sampled_from(["graph", "star", "wheel", "k2m"]))
+    m = draw(st.integers(1, 10))
+    if kind == "graph":
+        g = draw(graphs(max_n=12))
+    elif kind == "star":
+        g = gen_star(m)
+    elif kind == "wheel":
+        m += 2
+        g = Graph(m + 1, [(0, i) for i in range(1, m + 1)]
+                  + [(i, i % m + 1) for i in range(1, m + 1)])
+    else:
+        g = Graph(m + 2, [(h, i) for h in (0, 1) for i in range(2, m + 2)])
+    k = draw(st.integers(4, 2 * g.max_degree() + 4))
+    rnd = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        g = Reduction(g)
+        random_steps(g, rnd, rnd.randint(0, g.live))
+        for _ in range(rnd.randint(0, len(g.log))):
+            g.undo()
+    return g, k, rnd
+
+
+@given(tone2_cases())
+@settings(max_examples=200, deadline=None)
+def test_tone2_greedy_extend_matches_label_stream(case):
+    # Labels come greedily or as random 2-sets, in a random order, so a
+    # vertex meets many labels at distance 2; each unassigned vertex is
+    # then extended in turn, against the stream over its whole ball.
+    g, k, rnd = case
+    live = list(g.vertices())
+    if not live:
+        return
+    partial = Coloring(2, k)
+    rnd.shuffle(live)
+    for v in live[:rnd.randint(0, len(live) - 1)]:
+        if rnd.random() < 0.3:
+            partial.assign(v, rnd.sample(range(1, k + 1), 2))
+        else:
+            greedy_extend(g, partial, v)
+    for v in live:
+        if v in partial.labels:
+            continue
+        assert available_labels(g, partial, v) == list(stream_at(g, partial, v))
+        want = next(stream_at(g, partial, v), None)
+        before = dict(partial.labels)
+        assert greedy_extend(g, partial, v) == want
+        if want is None:
+            assert partial.labels == before
+
+
+def test_tone2_least_label_skips_banned_pairs():
+    # v = 0 meets (1, 2), (1, 3) and (1, 4) at distance 2, each through its
+    # own neighbor: at k = 5 the least label is (1, 5); at k = 4 color 1
+    # has no partner left, so the label starts at 2.
+    g = Graph(7, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6)])
+    for k, want in ((5, (1, 5)), (4, (2, 3))):
+        partial = Coloring(2, k, {4: (1, 2), 5: (1, 3), 6: (1, 4)})
+        assert available_labels(g, partial, 0)[0] == want
+        assert greedy_extend(g, partial, 0) == want
+        assert partial.labels[0] == want
+
+
+def test_tone2_no_label_left_keeps_the_partial():
+    # the neighbor holds 1 and 2, and the one pair of the free colors 3
+    # and 4 is held at distance 2
+    g = gen_path(3)
+    partial = Coloring(2, 4, {1: (1, 2), 2: (3, 4)})
+    assert available_labels(g, partial, 0) == []
+    assert greedy_extend(g, partial, 0) is None
+    assert partial.labels == {1: (1, 2), 2: (3, 4)}
+
+
+def test_tone2_malformed_neighbor_label_reads_as_before():
+    # a neighbor label of three colors, one above k, bans all three; an
+    # unsorted label at distance 2 equals no candidate
+    g = gen_path(4)
+    for labels in ({1: (1, 2, 9), 2: (3, 4)}, {1: (1, 2, 3), 2: (4, 5)},
+                   {1: (1, 2), 2: (4, 3)}):
+        partial = Coloring(2, 6, dict(labels))
+        oracle = Coloring(2, 6, dict(labels))
+        assert greedy_extend(g, partial, 0) == ring_walk_extend(g, oracle, 0)
+        assert partial == oracle
+        assert greedy_extend(g, partial, 3) == ring_walk_extend(g, oracle, 3)
+        assert partial == oracle
+    assert partial.labels[0] == (3, 4)
 
 
 def test_tone2_lifts_stream_no_labels(monkeypatch):

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_verifies, graphs
-from ttone import constructions
+from conftest import (count_verifies, graphs, ring_walk_extend,
+                      ring_walk_labels)
+from ttone import coloring, constructions
 from ttone.blocks import cycle_value
 from ttone.bounds import h_t_bounds, path_tau, star_lower
 from ttone.coloring import greedy_color, verify
@@ -276,3 +277,64 @@ def test_lifted_partials_verify_before_extension():
         g = random_maximal_outerplanar(rng, rng.randint(4, 16))
         col = color_outerplanar(g)
         assert verify(g, col) == []
+
+
+# Twelve seeded inputs per reduce-and-lift colorer; the planar ones grow
+# hubs of degree 13 or more, so color_planar contracts before it colors.
+LIFT_CASES = {
+    "sparse": (color_sparse, lambda rng: random_subdivided(
+        rng, rng.randint(6, 14), rng.randint(2, 8))),
+    "outerplanar": (color_outerplanar,
+                    lambda rng: random_maximal_outerplanar(rng, rng.randint(8, 80))),
+    "planar": (color_planar, lambda rng: random_apollonian(rng, rng.randint(40, 160))),
+}
+
+
+def _lift_inputs(name):
+    color, make = LIFT_CASES[name]
+    return color, [make(random.Random(f"lift/{name}/{seed}")) for seed in range(12)]
+
+
+@pytest.mark.parametrize("name", sorted(LIFT_CASES))
+def test_colorers_lift_as_the_ring_walk(monkeypatch, name):
+    # the tone-2 extension from two masks against the ring walk it replaced,
+    # in the lifts, the greedy coloring and the 2-thread recolor alike
+    color, inputs = _lift_inputs(name)
+    want = [color(g).labels for g in inputs]
+    monkeypatch.setattr(coloring, "greedy_extend", ring_walk_extend)
+    monkeypatch.setattr(constructions, "greedy_extend", ring_walk_extend)
+    monkeypatch.setattr(constructions, "available_labels",
+                        lambda g, partial, v: list(ring_walk_labels(g, partial, v)))
+    assert [color(g).labels for g in inputs] == want
+
+
+@pytest.mark.parametrize("name, vertices, recolors", [
+    ("sparse", 561, 11), ("outerplanar", 528, 0), ("planar", 1267, 0)])
+def test_greedy_extend_calls_are_n_plus_retries(monkeypatch, name, vertices,
+                                                recolors):
+    # Every vertex is extended once, by greedy_color or by its lift step;
+    # only a 2-thread's deleted vertex is extended again, once per label of
+    # its recolored neighbor that left it none.  Those retries are the only
+    # failed calls, so the call count is n plus them.  None of these inputs
+    # needs one, so the count is n; the 2-threads recolored are pinned too.
+    color, inputs = _lift_inputs(name)
+    real_extend, outcomes = coloring.greedy_extend, []
+    real_finish, finished = constructions._finish_two_thread, []
+
+    def counted(g, partial, v):
+        label = real_extend(g, partial, v)
+        outcomes.append(label is not None)
+        return label
+
+    def finish(*args):
+        finished.append(args)
+        return real_finish(*args)
+
+    monkeypatch.setattr(coloring, "greedy_extend", counted)
+    monkeypatch.setattr(constructions, "greedy_extend", counted)
+    monkeypatch.setattr(constructions, "_finish_two_thread", finish)
+    for g in inputs:
+        color(g)
+    retries = outcomes.count(False)
+    assert len(outcomes) == sum(g.n for g in inputs) + retries
+    assert (len(outcomes), len(finished), retries) == (vertices, recolors, 0)

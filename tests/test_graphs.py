@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import compress
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (ThreadConfig, bfs_distances, brute_densest_witness,
@@ -573,6 +573,7 @@ def test_two_degenerate_bound_is_tight():
 
 
 @given(st.integers(0, 10 ** 6), st.integers(2, 40), st.integers(0, 12))
+@example(78346, 8, 10)      # uniformly 2, 14 base edges on 7 vertices: 12/5
 @settings(max_examples=60, deadline=None)
 def test_random_subdivided_is_below_12_5(seed, n_base, extra):
     g = random_subdivided(random.Random(seed), n_base, extra)
