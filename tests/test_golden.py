@@ -5,10 +5,11 @@ color_sparse, color_outerplanar or color_planar (or the text of the
 ClassPreconditionError it raises), the unreduced "numerator denominator"
 of mad (or the text of the GraphError it raises), the coloring JSON of
 color_cycle(n, t), or the exit code, stdout and stderr of one CLI run:
-`ttone color` and `ttone mad` on a `ttone gen` graph, and `bounds`, `mad`
-and `tau --t 3` on small cycles.  The mad cases pin the witness as well as
-the value: on mix, mix-dense and some subdivided graphs the densest
-subgraph is a proper one.
+`ttone color` and `ttone mad` on a `ttone gen` graph, `color --family path`
+at tones 1, 4 and 5, `bounds`, `mad` and `tau --t 3` on small cycles, and
+`color --family cycle|auto` and `bounds` on cycles with shuffled ids.  The
+mad cases pin the witness as well as the value: on mix, mix-dense and some
+subdivided graphs the densest subgraph is a proper one.
 Any byte drift fails.  After an intended and recorded output change, rewrite the table with
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_sha256.json
@@ -29,7 +30,8 @@ from pathlib import Path
 from ttone import cli
 from ttone.constructions import (ClassPreconditionError, color_cycle,
                                  color_outerplanar, color_planar, color_sparse)
-from ttone.graphs import Graph, GraphError, gen_cycle, gen_path, gen_star, mad
+from ttone.graphs import (Graph, GraphError, gen_cycle, gen_path, gen_star, mad,
+                          write_edge_list)
 from ttone.instances import (random_apollonian, random_maximal_outerplanar,
                              random_subdivided, subdivide)
 
@@ -127,6 +129,29 @@ def outputs():
                     yield (f"cli/{name}/{family}/t{t}",
                            _run_cli(["color", "--family", family, "--t", t,
                                      "--in", path]))
+        path = os.path.join(tmp, "path40.el")
+        _run_cli(["gen", "--path", "40", "-o", path])
+        for name in ("path7", "path40"):
+            path = os.path.join(tmp, f"{name}.el")
+            for t in ("1", "4", "5"):
+                yield (f"cli/{name}/path/t{t}",
+                       _run_cli(["color", "--family", "path", "--t", t,
+                                 "--in", path]))
+        # cycles with shuffled ids: the recognizer walks them, where the
+        # generator layout would read in id order
+        shuffle = random.Random(1009)
+        for n in (9, 10):
+            path = os.path.join(tmp, f"c{n}-relabeled.el")
+            Path(path).write_text(
+                write_edge_list(_relabeled(gen_cycle(n), shuffle)))
+            for family in ("cycle", "auto"):
+                for t in ("2", "3", "4", "5"):
+                    yield (f"cli/c{n}-relabeled/{family}/t{t}",
+                           _run_cli(["color", "--family", family, "--t", t,
+                                     "--in", path]))
+            for t in ("3", "5"):
+                yield f"cli/c{n}-relabeled/bounds/t{t}", _run_cli(
+                    ["bounds", "--t", t, "--in", path])
         for n in (5, 6, 7):
             path = os.path.join(tmp, f"c{n}.el")
             _run_cli(["gen", "--cycle", str(n), "-o", path])
