@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import comb
 
-from .graphs import Graph, effective_diameter
+from .graphs import Graph, cycle_order, effective_diameter
 
 
 class Certificate(namedtuple("Certificate", "kind parameters bound")):
@@ -164,21 +164,6 @@ def contains_c4(g: Graph) -> bool:
     return False
 
 
-def is_cycle_graph(g: Graph) -> bool:
-    """Connected and 2-regular."""
-    if g.n < 3 or any(g.degree(v) != 2 for v in range(g.n)):
-        return False
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in g.adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.n
-
-
 def certificates(g: Graph, t: int) -> list:
     """Every applicable lower-bound certificate for (g, t)."""
     if g.n < 1 or t < 1:
@@ -195,7 +180,7 @@ def certificates(g: Graph, t: int) -> list:
     n_path = effective_diameter(g, cap) + 1
     out.append(Certificate(
         "PathFormula", {"path_vertices": n_path, "t": t}, path_tau(n_path, t)))
-    if is_cycle_graph(g):
+    if cycle_order(g) is not None:
         if t == 3:
             cert = cycle_counting_t3(g.n)
             if cert is not None:

@@ -23,7 +23,7 @@ from . import bounds as bounds_mod
 from . import constructions
 from .coloring import Coloring, verify
 from .exact import SearchBudget, tau
-from .graphs import (MAX_EDGE_LIST_VERTICES, Graph, gen_cycle,
+from .graphs import (MAX_EDGE_LIST_VERTICES, Graph, cycle_order, gen_cycle,
                      gen_fat_triangle, gen_grid, gen_path, gen_star, mad,
                      read_edge_list, write_edge_list)
 
@@ -142,19 +142,6 @@ def _as_path_order(g: Graph):
     return order if cur == ends[1] else None
 
 
-def _as_cycle_order(g: Graph):
-    if not bounds_mod.is_cycle_graph(g):
-        return None
-    order, prev, cur = [0], -1, 0
-    while True:
-        nxt = min(w for w in g.adj[cur] if w != prev) if prev < 0 else \
-            next(w for w in g.adj[cur] if w != prev)
-        if nxt == 0:
-            return order
-        order.append(nxt)
-        prev, cur = cur, nxt
-
-
 def _as_grid_dims(g: Graph):
     # in the generator layout with m, n >= 2, vertex 0 is a corner whose
     # neighbors are 1 and n, so one candidate grid is enough
@@ -194,7 +181,7 @@ _FAMILIES = {
     "path": (_as_path_order,
              lambda order, t: _along(constructions.color_path, order, t),
              range(1, sys.maxsize), "a path"),      # every tone
-    "cycle": (_as_cycle_order,
+    "cycle": (cycle_order,
               lambda order, t: _along(constructions.color_cycle, order, t),
               range(2, 6), "a cycle"),
     "grid": (_as_grid_dims, lambda dims, t: constructions.color_grid(*dims, t),

@@ -7,7 +7,7 @@ from functools import reduce
 from itertools import chain, combinations, filterfalse
 from operator import or_
 
-from .graphs import Graph
+from .graphs import Graph, distances_within
 
 
 class StructuralError(ValueError):
@@ -333,50 +333,21 @@ def _tone2_near_banned(adj, labels, v: int):
 def _labels_at(g: Graph, partial: Coloring, v: int):
     """The labels assignable to v, lazily and in lexicographic order.
 
-    The labeled vertices near v fall into three groups: near, the OR of
-    the label masks at distance 1 < t (cap 0); middle, (mask, d - 1) for
-    each label at 1 < d < t; banned, the labels at distance t.  The partial
-    coloring's labels are t-sets, so a t-set may share t - 1 colors with a
-    banned label exactly when it differs from it.  At t = 2 they come from
-    _tone2_near_banned, as for greedy_extend; otherwise from one ring walk
-    of radius t from v over g.adj (g a Graph or a Reduction).  With middle
-    empty, as always at tones 1 and 2, the answer is the t-combinations of
-    the colors outside near, which come out in lexicographic order, less
-    the banned ones; otherwise label_stream takes all three groups as caps.
+    Each labeled vertex w at distance d <= t from v may share at most d - 1
+    colors with v's label.  At t = 2 that leaves the 2-sets of the colors
+    outside near, less the banned labels (_tone2_near_banned), with no
+    label stream; other tones stream label_stream over one cap per labeled
+    vertex of the ball distances_within(g, v, t) (g a Graph or a Reduction).
     """
     labels, t, k = partial.labels, partial.t, partial.k
     if v in labels:
         raise StructuralError(f"vertex {v} already assigned")
-    adj = g.adj
-    middle = []
     if t == 2:
-        near, banned = _tone2_near_banned(adj, labels, v)
-    else:
-        near = 0
-        seen = {v}
-        ring = [v]
-        for d in range(1, t):
-            nxt = []
-            for u in ring:
-                for w in adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-                        lab = labels.get(w)
-                        if lab is None:
-                            continue
-                        if d == 1:
-                            near |= label_mask(lab)
-                        else:
-                            middle.append((label_mask(lab), d - 1))
-            ring = nxt
-        # the last ring is only read, so it needs no seen marks
-        banned = {labels[w] for u in ring for w in adj[u]
-                  if w not in seen and w in labels}
-    if not middle:
+        near, banned = _tone2_near_banned(g.adj, labels, v)
         free = [c for c in range(1, k + 1) if not near >> (c - 1) & 1]
-        return filterfalse(banned.__contains__, combinations(free, t))
-    cons = [(near, 0), *middle, *((label_mask(lab), t - 1) for lab in banned)]
+        return filterfalse(banned.__contains__, combinations(free, 2))
+    cons = [(label_mask(labels[w]), d - 1)
+            for w, d in distances_within(g, v, t).items() if w in labels]
     return (label for _, label, _ in label_stream(k, t, cons))
 
 

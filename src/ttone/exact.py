@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import time
-from collections import deque, namedtuple
+from collections import namedtuple
 from functools import lru_cache, partial
 from math import comb
 
 from .bounds import best_lower_bound
 from .coloring import Coloring, _checked, label_mask, label_stream
-from .graphs import Graph, constraint_pairs
+from .graphs import Graph, constraint_pairs, distances_within
 
 
 class SearchBudget(namedtuple("SearchBudget", "max_nodes wall_limit")):
@@ -47,17 +47,11 @@ def search_order(g: Graph) -> list:
     seen = [False] * g.n
     order = []
     for start in sorted(range(g.n), key=lambda v: (-g.degree(v), v)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for w in g.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
+        if not seen[start]:
+            comp = [start, *distances_within(g, start, g.n)]
+            for u in comp:
+                seen[u] = True
+            order += comp
     return order
 
 

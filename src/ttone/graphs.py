@@ -130,7 +130,8 @@ def gen_fat_triangle(t: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 def distances_within(g: Graph, v: int, radius: int) -> dict:
-    """Vertices at distance <= radius from v (v itself excluded), with distances."""
+    """Vertices at distance <= radius from v (v itself excluded), with
+    distances; the keys come in breadth-first discovery order."""
     dist = {v: 0}
     frontier = [v]
     d = 0
@@ -187,6 +188,21 @@ def effective_diameter(g: Graph, cap: int) -> int:
                 if best >= cap:
                     return cap
     return best
+
+
+def cycle_order(g: Graph):
+    """The vertices of g in cycle order, from 0 toward its lesser neighbor,
+    when g is connected and 2-regular; else None."""
+    adj = g.adj
+    if g.n < 3 or any(len(a) != 2 for a in adj):
+        return None
+    order = [0]
+    prev, cur = 0, adj[0][0]
+    while cur:
+        order.append(cur)
+        a, b = adj[cur]
+        prev, cur = cur, b if a == prev else a
+    return order if len(order) == g.n else None
 
 
 # ---------------------------------------------------------------------------

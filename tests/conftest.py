@@ -113,14 +113,14 @@ def brute_densest_witness(g: Graph, threshold: Fraction):
 
 
 def stream_at(g, partial, v):
-    """The labels assignable to v as greedy extension streamed them before
-    it read each ball once: one label_stream cap d - 1 for each labeled
-    vertex at distance d <= t, from distances_within's ball."""
+    """The labels assignable to v by their definition: one label_stream cap
+    d - 1 for each labeled vertex at distance d <= t, read from the suite's
+    own bfs_distances, so it shares no ball walk with greedy extension."""
     if v in partial.labels:
         raise StructuralError(f"vertex {v} already assigned")
-    cons = [(label_mask(partial.labels[u]), d - 1)
-            for u, d in distances_within(g, v, partial.t).items()
-            if u in partial.labels]
+    dist = bfs_distances(g, v)
+    cons = [(label_mask(lab), dist[u] - 1)
+            for u, lab in partial.labels.items() if dist[u] <= partial.t]
     return (label for _, label, _ in label_stream(partial.k, partial.t, cons))
 
 
@@ -186,8 +186,9 @@ def sample_small_graphs(target=500, seed=20250810, max_n=7, reps=25):
 
 
 def bfs_distances(g: Graph, v: int) -> list:
-    """Exact shortest-path distances from v; math.inf for unreachable."""
-    dist = [math.inf] * g.n
+    """Exact shortest-path distances from v in g (a Graph or a Reduction);
+    math.inf for unreachable."""
+    dist = [math.inf] * len(g.adj)
     dist[v] = 0
     queue = deque([v])
     while queue:

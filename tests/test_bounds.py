@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from ttone.bounds import (best_lower_bound, c4_lower,
                           c9_t5_counting, c9_t5_feasible_tuple, certificates,
                           contains_c4, cycle_counting_t3, h_t_bounds,
-                          is_cycle_graph, path_tau, star_lower)
+                          path_tau, star_lower)
 from conftest import (degenerate_palette, graphs, greedy_2tone_palette,
                       pairwise_contains_c4)
 from ttone.graphs import Graph, gen_cycle, gen_grid, gen_path, gen_star
@@ -123,13 +123,6 @@ def test_contains_c4_on_large_sparse_graphs():
     assert not contains_c4(gen_star(n))
     assert contains_c4(Graph(n, [(i, i + 1) for i in range(n - 1)]
                              + [(n - 1, n - 4)]))
-
-
-def test_is_cycle_graph():
-    assert is_cycle_graph(gen_cycle(7))
-    assert not is_cycle_graph(gen_path(7))
-    two = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
-    assert not is_cycle_graph(two)
 
 
 def test_best_lower_bound_examples():

@@ -261,7 +261,7 @@ def test_available_labels_matches_bruteforce(g, t, k, rnd):
     assert list(label_stream(k, t, cons, mx)) == bounded
 
 
-@given(graphs(max_n=12), st.integers(1, 4), st.integers(0, 14),
+@given(graphs(max_n=12), st.integers(1, 5), st.integers(0, 14),
        st.booleans(), st.randoms(use_true_random=False))
 @settings(max_examples=150, deadline=None)
 def test_greedy_extend_matches_label_stream(g, t, extra, reduce, rnd):

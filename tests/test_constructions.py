@@ -11,7 +11,7 @@ from conftest import (count_verifies, graphs, ring_walk_extend,
 from ttone import coloring, constructions
 from ttone.blocks import cycle_value
 from ttone.bounds import h_t_bounds, path_tau, star_lower
-from ttone.coloring import greedy_color, verify
+from ttone.coloring import Coloring, greedy_color, verify
 from ttone.constructions import (ClassPreconditionError, color_cycle,
                                  color_fat_triangle, color_grid,
                                  color_outerplanar, color_path, color_planar,
@@ -306,6 +306,33 @@ def test_colorers_lift_as_the_ring_walk(monkeypatch, name):
     monkeypatch.setattr(constructions, "available_labels",
                         lambda g, partial, v: list(ring_walk_labels(g, partial, v)))
     assert [color(g).labels for g in inputs] == want
+
+
+def test_two_thread_finish_retries_then_exhausts(monkeypatch):
+    # v1 = 0 is the deleted 2-thread vertex and v2 = 1 its kept neighbor.
+    # With 1 at (2, 3), 0 sees 1, 2, 3 and 6 at distance 1 and (4, 5) at
+    # distance 2, so it has no label; 1 retries its next option, (1, 2),
+    # and 0 takes (3, 4).
+    real_extend, outcomes = constructions.greedy_extend, []
+
+    def counted(g, partial, v):
+        label = real_extend(g, partial, v)
+        outcomes.append(label)
+        return label
+
+    monkeypatch.setattr(constructions, "greedy_extend", counted)
+    g = Graph(5, [(0, 1), (0, 2), (1, 3), (2, 4)])
+    partial = Coloring(2, 6, {1: (2, 3), 2: (1, 6), 3: (4, 6), 4: (4, 5)})
+    constructions._finish_two_thread(g, partial, 0, 1)
+    assert (partial.labels[1], partial.labels[0]) == ((1, 2), (3, 4))
+    assert outcomes == [None, (3, 4)]
+    assert verify(g, partial) == []
+    # Here 1 may take (2, 5) or (3, 5); either leaves 0 only the colors 1
+    # and 4, which 3 holds at distance 2.
+    g = Graph(4, [(0, 1), (0, 2), (1, 3)])
+    partial = Coloring(2, 5, {1: (2, 5), 2: (2, 3), 3: (1, 4)})
+    with pytest.raises(AssertionError, match="exhausted its guaranteed options"):
+        constructions._finish_two_thread(g, partial, 0, 1)
 
 
 @pytest.mark.parametrize("name, vertices, recolors", [

@@ -17,7 +17,8 @@ from ttone import constructions, instances
 from ttone import graphs as graphs_mod
 from ttone.graphs import (OUTERPLANAR_HIGH, PLANAR_HIGH, Density, Graph,
                           GraphError, LeastLive, Reduction, _run,
-                          constraint_pairs, degree_crossings, distances_within,
+                          constraint_pairs, cycle_order, degree_crossings,
+                          distances_within,
                           effective_diameter, gen_cycle, gen_fat_triangle,
                           gen_grid, gen_path, gen_star, mad,
                           outerplanar_edge_at, planar_reducible_at,
@@ -92,6 +93,22 @@ def test_bfs_distances():
     two = Graph(4, [(0, 1), (2, 3)])
     d = bfs_distances(two, 0)
     assert d[1] == 1 and d[2] == math.inf and d[3] == math.inf
+
+
+def test_cycle_order():
+    # ids shuffled around the cycle: the walk leaves 0 toward 3, not 4
+    g = Graph(6, [(0, 4), (4, 2), (2, 5), (5, 1), (1, 3), (3, 0)])
+    assert cycle_order(g) == [0, 3, 1, 5, 2, 4]
+    assert cycle_order(gen_cycle(7)) == list(range(7))
+    assert cycle_order(Graph(0, [])) is None
+    assert cycle_order(gen_path(7)) is None
+    # 2-regular but not connected, with 0 in each component in turn
+    for sizes in ((3, 3), (3, 5), (5, 3)):
+        edges, offset = [], 0
+        for n in sizes:
+            edges += [(offset + i, offset + (i + 1) % n) for i in range(n)]
+            offset += n
+        assert cycle_order(Graph(offset, edges)) is None
 
 
 def test_constraint_pairs():
