@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import reduce
-from itertools import chain, combinations, filterfalse
+from itertools import chain, combinations
 from operator import or_
 
 from .graphs import Graph, distances_within
@@ -311,73 +311,38 @@ def label_stream(k: int, t: int, cons, mx: int = None):
             above += 1
 
 
-def _tone2_near_banned(adj, labels, v: int):
-    """Tone 2's view of an unassigned v: near, the OR of its neighbors'
-    label masks over every color of each label, and banned, the labels at
-    distance 2, which a 2-set outside near only has to differ from.
+def _labels_at(g: Graph, partial: Coloring, v: int):
+    """The labels assignable to v, lazily and in lexicographic order, each a
+    sorted tuple; an assigned v raises StructuralError on the first draw.
 
-    banned is read over every vertex one step beyond a neighbor, without
-    seen marks, and may hold None for unlabeled ones: v has no label, and
-    each neighbor's label lies inside near, so neither equals a 2-set of
-    colors outside near."""
-    get = labels.get
+    Each labeled vertex w at distance d <= t from v may share at most d - 1
+    colors with v's label.  At t = 2 no label stream is built: near, the OR
+    of the neighbors' label masks over every color of each label, and
+    banned, the labels one step beyond a neighbor, read without seen marks,
+    leave the pairs (a, b), a < b, of free colors (outside near) that are
+    not banned; they come off the complement of near lowest bit first.  v
+    has no label, and each neighbor's label lies inside near, so neither
+    equals such a pair.  Other tones stream label_stream over one cap per
+    labeled vertex of the ball distances_within(g, v, t) (g a Graph or a
+    Reduction).
+    """
+    labels, t, k = partial.labels, partial.t, partial.k
+    if v in labels:
+        raise StructuralError(f"vertex {v} already assigned")
+    if t != 2:
+        cons = [(label_mask(labels[w]), d - 1)
+                for w, d in distances_within(g, v, t).items() if w in labels]
+        for _, label, _ in label_stream(k, t, cons):
+            yield label
+        return
+    adj, get = g.adj, labels.get
     near = 0
     for w in adj[v]:
         lab = get(w)
         if lab is not None:
             for c in lab:
                 near |= 1 << (c - 1)
-    return near, {get(w) for u in adj[v] for w in adj[u]}
-
-
-def _labels_at(g: Graph, partial: Coloring, v: int):
-    """The labels assignable to v, lazily and in lexicographic order.
-
-    Each labeled vertex w at distance d <= t from v may share at most d - 1
-    colors with v's label.  At t = 2 that leaves the 2-sets of the colors
-    outside near, less the banned labels (_tone2_near_banned), with no
-    label stream; other tones stream label_stream over one cap per labeled
-    vertex of the ball distances_within(g, v, t) (g a Graph or a Reduction).
-    """
-    labels, t, k = partial.labels, partial.t, partial.k
-    if v in labels:
-        raise StructuralError(f"vertex {v} already assigned")
-    if t == 2:
-        near, banned = _tone2_near_banned(g.adj, labels, v)
-        free = [c for c in range(1, k + 1) if not near >> (c - 1) & 1]
-        return filterfalse(banned.__contains__, combinations(free, 2))
-    cons = [(label_mask(labels[w]), d - 1)
-            for w, d in distances_within(g, v, t).items() if w in labels]
-    return (label for _, label, _ in label_stream(k, t, cons))
-
-
-def available_labels(g: Graph, partial: Coloring, v: int) -> list:
-    """All labels assignable to v without any violation, in lexicographic order."""
-    return list(_labels_at(g, partial, v))
-
-
-def greedy_extend(g: Graph, partial: Coloring, v: int):
-    """Assign the lexicographically least available label to v.
-
-    Returns the label, or None when no label is available (the partial
-    coloring is left untouched in that case).
-
-    At t = 2 no label stream is built: over _tone2_near_banned, the label
-    is the least free color a (outside near) with the least free b > a such
-    that (a, b) is not banned, a moving to the next free color when no b
-    fits.  It is stored as found, already sorted.  Other tones take the
-    first label of _labels_at.
-    """
-    if partial.t != 2:
-        label = next(_labels_at(g, partial, v), None)
-        if label is not None:
-            partial.assign(v, label)
-        return label
-    labels = partial.labels
-    if v in labels:
-        raise StructuralError(f"vertex {v} already assigned")
-    near, banned = _tone2_near_banned(g.adj, labels, v)
-    k = partial.k
+    banned = {get(w) for u in adj[v] for w in adj[u]}
     free = ~near & ((1 << k) - 1) if k > 0 else 0
     while free:
         low = free & -free
@@ -389,9 +354,26 @@ def greedy_extend(g: Graph, partial: Coloring, v: int):
             rest ^= high
             label = (a, high.bit_length())
             if label not in banned:
-                labels[v] = label
-                return label
-    return None
+                yield label
+
+
+def available_labels(g: Graph, partial: Coloring, v: int) -> list:
+    """All labels assignable to v without any violation, in lexicographic
+    order: every label of _labels_at."""
+    return list(_labels_at(g, partial, v))
+
+
+def greedy_extend(g: Graph, partial: Coloring, v: int):
+    """Assign the lexicographically least available label to v, the first
+    label of _labels_at, stored as yielded (already sorted).
+
+    Returns the label, or None when no label is available (the partial
+    coloring is left untouched in that case).
+    """
+    label = next(_labels_at(g, partial, v), None)
+    if label is not None:
+        partial.labels[v] = label
+    return label
 
 
 def greedy_color(g: Graph, t: int, k: int, order=None) -> Coloring:

@@ -283,10 +283,15 @@ def test_greedy_extend_matches_label_stream(g, t, extra, reduce, rnd):
             partial.assign(v, rnd.sample(range(1, k + 1), t))
         else:
             greedy_extend(g, partial, v)
+    # _labels_at is a generator: both callers draw from it at once, so an
+    # assigned vertex raises through each; a label is stored as yielded,
+    # with no sort, so it must already be the sorted tuple.
     for v in live:
         if v in partial.labels:
             with pytest.raises(StructuralError):
                 greedy_extend(g, partial, v)
+            with pytest.raises(StructuralError):
+                available_labels(g, partial, v)
             continue
         assert available_labels(g, partial, v) == list(stream_at(g, partial, v))
         want = next(stream_at(g, partial, v), None)
@@ -294,6 +299,8 @@ def test_greedy_extend_matches_label_stream(g, t, extra, reduce, rnd):
         assert greedy_extend(g, partial, v) == want
         if want is None:
             assert partial.labels == before
+        else:
+            assert partial.labels[v] == want
 
 
 @st.composite
