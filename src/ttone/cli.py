@@ -23,9 +23,9 @@ from . import bounds as bounds_mod
 from . import constructions
 from .coloring import Coloring, verify
 from .exact import SearchBudget, tau
-from .graphs import (MAX_EDGE_LIST_VERTICES, Graph, cycle_order, gen_cycle,
-                     gen_fat_triangle, gen_grid, gen_path, gen_star, mad,
-                     read_edge_list, write_edge_list)
+from .graphs import (MAX_EDGE_LIST_VERTICES, Graph, cycle_order,
+                     distances_within, gen_cycle, gen_fat_triangle, gen_grid,
+                     gen_path, gen_star, mad, read_edge_list, write_edge_list)
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -132,14 +132,10 @@ def _as_path_order(g: Graph):
     ends = [v for v in range(g.n) if g.degree(v) == 1]
     if len(ends) != 2 or any(g.degree(v) > 2 for v in range(g.n)):
         return None
-    order, prev, cur = [ends[0]], -1, ends[0]
-    while len(order) < g.n:
-        nxts = [w for w in g.adj[cur] if w != prev]
-        if not nxts:
-            return None
-        prev, cur = cur, nxts[0]
-        order.append(cur)
-    return order if cur == ends[1] else None
+    # with degrees at most 2, the component of an end is a path that the
+    # breadth-first walk from that end visits in order
+    order = [ends[0], *distances_within(g, ends[0], g.n)]
+    return order if len(order) == g.n else None
 
 
 def _as_grid_dims(g: Graph):

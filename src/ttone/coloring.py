@@ -106,23 +106,30 @@ class Violation(namedtuple("Violation", "u v distance shared")):
 
 
 def check_structure(g: Graph, coloring: Coloring) -> list:
-    """Raise StructuralError unless every assigned label is a valid t-set
-    (t distinct colors, each an int, not a bool, in 1..k, in any order) on
-    an int vertex id in 0..n-1.
+    """Raise StructuralError unless t and k are ints (not bools) and every
+    assigned label is a valid t-set (t distinct colors, each an int, not a
+    bool, in 1..k, in any order) on an int vertex id in 0..n-1.
 
     Returns the label masks over the ranks of the colors in use, so their
     width does not grow with the color values (0 where unassigned; a label
-    is a nonempty t-set).  The types of the colors and of the ids are taken
-    in one pass each, the colors' range over the set in use and each
-    label's size on its mask; only a coloring that fails is walked again
-    vertex by vertex, to name its first bad label."""
+    is a nonempty t-set).  The sizes of the labels, the types of the colors
+    and of the ids are taken in one pass each, the colors' range over the
+    set in use and each label's distinct colors on its mask; only a
+    coloring that fails is walked again vertex by vertex, to name its first
+    bad label."""
     t, k = coloring.t, coloring.k
-    if t < 1 or k < 0:
-        raise StructuralError(f"need t >= 1 and k >= 0, got t={t}, k={k}")
+    if type(t) is not int or type(k) is not int or t < 1 or k < 0:
+        raise StructuralError("need integers t >= 1 and k >= 0, "
+                              f"got t={t!r}, k={k!r}")
     n, labels = g.n, coloring.labels
-    used = coloring.colors_used()
+    try:    # a label with no size, or a color that is no set member
+        sizes = set(map(len, labels.values()))
+        used = coloring.colors_used()
+    except TypeError:
+        sizes = None
     # types per color and id: True or 2.0 hides in a set that holds 1 or 2
-    if set(map(type, chain.from_iterable(labels.values()))) <= {int} and \
+    if sizes is not None and sizes <= {t} and \
+            set(map(type, chain.from_iterable(labels.values()))) <= {int} and \
             set(map(type, labels)) <= {int} and \
             all(1 <= c <= k for c in used) and \
             (not labels or min(labels) >= 0 and max(labels) < n):
@@ -132,7 +139,7 @@ def check_structure(g: Graph, coloring: Coloring) -> list:
             m = 0
             for c in lab:
                 m |= bit[c]
-            if len(lab) != t or m.bit_count() != t:
+            if m.bit_count() != t:
                 break
             masks[v] = m
         else:
@@ -140,7 +147,11 @@ def check_structure(g: Graph, coloring: Coloring) -> list:
     for v, lab in labels.items():
         if type(v) is not int or not (0 <= v < n):
             raise StructuralError(f"label on unknown vertex {v!r}")
-        if len(lab) != t or len(set(lab)) != t:
+        try:
+            sized = len(lab) == t == len(set(lab))
+        except TypeError:           # not a sized collection of hashables
+            sized = False
+        if not sized:
             raise StructuralError(f"vertex {v}: label {lab} is not a {t}-set")
         if not all(type(c) is int and 1 <= c <= k for c in lab):
             raise StructuralError(f"vertex {v}: label {lab} outside [1,{k}]")

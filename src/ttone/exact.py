@@ -98,11 +98,12 @@ def _color_sets(k: int, t: int) -> list:
     count = [1] + [0] * t               # C(k-a+1, s) for s = 0..t
     rows = [[0] * (k + 1) for _ in range(t + 1)]
     for a in range(k, 0, -1):
-        rows = [rows[0]] + [
+        lo = max(1, t - a + 1)          # a smaller s cannot reach t colors
+        rows = rows[:1] + [None] * (lo - 1) + [
             [0] * a + [(1 << count[s - 1]) - 1]
             + [rows[s - 1][c] | rows[s][c] << count[s - 1]
                for c in range(a + 1, k + 1)]
-            for s in range(1, t + 1)]
+            for s in range(lo, t + 1)]
         count = [1] + [count[s - 1] + count[s] for s in range(1, t + 1)]
     return rows[t]
 
@@ -195,13 +196,17 @@ class _Searcher:
     Symmetry breaking: the first vertex gets colors 1..t, and any label may
     introduce new colors only as the next unused ones in increasing order
     (color-introduction canonicalization), applied as label_stream's reach
-    bound.
+    bound.  exact_decide fixes the first two labels by that rule and passes
+    them as out to one of two loops, _dfs_compiled or _dfs_lazy, which
+    builds its state from them and searches the positions after them.
+    Both loops are iterative, so the depth of the search never touches the
+    interpreter's recursion limit.
 
     When k * C(k, t) <= _COMPILE_BITS the labels are compiled to bits in
     lex order, and the tables that depend on (k, t) alone come from
     _palette, built once per palette and shared by the decisions on it.
     A position's domain is the AND of allowed(mask, cap), the labels
-    sharing at most cap colors with mask, over its constraints to assigned
+    sharing at most cap colors with mask, over its constraints to labeled
     positions; L is in it iff L passes label_stream's caps, and in
     canonical[mx] iff it passes label_stream's reach bound.  The allowed
     memos are the palette's, kept across decisions up to _MEMO_BITS (see
@@ -216,11 +221,12 @@ class _Searcher:
     is added in its place (see _dfs_compiled).  The nodes are those of the
     same tree, some counted by isomorphism, and the witness is the same.
 
-    Above the guard the candidates come from label_stream, unpruned.  Both
-    paths read candidates in lex order, and forward checking cuts only
-    prefixes that cannot be extended, so both reach the same first witness:
-    with no budget, the same status and witness; the compiled path's
-    nodes are a subset of the lazy path's, so it never needs more.
+    Above the guard _dfs_lazy draws the candidates from label_stream,
+    unpruned.  Both paths read candidates in lex order, and forward
+    checking cuts only prefixes that cannot be extended, so both reach the
+    same first witness: with no budget, the same status and witness; the
+    compiled path's nodes are a subset of the lazy path's, so it never
+    needs more.
     """
 
     def __init__(self, g: Graph, t: int, k: int, layout: tuple = None):
@@ -228,7 +234,6 @@ class _Searcher:
         self.t = t
         self.k = k
         self.order, self.cons = layout or search_layout(g, t)
-        self.assigned = [0] * g.n
         self.nodes = 0
         self.max_nodes = 0
         self.deadline = None
@@ -254,48 +259,17 @@ class _Searcher:
             raise _Timeout
         return min(stop, nodes - nodes % 2048 + 2048)
 
-    def stream(self, i: int, mx: int):
-        """Candidates (mask, label, top) for position i under the current
-        assignments, in lexicographic order; top is mx plus the colors the
-        label introduces."""
-        if self.palette is None:
-            cons = [(self.assigned[j], cap) for j, cap in self.cons[i]]
-            yield from label_stream(self.k, self.t, cons, mx)
-            return
-        cand = self.palette.canonical[mx] & self.domain(i)
-        decoded = self.palette.decoded
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            m, label, last = decoded[low.bit_length() - 1]
-            yield m, label, max(last, mx)
-
-    def domain(self, i: int) -> int:
-        """The labels that the assigned positions leave position i (mask 0
-        marks an unassigned one, which allows every label)."""
-        cand = self.palette.full
-        for j, cap in self.cons[i]:
-            cand &= self.allowed[cap][self.assigned[j]]
-        return cand
-
-    def dfs(self, start: int, mx: int, out: list) -> bool:
-        """Extend out (labels of positions < start, assigned) to a full
-        assignment.
-
-        Iterative, so the depth of the search never touches the
-        interpreter's recursion limit.
-        """
-        if start == self.g.n:
-            return True
-        if self.palette is None:
-            return self._dfs_lazy(start, mx, out)
-        return self._dfs_compiled(start, mx, out)
-
     def _dfs_lazy(self, start: int, mx: int, out: list) -> bool:
-        """One label_stream per open position."""
-        n = self.g.n
-        assigned = self.assigned
-        streams = [self.stream(start, mx)]
+        """One label_stream per open position, over its caps to the label
+        masks of the earlier positions (masks, seeded from out)."""
+        n, k, t, cons = self.g.n, self.k, self.t, self.cons
+        masks = [label_mask(label) for label in out] + [0] * (n - start)
+
+        def stream(i, top):
+            return label_stream(k, t, [(masks[j], cap) for j, cap in cons[i]],
+                                top)
+
+        streams = [stream(start, mx)]
         nodes = self.nodes
         check = nodes + 1
         i = start
@@ -303,7 +277,6 @@ class _Searcher:
             nxt = next(streams[-1], None)
             if nxt is None:
                 streams.pop()
-                assigned[i] = 0
                 if not streams:
                     self.nodes = nodes
                     return False
@@ -314,20 +287,21 @@ class _Searcher:
             if nodes >= check:
                 check = self._budget(nodes)
             m, combo, top = nxt
-            assigned[i] = m
+            masks[i] = m
             out.append(combo)
             i += 1
             if i == n:
                 self.nodes = nodes
                 return True
-            streams.append(self.stream(i, top))
+            streams.append(stream(i, top))
 
     def _dfs_compiled(self, start: int, mx: int, out: list) -> bool:
         """Forward checking over one stack of candidate bitsets, with tops
         (the mx of each open position) and seen beside it.  later[i] holds
         (j, allowed[cap]) per constraint from i to a later j, all of them in
         dom[i+1:span[i]]; saved[i] is that slice as it was before i's label
-        narrowed it.
+        narrowed it.  Every domain starts as full, and each label of out
+        ANDs its allowed sets into the positions along its later list.
 
         sig[c] is the bitset of the assigned positions whose labels hold c,
         and a candidate's orbit key is the sorted tuple of its colors' sig.
@@ -353,7 +327,11 @@ class _Searcher:
                 later[i].append((j, self.allowed[cap]))
         span = [max((j for j, _ in lst), default=i) + 1
                 for i, lst in enumerate(later)]
-        dom = [self.domain(j) for j in range(n)]
+        dom = [self.palette.full] * n
+        for p, label in enumerate(out):
+            m = label_mask(label)
+            for j, allowed in later[p]:
+                dom[j] &= allowed[m]
         if not all(dom[start:]):
             return False
         canonical, decoded = self.palette.canonical, self.palette.decoded
@@ -430,15 +408,18 @@ def exact_decide(g: Graph, t: int, k: int, budget: SearchBudget = None,
     """Complete search for a tone-t coloring of g with k colors.
 
     Returns a verified coloring, "infeasible" after exhausting the
-    canonicalized tree, or "timeout".  The first vertex gets (1..t) and the
-    second the first label its candidates offer; the search, with one
-    budget, runs over the rest.  Fixing the second label loses nothing: on
-    a graph with an edge the second vertex is adjacent to the first, so
-    canonical introduction leaves it only (t+1..2t), and on an edgeless
-    graph every label extends.  Nodes count the labels tried from the third
+    canonicalized tree, or "timeout".  The first vertex gets (1..t).  The
+    second gets (t+1..2t) when it has a constraint to the first, and (1..t)
+    when it has none; the search, with one budget, runs over the rest.
+    Fixing the second label loses nothing.  In breadth-first order from a
+    maximum-degree vertex, the second vertex is adjacent to the first
+    exactly when g has an edge, and then canonical introduction leaves it
+    only (t+1..2t), a label that needs 2t <= k.  On an edgeless graph
+    every label extends.  Nodes count the labels tried from the third
     vertex on, those that forward checking rejects included, and some
-    counted by isomorphism rather than walked (see _Searcher); where the
-    first two labels already empty a domain, "infeasible" comes at 0 nodes.
+    counted by isomorphism rather than walked (see _Searcher).  Where
+    2t > k on a graph with an edge, or the first two labels already empty
+    a domain, "infeasible" comes at 0 nodes.
     layout is search_layout(g, t), for a caller that decides several k on
     one graph; it is built when None.
     """
@@ -457,15 +438,16 @@ def exact_decide(g: Graph, t: int, k: int, budget: SearchBudget = None,
     searcher.max_nodes = budget.max_nodes
     if budget.wall_limit is not None:
         searcher.deadline = time.monotonic() + budget.wall_limit
-    searcher.assigned[0] = label_mask(base)
+    second = tuple(range(t + 1, 2 * t + 1)) if searcher.cons[1] else base
+    if second[-1] > k:
+        return DecideResult("infeasible")
+    if searcher.palette is None:
+        loop = searcher._dfs_lazy
+    else:
+        loop = searcher._dfs_compiled
+    out = [base, second]
     try:
-        second = next(searcher.stream(1, t), None)
-        if second is None:
-            return DecideResult("infeasible")
-        m, combo, mx = second
-        searcher.assigned[1] = m
-        out = [base, combo]
-        found = searcher.dfs(2, mx, out)
+        found = g.n == 2 or loop(2, second[-1], out)
     except _Timeout:
         return DecideResult("timeout", nodes=searcher.nodes)
     finally:

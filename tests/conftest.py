@@ -395,7 +395,9 @@ def walk_dfs_compiled(self, start: int, mx: int, out: list) -> bool:
     each open position) beside it.  later[i] holds (j, allowed[cap]) per
     constraint from i to a later j, all of them in dom[i+1:span[i]];
     saved[i] is that slice as it was before i's label narrowed it.
-    Bound to a _Searcher, it decides as exact_decide did then."""
+    Every domain starts as full, and each label of out ANDs its allowed
+    sets into the positions along its later list.  Bound to a _Searcher,
+    it decides as exact_decide did then."""
     n = self.g.n
     later = [[] for _ in range(n)]
     for j, lst in enumerate(self.cons):
@@ -403,7 +405,11 @@ def walk_dfs_compiled(self, start: int, mx: int, out: list) -> bool:
             later[i].append((j, self.allowed[cap]))
     span = [max((j for j, _ in lst), default=i) + 1
             for i, lst in enumerate(later)]
-    dom = [self.domain(j) for j in range(n)]
+    dom = [self.palette.full] * n
+    for p, label in enumerate(out):
+        m = label_mask(label)
+        for j, allowed in later[p]:
+            dom[j] &= allowed[m]
     if not all(dom[start:]):
         return False
     canonical, decoded = self.palette.canonical, self.palette.decoded

@@ -3,6 +3,7 @@ import json
 import os
 import random
 import re
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -256,6 +257,22 @@ def test_tau_budget_exhaustion(tmp_path, capsys):
                            "--max-nodes", "10"], capsys)
     assert code == 3
     assert json.loads(out)["status"] == "timeout"
+
+
+def test_tau_near_the_tone_runs_in_one_gib():
+    # tau --t 40 on three isolated vertices compiles the palette k = t = 40,
+    # whose tables must stay small where C(40, 20) bits would not fit
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ttone.__file__)))
+    cap = 1 << 30
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    out = subprocess.run([sys.executable, "-m", "ttone.cli", "tau", "--t", "40"],
+                         input="3 0\n", capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), preexec_fn=limit)
+    assert out.returncode == 0, out.stderr
+    assert '"value":40' in out.stdout
 
 
 def test_bounds_verb(tmp_path, capsys):

@@ -63,6 +63,19 @@ def test_verify_palette_smaller_than_tone():
             verify(Graph(0, []), Coloring(t, k))
 
 
+@pytest.mark.parametrize("t, k, labels, message", [
+    (2.0, 5, {0: (1, 2), 1: (3, 4)}, "need integers"),
+    (True, 5, {0: (1,), 1: (2,)}, "need integers"),
+    (2, 5.5, {0: (1, 2), 1: (3, 4)}, "need integers"),
+    (2, 5, {0: 5, 1: (3, 4)}, "vertex 0: label 5 is not a 2-set"),
+    (2, 5, {0: (1, 2), 1: None}, "vertex 1: label None is not a 2-set")])
+def test_verify_takes_no_coercion_from_the_api(t, k, labels, message):
+    # what Coloring.from_json refuses, the API's Coloring gets no further
+    # with: a float or bool t or k, or a label that is no collection
+    with pytest.raises(StructuralError, match=message):
+        verify(Graph(2, [(0, 1)]), Coloring(t, k, labels))
+
+
 @pytest.mark.parametrize("label", [(5, 1), (3, 0), (1.5, 2), (True, 2),
                                    (2, True), (2.0, 3), ("1", "2")])
 def test_verify_rejects_colors_outside_the_palette(label):

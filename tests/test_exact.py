@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -172,14 +173,20 @@ def test_deep_search_leaves_recursion_limit_alone():
 @given(graphs(max_n=8, min_n=2), st.integers(1, 5), st.integers(0, 10))
 @settings(max_examples=60, deadline=None)
 def test_second_vertex_has_at_most_one_branch(g, t, extra):
-    # The second vertex in search order is adjacent to the first, whose
-    # label is (1..t), so canonical introduction leaves only (t+1..2t):
-    # exact_decide may fix the second label to the first candidate.
+    # On a graph with an edge the second vertex in search order is adjacent
+    # to the first, whose label is (1..t), so canonical introduction leaves
+    # only (t+1..2t); on an edgeless graph it has no constraint, and its
+    # first candidate is (1..t).  exact_decide fixes the second label to
+    # that first candidate.
+    k = t + extra
+    cons = _Searcher(g, t, k).cons[1]
+    first = label_mask(range(1, t + 1))
+    seconds = list(label_stream(k, t, [(first, cap) for _, cap in cons], t))
     if g.m == 0:
+        assert cons == []
+        assert seconds[0][1] == tuple(range(1, t + 1))
         return
-    assert _Searcher(g, t, t + extra).cons[1] == [(0, 0)]
-    seconds = list(label_stream(t + extra, t,
-                                [(label_mask(range(1, t + 1)), 0)], t))
+    assert cons == [(0, 0)]
     assert len(seconds) <= 1
     if seconds:
         assert seconds[0][1] == tuple(range(t + 1, 2 * t + 1))
@@ -261,18 +268,27 @@ def test_compiled_and_lazy_agree_without_budget(g, t, ks):
        st.randoms(use_true_random=False))
 @settings(max_examples=120, deadline=None)
 def test_compiled_candidates_equal_label_stream(g, t, extra, rng):
-    # stream reads a position's domain from the assigned labels, some of
-    # them left unassigned (mask 0), under a random reach bound.
+    # A position's compiled candidates, canonical[mx] ANDed with the allowed
+    # sets of its constraints to random labels, decoded lowest bit first,
+    # are label_stream's labels under the same caps and reach bound.
     k = t + extra
     s = _Searcher(g, t, k)
-    assert s.palette is not None
-    for j in range(g.n):
-        if rng.random() < 0.8:
-            s.assigned[j] = label_mask(rng.sample(range(1, k + 1), t))
+    pal = s.palette
+    assert pal is not None
+    masks = [label_mask(rng.sample(range(1, k + 1), t)) for _ in range(g.n)]
     i = rng.randrange(g.n)
     mx = rng.randint(t, k)
-    cons = [(s.assigned[j], cap) for j, cap in s.cons[i]]
-    assert list(s.stream(i, mx)) == list(label_stream(k, t, cons, mx))
+    cons = [(masks[j], cap) for j, cap in s.cons[i]]
+    cand = pal.canonical[mx]
+    for m, cap in cons:
+        cand &= pal.allowed[cap][m]
+    compiled = []
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        m, label, last = pal.decoded[low.bit_length() - 1]
+        compiled.append((m, label, max(last, mx)))
+    assert compiled == list(label_stream(k, t, cons, mx))
 
 
 def test_counted_subtrees_match_the_walk(monkeypatch):
@@ -378,11 +394,26 @@ def test_search_above_the_guard_walks_lazily():
     assert verify(k5, res.coloring) == []
 
 
+def test_color_sets_build_no_row_that_cannot_reach_t():
+    # At k close to t, the rows of sizes that cannot reach t colors
+    # any more are not built: their middle rows would hold C(k, k/2) bits
+    # per color, 72.6 MiB at (24, 22), for a table of 276 labels.
+    tracemalloc.start()
+    try:
+        has = exact._color_sets(24, 22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    labels = list(combinations(range(1, 25), 22))
+    assert has[1:] == [sum(1 << x for x, label in enumerate(labels)
+                           if c in label) for c in range(1, 25)]
+
+
 def _masks(k, t):
-    """Each label mask of the t-subsets of [1..k], mapped to its label, and
-    0, the mask of an unassigned position (see _Searcher.domain)."""
+    """Each label mask of the t-subsets of [1..k], mapped to its label."""
     labels = combinations(range(1, k + 1), t)
-    return {0: (), **{label_mask(label): label for label in labels}}
+    return {label_mask(label): label for label in labels}
 
 
 def test_palette_tables_match_their_definitions():
@@ -403,10 +434,14 @@ def test_palette_tables_match_their_definitions():
                        if a == set(range(mx + 1, mx + 1 + len(a))))
             assert pal.canonical[mx] == want
         # allowed[cap][mask]: the labels sharing at most cap colors with
-        # the mask's label, for every entry the decision filled
+        # the mask's label, for the entries the decision filled and for
+        # every other label mask (the (1, 1) decision is refuted at 0 nodes
+        # before it fills any)
         masks = _masks(k, t)
-        assert len(pal.allowed) == t and pal.allowed[0]
+        assert len(pal.allowed) == t
         for cap, memo in enumerate(pal.allowed):
+            for mask in masks:
+                memo[mask]          # a _Memo fills a missing entry
             for mask, value in memo.items():
                 colors = set(masks[mask])
                 assert value == sum(1 << x for x, label in enumerate(labels)
