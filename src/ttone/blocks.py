@@ -14,6 +14,7 @@ the exact solver (scripts/derive_fixtures.py) and frozen here.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cache
 
 from .coloring import Coloring, verify
 from .graphs import gen_cycle, gen_path
@@ -205,15 +206,11 @@ def exceptional_witness(n: int, t: int):
     return _WITNESSES.get((t, n))
 
 
-_VALIDATED = False
-
-
+@cache
 def ensure_validated() -> None:
     """Run the self-check once, on first use: blocks, glue pairs (each
-    distinct window once), and witnesses."""
-    global _VALIDATED
-    if _VALIDATED:
-        return
+    distinct window once), and witnesses.  A check that raises is not
+    cached, so the next call runs it again."""
     for table in BLOCK_TABLES.values():
         table.validate()
     for (t, n), seq in _WITNESSES.items():
@@ -226,4 +223,3 @@ def ensure_validated() -> None:
             raise RuntimeError(
                 f"witness ({t},{n}) uses {len(col.colors_used())} colors, "
                 f"expected {want}")
-    _VALIDATED = True

@@ -1,10 +1,11 @@
 """Command-line front end: generate, color, verify, solve, bound, measure.
 
 Exit codes: 0 success, 1 verification violations, 2 usage or structural
-error (an unreadable or unwritable file, a tone below 1), 3 search budget
-exhausted, 4 class precondition failed, 5 internal failure (a construction
-broke one of its own invariants, or the block tables failed their
-self-check). `run` is the one place that maps exceptions to them.
+error (an unreadable or unwritable file, a tone below 1), 3 a resource
+bound was reached (the search budget or memory), 4 class precondition
+failed, 5 internal failure (a construction broke one of its own
+invariants, or the block tables failed their self-check). `run` is the
+one place that maps exceptions to them.
 
 `color` emits what its colorer verified and does not verify it again; for
 paths and cycles `_along` says why that check holds on the input graph.
@@ -367,6 +368,8 @@ def run(argv) -> int:
         code, message = EXIT_USAGE, exc
     except (AssertionError, RuntimeError) as exc:
         code, message = EXIT_INTERNAL, f"internal: {exc}"
+    except MemoryError:
+        code, message = EXIT_BUDGET, "out of memory"
     print(f"error: {message}", file=sys.stderr)
     return code
 

@@ -5,7 +5,7 @@ bounded-density, outerplanar, and planar graphs."""
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb, gcd, inf
+from math import comb, inf
 
 from .blocks import BLOCK_TABLES, cycle_value, ensure_validated, exceptional_witness
 from .bounds import _least_k, h_t_bounds, path_tau, star_lower
@@ -263,11 +263,9 @@ def color_sparse(g: Graph) -> Coloring:
     recoloring round on its surviving interior vertex.  The class gate is
     one max-density decision: subgraph densities |E|/|V| are fractions with
     denominator at most n, so one is at least 6/5 exactly when it exceeds
-    6/5 - 1/(5n+1) = (30n+1)/(25n+5), passed in lowest terms.
+    6/5 - 1/(5n+1) = (30n+1)/(25n+5).
     """
-    p, q = 30 * g.n + 1, 25 * g.n + 5
-    d = gcd(p, q)
-    if _density_exceeds(g, p // d, q // d) is not None:
+    if _density_exceeds(g, 30 * g.n + 1, 25 * g.n + 5) is not None:
         raise ClassPreconditionError("maximum average degree is not below 12/5")
 
     def picks(red):

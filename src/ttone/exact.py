@@ -151,10 +151,8 @@ class _Palette:
                 memo.clear()
 
 
-@lru_cache(maxsize=_PALETTES)
-def _palette(k: int, t: int) -> _Palette:
-    """The _Palette of (k, t), built once and shared."""
-    return _Palette(k, t)
+# The _Palette of (k, t), built once and shared.
+_palette = lru_cache(maxsize=_PALETTES)(_Palette)
 
 
 def _unrank(k: int, t: int, x: int) -> tuple:

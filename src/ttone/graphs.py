@@ -372,97 +372,82 @@ class Density(namedtuple("Density", "numerator denominator")):
         return Fraction(self.numerator, self.denominator)
 
 
-class _Dinic:
-    """Max-flow with arbitrary integer capacities (Python ints stay exact)."""
+def _min_cut(size: int, arcs, s: int, t: int):
+    """Maximum flow from s to t and the source side of the smallest minimum
+    cut, as (flow, side).  arcs: (u, v, c, back) for an arc u -> v of
+    capacity c whose reverse arc, index ^ 1 in the arc arrays, has capacity
+    back; integer capacities, exact as Python ints.
 
-    def __init__(self, size: int, arcs):
-        """arcs: (u, v, c, back) for an arc u -> v of capacity c whose
-        reverse arc, index ^ 1 in the arc arrays, has capacity back."""
-        self.size = size
-        self.head = head = [[] for _ in range(size)]
-        self.to = to = []
-        self.cap = cap = []
-        for u, v, c, back in arcs:
-            head[u].append(len(to))
-            head[v].append(len(to) + 1)
-            to += (v, u)
-            cap += (c, back)
+    Dinic: a BFS ring by ring up to t's ring gives the level graph, then a
+    blocking flow saturates it, until t is out of reach.  That last BFS
+    runs until its ring is empty, so the nodes it levels are those s
+    reaches in the residual network: the side returned."""
+    head = [[] for _ in range(size)]
+    to, cap = [], []
+    for u, v, c, back in arcs:
+        head[u].append(len(to))
+        head[v].append(len(to) + 1)
+        to += (v, u)
+        cap += (c, back)
+    flow = 0
+    while True:
+        level = [-1] * size
+        level[s] = 0
+        ring, d = [s], 0
+        while ring and level[t] < 0:
+            d += 1
+            nxt = []
+            for u in ring:
+                for e in head[u]:
+                    if cap[e] and level[to[e]] < 0:
+                        level[to[e]] = d
+                        nxt.append(to[e])
+            ring = nxt
+        if level[t] < 0:
+            return flow, {v for v, lv in enumerate(level) if lv >= 0}
+        flow += _blocking_flow(head, to, cap, s, t, level)
 
-    def max_flow(self, s: int, t: int) -> int:
-        """Dinic: a BFS ring by ring up to t's ring gives the level graph,
-        then a blocking flow saturates it, until t is out of reach."""
-        to, cap, head = self.to, self.cap, self.head
-        flow = 0
-        while True:
-            level = [-1] * self.size
-            level[s] = 0
-            ring, d = [s], 0
-            while ring and level[t] < 0:
-                d += 1
-                nxt = []
-                for u in ring:
-                    for e in head[u]:
-                        if cap[e] and level[to[e]] < 0:
-                            level[to[e]] = d
-                            nxt.append(to[e])
-                ring = nxt
-            if level[t] < 0:
-                return flow
-            flow += self._blocking_flow(s, t, level)
 
-    def _blocking_flow(self, s, t, level) -> int:
-        """Saturate the level graph by a DFS on an explicit path: advance
-        along arcs one level up, retreat past dead ends (moving the tail's
-        arc pointer on), and after each push resume from the tail of the
-        first arc it saturated.  No recursion, so paths may be long."""
-        to, cap, head = self.to, self.cap, self.head
-        it = [0] * self.size
-        path = []
-        total = 0
-        u = s
-        while True:
-            if u == t:
-                pushed = min(cap[e] for e in path)
-                total += pushed
-                for e in path:
-                    cap[e] -= pushed
-                    cap[e ^ 1] += pushed
-                j = next(j for j, e in enumerate(path) if not cap[e])
-                u = to[path[j] ^ 1]
-                del path[j:]
-                continue
-            arcs, i, up = head[u], it[u], level[u] + 1
-            end = len(arcs)
-            while i < end and not (cap[arcs[i]] and level[to[arcs[i]]] == up):
-                i += 1
-            it[u] = i
-            if i < end:
-                path.append(arcs[i])
-                u = to[arcs[i]]
-            elif path:
-                u = to[path.pop() ^ 1]
-                it[u] += 1
-            else:
-                return total
-
-    def source_side(self, s: int) -> set:
-        """Nodes reachable from s in the residual network (a min cut side)."""
-        to, cap, head = self.to, self.cap, self.head
-        seen = {s}
-        stack = [s]
-        while stack:
-            for e in head[stack.pop()]:
-                if cap[e] and to[e] not in seen:
-                    seen.add(to[e])
-                    stack.append(to[e])
-        return seen
+def _blocking_flow(head, to, cap, s, t, level) -> int:
+    """Saturate the level graph by a DFS on an explicit path: advance
+    along arcs one level up, retreat past dead ends (moving the tail's
+    arc pointer on), and after each push resume from the tail of the
+    first arc it saturated.  No recursion, so paths may be long."""
+    it = [0] * len(head)
+    path = []
+    total = 0
+    u = s
+    while True:
+        if u == t:
+            pushed = min(cap[e] for e in path)
+            total += pushed
+            for e in path:
+                cap[e] -= pushed
+                cap[e ^ 1] += pushed
+            j = next(j for j, e in enumerate(path) if not cap[e])
+            u = to[path[j] ^ 1]
+            del path[j:]
+            continue
+        arcs, i, up = head[u], it[u], level[u] + 1
+        end = len(arcs)
+        while i < end and not (cap[arcs[i]] and level[to[arcs[i]]] == up):
+            i += 1
+        it[u] = i
+        if i < end:
+            path.append(arcs[i])
+            u = to[arcs[i]]
+        elif path:
+            u = to[path.pop() ^ 1]
+            it[u] += 1
+        else:
+            return total
 
 
 def _density_exceeds(g: Graph, p: int, q: int):
     """Does some nonempty subgraph H satisfy |E(H)|/|V(H)| > p/q?
 
-    The threshold is two ints in lowest terms, p >= 0 and q >= 1; callers
-    reduce by gcd, so the capacities are those of the reduced fraction.
+    The threshold is two ints, p >= 0 and q >= 1, reduced here by gcd, so
+    the capacities are those of the reduced fraction.
     Returns a witness vertex set, or None when the answer is no.
     Goldberg's (1984) network on the vertices alone, n + 2 nodes: one arc
     of capacity q each way per edge, and for each vertex v an arc s -> v of
@@ -471,13 +456,14 @@ def _density_exceeds(g: Graph, p: int, q: int):
     v -> sink, so the network here takes min(q*m, q*m + 2p - q*d(v)) off
     both, which lowers every cut by the same sum: s -> v keeps
     max(0, q*d(v) - 2p), v -> sink max(0, 2p - q*d(v)), and S = {} cuts the
-    sum of the s -> v capacities, so the strict test is max_flow < that sum.
+    sum of the s -> v capacities, so the strict test is flow < that sum.
 
-    The residual source side of a maximum flow is the smallest minimum cut,
-    so the witness, that side without s, is the smallest maximizer of
-    q|E(S)| - p|S|: the set the source / edge-node / vertex-node / sink
-    network gives too, since there every edge node of E(S) joins S on the
-    source side of a minimum cut.  mad's witnesses rest on that set.
+    The residual source side of a maximum flow, which _min_cut's last BFS
+    levels, is the smallest minimum cut, so the witness, that side without
+    s, is the smallest maximizer of q|E(S)| - p|S|: the set the source /
+    edge-node / vertex-node / sink network gives too, since there every
+    edge node of E(S) joins S on the source side of a minimum cut.  mad's
+    witnesses rest on that set.
 
     Below threshold 1 (p < q) no flow is run: a vertex joined to S by an
     edge adds at least 1 - p/q > 0 to |E(S)| - (p/q)|S|, so the maximizers
@@ -486,6 +472,8 @@ def _density_exceeds(g: Graph, p: int, q: int):
     path the flow would carry it to the ends, Dinic one phase per step.
     """
     n = g.n
+    d = gcd(p, q)
+    p, q = p // d, q // d
     if p < q:
         side, done = set(), set()
         for root in range(n):
@@ -500,11 +488,9 @@ def _density_exceeds(g: Graph, p: int, q: int):
     arcs = [(src, v, x, 0) if x > 0 else (v, snk, -x, 0)
             for v, x in enumerate(excess) if x]
     arcs += [(u, v, q, q) for u, v in g.edges()]
-    net = _Dinic(n + 2, arcs)
-    total = sum(x for x in excess if x > 0)
-    if net.max_flow(src, snk) >= total:
+    flow, side = _min_cut(n + 2, arcs, src, snk)
+    if flow >= sum(x for x in excess if x > 0):
         return None
-    side = net.source_side(src)
     side.discard(src)
     return side
 
@@ -526,8 +512,7 @@ def mad(g: Graph) -> Density:
         return Density(0, 1)
     size, edges_in = g.n, g.m
     while True:
-        d = gcd(edges_in, size)
-        denser = _density_exceeds(g, edges_in // d, size // d)
+        denser = _density_exceeds(g, edges_in, size)
         if denser is None:
             return Density(2 * edges_in, size)
         size = len(denser)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from ttone import blocks, coloring
 from ttone.coloring import (StructuralError, Violation, check_structure,
                             label_mask, label_stream)
-from ttone.graphs import (Graph, _Dinic, _run, distances_within,
+from ttone.graphs import (Graph, _min_cut, _run, distances_within,
                           outerplanar_edge_at, planar_reducible_at)
 
 
@@ -87,11 +87,44 @@ def edge_node_density_exceeds(g: Graph, threshold: Fraction):
     for i, (u, v) in enumerate(g.edges()):
         arcs += [(src, 1 + i, q, 0), (1 + i, 1 + m + u, big, 0),
                  (1 + i, 1 + m + v, big, 0)]
-    net = _Dinic(m + n + 2, arcs)
-    if net.max_flow(src, snk) >= q * m:
+    flow, side = _min_cut(m + n + 2, arcs, src, snk)
+    if flow >= q * m:
         return None
-    side = net.source_side(src)
     return {v for v in range(n) if 1 + m + v in side}
+
+
+def augmenting_path_cut(size: int, arcs, s: int, t: int):
+    """graphs._min_cut by Edmonds and Karp: augment along a shortest path
+    of the residual network, found by BFS, until t is out of reach; return
+    the flow and the nodes s reaches in the residual network.  Capacities
+    live in a dict per node, so parallel arcs merge and an arc's reverse
+    is read by its endpoints."""
+    res = [{} for _ in range(size)]
+    for u, v, c, back in arcs:
+        res[u][v] = res[u].get(v, 0) + c
+        res[v][u] = res[v].get(u, 0) + back
+    flow = 0
+    while True:
+        parent = {s: None}
+        queue = deque([s])
+        while queue and t not in parent:
+            u = queue.popleft()
+            for v, c in res[u].items():
+                if c and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        if t not in parent:
+            return flow, set(parent)
+        path = []
+        v = t
+        while parent[v] is not None:
+            path.append((parent[v], v))
+            v = parent[v]
+        pushed = min(res[u][v] for u, v in path)
+        for u, v in path:
+            res[u][v] -= pushed
+            res[v][u] += pushed
+        flow += pushed
 
 
 def brute_densest_witness(g: Graph, threshold: Fraction):

@@ -102,7 +102,7 @@ def test_validation_verifies_each_distinct_window_once(monkeypatch):
         return real(g, col)
 
     monkeypatch.setattr(coloring, "verify_partial", counted)
-    monkeypatch.setattr(blocks, "_VALIDATED", False)
+    ensure_validated.cache_clear()
     ensure_validated()
     windows = {table.blocks[a][-t:] + table.blocks[b][:t]
                for t, table in BLOCK_TABLES.items()

@@ -259,20 +259,34 @@ def test_tau_budget_exhaustion(tmp_path, capsys):
     assert json.loads(out)["status"] == "timeout"
 
 
-def test_tau_near_the_tone_runs_in_one_gib():
-    # tau --t 40 on three isolated vertices compiles the palette k = t = 40,
-    # whose tables must stay small where C(40, 20) bits would not fit
+def capped_cli(cap: int, *argv, stdin=""):
+    """`python -m ttone.cli argv` in a child whose address space is capped
+    at cap bytes (RLIMIT_AS), on the src/ under test."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ttone.__file__)))
-    cap = 1 << 30
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
-    out = subprocess.run([sys.executable, "-m", "ttone.cli", "tau", "--t", "40"],
-                         input="3 0\n", capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=src), preexec_fn=limit)
+    return subprocess.run([sys.executable, "-m", "ttone.cli", *argv],
+                          input=stdin, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          preexec_fn=limit)
+
+
+def test_tau_near_the_tone_runs_in_one_gib():
+    # tau --t 40 on three isolated vertices compiles the palette k = t = 40,
+    # whose tables must stay small where C(40, 20) bits would not fit
+    out = capped_cli(1 << 30, "tau", "--t", "40", stdin="3 0\n")
     assert out.returncode == 0, out.stderr
     assert '"value":40' in out.stdout
+
+
+def test_out_of_memory_exits_3():
+    # a million-vertex cycle does not fit in 200 MiB: a resource bound, like
+    # the search budget, reported on one line with no traceback
+    out = capped_cli(200 << 20, "gen", "--cycle", "1000000")
+    assert (out.returncode, out.stdout) == (3, "")
+    assert out.stderr == "error: out of memory\n"
 
 
 def test_bounds_verb(tmp_path, capsys):
@@ -352,7 +366,7 @@ def test_corrupt_block_table_exits_5(capsys, monkeypatch):
     seq = list(blocks._BLOCKS_T2[5])
     seq[1] = seq[0]
     monkeypatch.setitem(blocks._BLOCKS_T2, 5, tuple(seq))
-    monkeypatch.setattr(blocks, "_VALIDATED", False)
+    blocks.ensure_validated.cache_clear()
     code, out, err = invoke(["color", "--family", "cycle", "--t", "2"], capsys,
                             stdin=write_edge_list(gen_cycle(9)),
                             monkeypatch=monkeypatch)

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (ThreadConfig, bfs_distances, brute_densest_witness,
-                      brute_mad, degeneracy_order, edge_node_density_exceeds,
-                      find_outerplanar_edge, find_planar_reducible,
-                      find_thread_config, graphs, greedy_2tone_palette,
-                      induced, random_steps, scan_effective_diameter)
+from conftest import (ThreadConfig, augmenting_path_cut, bfs_distances,
+                      brute_densest_witness, brute_mad, degeneracy_order,
+                      edge_node_density_exceeds, find_outerplanar_edge,
+                      find_planar_reducible, find_thread_config, graphs,
+                      greedy_2tone_palette, induced, random_steps,
+                      scan_effective_diameter)
 from ttone.coloring import greedy_color
 from ttone import constructions, instances
 from ttone import graphs as graphs_mod
@@ -339,14 +340,19 @@ def test_mad_flow_matches_bruteforce(g):
 
 
 def test_mad_flow_calls(monkeypatch):
-    calls = []
-    exceeds = graphs_mod._density_exceeds
+    calls, networks = [], []
+    exceeds, min_cut = graphs_mod._density_exceeds, graphs_mod._min_cut
 
     def counted(g, p, q):
         calls.append((p, q))
         return exceeds(g, p, q)
 
+    def recorded(size, arcs, s, t):
+        networks.append((size, arcs))
+        return min_cut(size, arcs, s, t)
+
     monkeypatch.setattr(graphs_mod, "_density_exceeds", counted)
+    monkeypatch.setattr(graphs_mod, "_min_cut", recorded)
     k4_tail = Graph(7, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
                         (3, 4), (4, 5), (5, 6)])
     for g, want in [(gen_star(4), 1), (gen_cycle(6), 1), (gen_grid(3, 3), 1),
@@ -355,8 +361,37 @@ def test_mad_flow_calls(monkeypatch):
         got = mad(g)
         assert len(calls) == want, (g, calls)
     assert got == Density(12, 4)
-    # thresholds in lowest terms: 9 edges on 7 vertices, then K4's 6 on 4
-    assert calls == [(9, 7), (3, 2)]
+    # 9 edges on 7 vertices, then K4's 6 on 4, passed unreduced; the flow
+    # runs on the reduced threshold 3/2, so each edge's arc pair carries 2
+    assert calls == [(9, 7), (6, 4)]
+    size, arcs = networks[-1]
+    edge_arcs = {(u, v): (c, back) for u, v, c, back in arcs
+                 if u < size - 2 and v < size - 2}
+    assert edge_arcs == {e: (2, 2) for e in k4_tail.edges()}
+
+
+@st.composite
+def networks(draw):
+    """(size, arcs) on 2..8 nodes: arcs (u, v, c, back) with u != v,
+    parallel and antiparallel arcs allowed, capacities 0..6 each way."""
+    size = draw(st.integers(2, 8))
+    node = st.integers(0, size - 1)
+    cap = st.integers(0, 6)
+    arcs = draw(st.lists(st.tuples(node, node, cap, cap).filter(
+        lambda a: a[0] != a[1]), max_size=16))
+    return size, arcs
+
+
+@given(networks(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_min_cut_matches_augmenting_paths(net, data):
+    # s's residual reach is the same for every maximum flow, so the two
+    # algorithms agree on the side as well as on the flow
+    size, arcs = net
+    s, t = data.draw(st.lists(st.integers(0, size - 1), min_size=2,
+                              max_size=2, unique=True))
+    assert graphs_mod._min_cut(size, arcs, s, t) == \
+        augmenting_path_cut(size, arcs, s, t)
 
 
 @given(graphs(max_n=9), st.randoms(use_true_random=False))
@@ -391,13 +426,13 @@ def test_mad_on_long_chains():
 
 def test_density_gate_network_is_on_the_vertices(monkeypatch):
     sizes = []
+    min_cut = graphs_mod._min_cut
 
-    class Counted(graphs_mod._Dinic):
-        def __init__(self, size, arcs):
-            sizes.append(size)
-            super().__init__(size, arcs)
+    def counted(size, arcs, s, t):
+        sizes.append(size)
+        return min_cut(size, arcs, s, t)
 
-    monkeypatch.setattr(graphs_mod, "_Dinic", Counted)
+    monkeypatch.setattr(graphs_mod, "_min_cut", counted)
     k4_tail = Graph(7, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
                         (3, 4), (4, 5), (5, 6)])
     for g in [gen_cycle(6), gen_grid(3, 3), k4_tail]:
