@@ -9,19 +9,24 @@ from math import comb
 
 from .bounds import best_lower_bound
 from .coloring import Coloring, _checked, label_mask, label_stream
-from .graphs import Graph, constraint_pairs, distances_within
+from .graphs import Graph, distances_within
 
 
 class SearchBudget(namedtuple("SearchBudget", "max_nodes wall_limit")):
-    """Limits for one exact_decide or tau call: max_nodes bounds the nodes of
-    each decision (each k, for tau), and the optional wall_limit the seconds
-    of the whole call."""
+    """Limits for one exact_decide or tau call: max_nodes, a positive int,
+    bounds the nodes of each decision (each k, for tau), and the optional
+    wall_limit, a positive int or float, the seconds of the whole call.
+    A bool is neither: True would pass for a 1-node or 1-second limit."""
 
     __slots__ = ()
 
     def __new__(cls, max_nodes: int = 200_000_000, wall_limit: float = None):
+        if not isinstance(max_nodes, int) or isinstance(max_nodes, bool):
+            raise ValueError("max_nodes must be an int")
         if max_nodes <= 0:
             raise ValueError("max_nodes must be positive")
+        if isinstance(wall_limit, bool):
+            raise ValueError("wall_limit must be a number, not a bool")
         if wall_limit is not None and not wall_limit > 0:   # NaN too
             raise ValueError("wall_limit must be positive")
         return super().__new__(cls, max_nodes, wall_limit)
@@ -56,19 +61,33 @@ def search_order(g: Graph) -> list:
 
 
 def search_layout(g: Graph, t: int) -> tuple:
-    """(order, cons): search_order(g), and for each position i its
-    constraints to earlier positions as (j, cap) pairs sorted by cap, cap
-    being the most colors the two labels may share (distance minus 1).
-    They depend on g and t only, so tau builds them once for every k."""
+    """(order, cons, later, span), the tables of a search that depend on g
+    and t alone, so that tau builds them once for every k.  order is
+    search_order(g); cons[i] holds position i's constraints to earlier
+    positions as (j, cap) pairs, cap being the most colors the two labels
+    may share (distance minus 1), in order of cap; later[j] holds the same
+    constraints from j's side as (i, cap) pairs, i increasing; span[j] is
+    one past the last i in later[j] (j + 1 when there is none).  One
+    distances_within ball per position in search order gives both lists;
+    its keys come in order of distance, so cons needs no sort, and within
+    one cap they keep the ball's discovery order.  The search loops only
+    AND or test a position's constraints, so that order changes nothing."""
     order = search_order(g)
-    pos = {v: i for i, v in enumerate(order)}
-    cons = [[] for _ in range(g.n)]
-    for u, v, d in constraint_pairs(g, t):
-        i, j = pos[u], pos[v]
-        cons[max(i, j)].append((min(i, j), d - 1))
-    for lst in cons:
-        lst.sort(key=lambda jc: jc[1])
-    return order, cons
+    pos = [0] * g.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    cons = []
+    later = [[] for _ in range(g.n)]
+    for i, v in enumerate(order):
+        earlier = []
+        for w, d in distances_within(g, v, t).items():
+            j = pos[w]
+            if j < i:
+                earlier.append((j, d - 1))
+                later[j].append((i, d - 1))
+        cons.append(earlier)
+    span = [lst[-1][0] + 1 if lst else j + 1 for j, lst in enumerate(later)]
+    return order, cons, later, span
 
 
 class _Timeout(Exception):
@@ -200,9 +219,13 @@ class _Searcher:
     Both loops are iterative, so the depth of the search never touches the
     interpreter's recursion limit.
 
-    When k * C(k, t) <= _COMPILE_BITS the labels are compiled to bits in
-    lex order, and the tables that depend on (k, t) alone come from
-    _palette, built once per palette and shared by the decisions on it.
+    The tables that depend on (g, t) alone, the order and the constraints
+    of each position to earlier and to later ones, come from the layout
+    (see search_layout), which tau builds once for all its k.  When
+    k * C(k, t) <= _COMPILE_BITS the labels are compiled to bits in lex
+    order, and the tables that depend on (k, t) alone come from _palette,
+    built once per palette and shared by the decisions on it, so a
+    decision binds only its palette.
     A position's domain is the AND of allowed(mask, cap), the labels
     sharing at most cap colors with mask, over its constraints to labeled
     positions; L is in it iff L passes label_stream's caps, and in
@@ -231,14 +254,14 @@ class _Searcher:
         self.g = g
         self.t = t
         self.k = k
-        self.order, self.cons = layout or search_layout(g, t)
+        self.order, self.cons, self.later, self.span = \
+            layout or search_layout(g, t)
         self.nodes = 0
         self.max_nodes = 0
         self.deadline = None
         self.palette = None
         if k * comb(k, t) <= _COMPILE_BITS:
             self.palette = _palette(k, t)
-            self.allowed = self.palette.allowed
 
     def _budget(self, nodes: int) -> int:
         """Record nodes and raise _Timeout past max_nodes, or past the
@@ -295,8 +318,10 @@ class _Searcher:
 
     def _dfs_compiled(self, start: int, mx: int, out: list) -> bool:
         """Forward checking over one stack of candidate bitsets, with tops
-        (the mx of each open position) and seen beside it.  later[i] holds
-        (j, allowed[cap]) per constraint from i to a later j, all of them in
+        (the mx of each open position) and seen beside it.  It builds no
+        table of the graph: later[i] and span[i] come from the layout, and
+        a label with mask m at i ANDs the palette's allowed[cap][m] into
+        dom[j] for each (j, cap) of later[i], all of them in
         dom[i+1:span[i]]; saved[i] is that slice as it was before i's label
         narrowed it.  Every domain starts as full, and each label of out
         ANDs its allowed sets into the positions along its later list.
@@ -318,18 +343,13 @@ class _Searcher:
         subtree is thus isomorphic to one that failed completely, and fails
         with the same count; a jump past max_nodes or past a multiple of
         2048 is checked as the walk's single steps were (see _budget)."""
-        n = self.g.n
-        later = [[] for _ in range(n)]
-        for j, lst in enumerate(self.cons):
-            for i, cap in lst:
-                later[i].append((j, self.allowed[cap]))
-        span = [max((j for j, _ in lst), default=i) + 1
-                for i, lst in enumerate(later)]
+        n, later, span = self.g.n, self.later, self.span
+        allowed = self.palette.allowed
         dom = [self.palette.full] * n
         for p, label in enumerate(out):
             m = label_mask(label)
-            for j, allowed in later[p]:
-                dom[j] &= allowed[m]
+            for j, cap in later[p]:
+                dom[j] &= allowed[cap][m]
         if not all(dom[start:]):
             return False
         canonical, decoded = self.palette.canonical, self.palette.decoded
@@ -377,8 +397,8 @@ class _Searcher:
                 check = self._budget(nodes)
             hi = span[i]
             saved[i] = dom[i + 1:hi]
-            for j, allowed in later[i]:
-                d = dom[j] & allowed[m]
+            for j, cap in later[i]:
+                d = dom[j] & allowed[cap][m]
                 if not d:
                     dom[i + 1:hi] = saved[i]
                     seen[-1][key] = 1
@@ -401,8 +421,8 @@ class _Searcher:
                 seen.append({})
 
 
-def exact_decide(g: Graph, t: int, k: int, budget: SearchBudget = None,
-                 *, layout: tuple = None) -> DecideResult:
+def exact_decide(g: Graph, t: int, k: int,
+                 budget: SearchBudget = None) -> DecideResult:
     """Complete search for a tone-t coloring of g with k colors.
 
     Returns a verified coloring, "infeasible" after exhausting the
@@ -417,18 +437,24 @@ def exact_decide(g: Graph, t: int, k: int, budget: SearchBudget = None,
     vertex on, those that forward checking rejects included, and some
     counted by isomorphism rather than walked (see _Searcher).  Where
     2t > k on a graph with an edge, or the first two labels already empty
-    a domain, "infeasible" comes at 0 nodes.
-    layout is search_layout(g, t), for a caller that decides several k on
-    one graph; it is built when None.
+    a domain, "infeasible" comes at 0 nodes.  The search layout is built
+    for this one decision; tau builds it once for all its k.
     """
     if t < 1:
         raise ValueError("need t >= 1")
+    return _decide(g, t, k, SearchBudget() if budget is None else budget,
+                   None)
+
+
+def _decide(g: Graph, t: int, k: int, budget: SearchBudget,
+            layout: tuple) -> DecideResult:
+    """exact_decide for t >= 1, on layout = search_layout(g, t), or on one
+    built here when layout is None.  The layout is taken on trust: one of
+    another graph or tone decides wrongly, so only tau passes one."""
     if g.n == 0 and k >= 0:     # the empty coloring fits any palette
         return DecideResult("colored", Coloring(t, k))
     if k < t:
         return DecideResult("infeasible")
-    if budget is None:
-        budget = SearchBudget()
     base = tuple(range(1, t + 1))
     if g.n == 1:
         return DecideResult("colored", Coloring(t, k, {0: base}), 1)
@@ -467,6 +493,8 @@ def tau(g: Graph, t: int, budget: SearchBudget = None) -> TauResult:
     holds per k; its wall_limit is one deadline for the whole call, each k
     getting what is left of it.
     """
+    if t < 1:
+        raise ValueError("need t >= 1")
     if g.n == 0:
         return TauResult("resolved", value=0, coloring=Coloring(t, 0))
     if budget is None:
@@ -485,7 +513,7 @@ def tau(g: Graph, t: int, budget: SearchBudget = None) -> TauResult:
             if not left > 0:
                 return TauResult("timeout", lower_bound=k, nodes=total)
             budget = SearchBudget(budget.max_nodes, left)
-        res = exact_decide(g, t, k, budget, layout=layout)
+        res = _decide(g, t, k, budget, layout)
         total += res.nodes
         if res.status == "colored":
             if last_refuted is None:

@@ -11,11 +11,12 @@ from math import isqrt
 
 from hypothesis import strategies as st
 
-from ttone import blocks, coloring
+from ttone import blocks, coloring, exact
 from ttone.coloring import (StructuralError, Violation, check_structure,
                             label_mask, label_stream)
-from ttone.graphs import (Graph, _min_cut, _run, distances_within,
-                          outerplanar_edge_at, planar_reducible_at)
+from ttone.graphs import (Graph, _min_cut, _run, constraint_pairs,
+                          distances_within, outerplanar_edge_at,
+                          planar_reducible_at)
 
 
 @st.composite
@@ -421,6 +422,30 @@ def count_verifies(monkeypatch) -> list:
     return calls
 
 
+def pairs_layout(g: Graph, t: int) -> tuple:
+    """exact.search_layout as it was built from constraint_pairs, with the
+    later and span tables _dfs_compiled then built per decision: each pair
+    (u, v, d) goes to the later of its two positions as (earlier, d - 1),
+    each cons list is sorted by cap, later[i] collects (j, cap) over the
+    cons of every later j in order of j, and span[i] is one past the
+    largest such j (i + 1 when there is none)."""
+    order = exact.search_order(g)
+    pos = {v: i for i, v in enumerate(order)}
+    cons = [[] for _ in range(g.n)]
+    for u, v, d in constraint_pairs(g, t):
+        i, j = pos[u], pos[v]
+        cons[max(i, j)].append((min(i, j), d - 1))
+    for lst in cons:
+        lst.sort(key=lambda jc: jc[1])
+    later = [[] for _ in range(g.n)]
+    for j, lst in enumerate(cons):
+        for i, cap in lst:
+            later[i].append((j, cap))
+    span = [max((j for j, _ in lst), default=i) + 1
+            for i, lst in enumerate(later)]
+    return order, cons, later, span
+
+
 def walk_dfs_compiled(self, start: int, mx: int, out: list) -> bool:
     """exact._Searcher._dfs_compiled as it was before it counted the
     subtrees of symmetric siblings: it walks every node.  Forward
@@ -435,7 +460,7 @@ def walk_dfs_compiled(self, start: int, mx: int, out: list) -> bool:
     later = [[] for _ in range(n)]
     for j, lst in enumerate(self.cons):
         for i, cap in lst:
-            later[i].append((j, self.allowed[cap]))
+            later[i].append((j, self.palette.allowed[cap]))
     span = [max((j for j, _ in lst), default=i) + 1
             for i, lst in enumerate(later)]
     dom = [self.palette.full] * n

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (count_verifies, graphs, rescan_search_order,
-                      walk_dfs_compiled)
+from conftest import (count_verifies, graphs, pairs_layout,
+                      rescan_search_order, walk_dfs_compiled)
 from ttone.bounds import Certificate, path_tau
 from ttone.coloring import Coloring, label_mask, label_stream, verify
 from ttone import exact
 from ttone.exact import (ExhaustionProof, SearchBudget, _Searcher,
-                         exact_decide, search_order, tau)
+                         exact_decide, search_layout, search_order, tau)
 from ttone.graphs import Graph, gen_cycle, gen_path, gen_star
 
 
@@ -350,17 +350,17 @@ def test_tau_wall_limit_is_one_deadline(monkeypatch):
     # covers the whole call, and each k gets what is left of it.
     now = [0.0]
     limits = []
-    decide = exact.exact_decide
+    decide = exact._decide
 
-    def one_second_decide(g, t, k, budget=None, **kwargs):
+    def one_second_decide(g, t, k, budget, layout):
         limits.append(budget.wall_limit)
         try:
-            return decide(g, t, k, budget, **kwargs)
+            return decide(g, t, k, budget, layout)
         finally:
             now[0] += 1.0
 
     monkeypatch.setattr(exact.time, "monotonic", lambda: now[0])
-    monkeypatch.setattr(exact, "exact_decide", one_second_decide)
+    monkeypatch.setattr(exact, "_decide", one_second_decide)
     # tau(C7, 2): k = 5 is refuted, k = 6 colors
     res = tau(gen_cycle(7), 2, SearchBudget(wall_limit=10))
     assert (res.status, res.value) == ("resolved", 6)
@@ -382,6 +382,37 @@ def test_tau_builds_the_layout_once(monkeypatch):
                         lambda g, t: calls.append(t) or build(g, t))
     res = tau(gen_cycle(7), 2)
     assert res.lower_certificate.k == 5 and calls == [2]
+
+
+def test_decide_takes_no_layout():
+    # A layout is taken on trust, so only tau hands one over: one of C7 made
+    # P7 (tau_3 = 8) "infeasible" at 84 nodes.
+    with pytest.raises(TypeError):
+        exact_decide(gen_path(7), 3, 8, layout=search_layout(gen_cycle(7), 3))
+    assert exact_decide(gen_path(7), 3, 8).status == "colored"
+
+
+@pytest.mark.parametrize("t", [0, -3])
+def test_tone_below_one_is_refused(t):
+    for g in (Graph(0, []), gen_cycle(5)):
+        with pytest.raises(ValueError, match="need t >= 1"):
+            exact_decide(g, t, 5)
+        with pytest.raises(ValueError, match="need t >= 1"):
+            tau(g, t)
+
+
+@given(graphs(), st.integers(1, 5))
+@settings(max_examples=150, deadline=None)
+def test_search_layout_matches_the_constraint_pairs(g, t):
+    # The one-ball-per-position layout against the one built from
+    # constraint_pairs: the same order, the same constraints per position
+    # (cons in order of cap), and equal later and span.
+    order, cons, later, span = search_layout(g, t)
+    want_order, want_cons, want_later, want_span = pairs_layout(g, t)
+    assert order == want_order
+    assert [sorted(c) for c in cons] == [sorted(c) for c in want_cons]
+    assert all(c == sorted(c, key=lambda jc: jc[1]) for c in cons)
+    assert (later, span) == (want_later, want_span)
 
 
 def test_search_above_the_guard_walks_lazily():

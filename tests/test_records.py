@@ -152,3 +152,10 @@ def test_search_budget_construction_and_errors():
         SearchBudget(max_nodes=5, wall_limit=float("nan"))
     with pytest.raises(TypeError):
         SearchBudget(max_node=5)
+    # no coercion: a bool is no count of nodes or seconds, 2.5 no count
+    for bad in (True, False, 2.5, 10.0, "5"):
+        with pytest.raises(ValueError, match="max_nodes must be an int"):
+            SearchBudget(max_nodes=bad)
+    for bad in (True, False):
+        with pytest.raises(ValueError, match="wall_limit must be a number"):
+            SearchBudget(wall_limit=bad)
