@@ -385,8 +385,8 @@ def test_tau_builds_the_layout_once(monkeypatch):
 
 
 def test_decide_takes_no_layout():
-    # A layout is taken on trust, so only tau hands one over: one of C7 made
-    # P7 (tau_3 = 8) "infeasible" at 84 nodes.
+    # A layout is taken on trust (one of C7 would decide P7, where tau_3 is
+    # 8, wrongly), so only tau hands one over.
     with pytest.raises(TypeError):
         exact_decide(gen_path(7), 3, 8, layout=search_layout(gen_cycle(7), 3))
     assert exact_decide(gen_path(7), 3, 8).status == "colored"
