@@ -18,9 +18,9 @@ from .constructions import (ClassPreconditionError, color_cycle,
                             color_fat_triangle, color_grid, color_outerplanar,
                             color_path, color_planar, color_sparse, decompose)
 from .exact import (DecideResult, SearchBudget, TauResult, exact_decide, tau)
-from .graphs import (Density, Graph, GraphError, constraint_pairs, gen_cycle,
-                     gen_fat_triangle, gen_grid, gen_path, gen_star, mad,
-                     read_edge_list, write_edge_list)
+from .graphs import (Density, Graph, GraphError, gen_cycle, gen_fat_triangle,
+                     gen_grid, gen_path, gen_star, mad, read_edge_list,
+                     write_edge_list)
 
 __all__ = [
     "BLOCK_TABLES", "Certificate", "ClassPreconditionError", "Coloring",
@@ -29,7 +29,7 @@ __all__ = [
     "available_labels", "best_lower_bound", "c4_lower", "c9_t5_counting",
     "certificates", "color_cycle", "color_fat_triangle", "color_grid",
     "color_outerplanar", "color_path", "color_planar", "color_sparse",
-    "constraint_pairs", "cycle_counting_t3", "cycle_value", "decompose",
+    "cycle_counting_t3", "cycle_value", "decompose",
     "exact_decide", "gen_cycle", "gen_fat_triangle", "gen_grid", "gen_path",
     "gen_star", "greedy_color", "greedy_extend", "h_t_bounds", "mad",
     "path_tau", "read_edge_list", "star_lower", "tau", "verify",

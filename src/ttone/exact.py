@@ -9,7 +9,7 @@ from math import comb
 
 from .bounds import best_lower_bound
 from .coloring import Coloring, _checked, label_mask, label_stream
-from .graphs import Graph, distances_within
+from .graphs import Graph, components, distances_within
 
 
 class SearchBudget(namedtuple("SearchBudget", "max_nodes wall_limit")):
@@ -49,15 +49,7 @@ TauResult = namedtuple("TauResult", "status value coloring lower_certificate "
 def search_order(g: Graph) -> list:
     """Breadth-first order from a maximum-degree vertex; further components
     are appended the same way (max degree first, ties by smallest id)."""
-    seen = [False] * g.n
-    order = []
-    for start in sorted(range(g.n), key=lambda v: (-g.degree(v), v)):
-        if not seen[start]:
-            comp = [start, *distances_within(g, start, g.n)]
-            for u in comp:
-                seen[u] = True
-            order += comp
-    return order
+    return [v for root, reach in components(g) for v in (root, *reach)]
 
 
 def search_layout(g: Graph, t: int) -> tuple:
@@ -217,15 +209,17 @@ class _Searcher:
     them as out to one of two loops, _dfs_compiled or _dfs_lazy, which
     builds its state from them and searches the positions after them.
     Both loops are iterative, so the depth of the search never touches the
-    interpreter's recursion limit.
+    interpreter's recursion limit.  A searcher is built whole, with its
+    layout, t, k, max_nodes and monotonic deadline (None for none); only
+    nodes changes after that.
 
     The tables that depend on (g, t) alone, the order and the constraints
     of each position to earlier and to later ones, come from the layout
-    (see search_layout), which tau builds once for all its k.  When
-    k * C(k, t) <= _COMPILE_BITS the labels are compiled to bits in lex
-    order, and the tables that depend on (k, t) alone come from _palette,
-    built once per palette and shared by the decisions on it, so a
-    decision binds only its palette.
+    (see search_layout), which the caller builds: exact_decide for its one
+    decision, tau once for all its k.  When k * C(k, t) <= _COMPILE_BITS
+    the labels are compiled to bits in lex order, and the tables that
+    depend on (k, t) alone come from _palette, built once per palette and
+    shared by the decisions on it, so a decision binds only its palette.
     A position's domain is the AND of allowed(mask, cap), the labels
     sharing at most cap colors with mask, over its constraints to labeled
     positions; L is in it iff L passes label_stream's caps, and in
@@ -250,15 +244,14 @@ class _Searcher:
     needs more.
     """
 
-    def __init__(self, g: Graph, t: int, k: int, layout: tuple = None):
-        self.g = g
+    def __init__(self, layout: tuple, t: int, k: int, max_nodes: int,
+                 deadline: float):
+        self.order, self.cons, self.later, self.span = layout
         self.t = t
         self.k = k
-        self.order, self.cons, self.later, self.span = \
-            layout or search_layout(g, t)
+        self.max_nodes = max_nodes
+        self.deadline = deadline
         self.nodes = 0
-        self.max_nodes = 0
-        self.deadline = None
         self.palette = None
         if k * comb(k, t) <= _COMPILE_BITS:
             self.palette = _palette(k, t)
@@ -283,7 +276,7 @@ class _Searcher:
     def _dfs_lazy(self, start: int, mx: int, out: list) -> bool:
         """One label_stream per open position, over its caps to the label
         masks of the earlier positions (masks, seeded from out)."""
-        n, k, t, cons = self.g.n, self.k, self.t, self.cons
+        n, k, t, cons = len(self.order), self.k, self.t, self.cons
         masks = [label_mask(label) for label in out] + [0] * (n - start)
 
         def stream(i, top):
@@ -343,7 +336,7 @@ class _Searcher:
         subtree is thus isomorphic to one that failed completely, and fails
         with the same count; a jump past max_nodes or past a multiple of
         2048 is checked as the walk's single steps were (see _budget)."""
-        n, later, span = self.g.n, self.later, self.span
+        n, later, span = len(self.order), self.later, self.span
         allowed = self.palette.allowed
         dom = [self.palette.full] * n
         for p, label in enumerate(out):
@@ -421,36 +414,52 @@ class _Searcher:
                 seen.append({})
 
 
+def _limits(budget: SearchBudget, t: int, *ks) -> tuple:
+    """Check that t and each of ks are ints, not bools, with t >= 1, and
+    return budget (SearchBudget() when None) as (max_nodes, deadline), the
+    deadline on time.monotonic, or None without a wall_limit."""
+    if any(type(x) is not int for x in (t, *ks)) or t < 1:
+        raise ValueError("need t >= 1, with t and k ints")
+    if budget is None:
+        budget = SearchBudget()
+    if budget.wall_limit is None:
+        return budget.max_nodes, None
+    return budget.max_nodes, time.monotonic() + budget.wall_limit
+
+
 def exact_decide(g: Graph, t: int, k: int,
                  budget: SearchBudget = None) -> DecideResult:
     """Complete search for a tone-t coloring of g with k colors.
 
     Returns a verified coloring, "infeasible" after exhausting the
-    canonicalized tree, or "timeout".  The first vertex gets (1..t).  The
-    second gets (t+1..2t) when it has a constraint to the first, and (1..t)
-    when it has none; the search, with one budget, runs over the rest.
-    Fixing the second label loses nothing.  In breadth-first order from a
-    maximum-degree vertex, the second vertex is adjacent to the first
-    exactly when g has an edge, and then canonical introduction leaves it
-    only (t+1..2t), a label that needs 2t <= k.  On an edgeless graph
-    every label extends.  Nodes count the labels tried from the third
-    vertex on, those that forward checking rejects included, and some
-    counted by isomorphism rather than walked (see _Searcher).  Where
-    2t > k on a graph with an edge, or the first two labels already empty
-    a domain, "infeasible" comes at 0 nodes.  The search layout is built
-    for this one decision; tau builds it once for all its k.
+    canonicalized tree, or "timeout".  t and k must be ints, t >= 1 (a
+    negative k is infeasible); anything else raises ValueError before any
+    table or search.  The budget becomes one node cap and one deadline,
+    and the search layout of g and t is built for this one decision.
+
+    The first vertex gets (1..t).  The second gets (t+1..2t) when it has a
+    constraint to the first, and (1..t) when it has none; the search, with
+    one budget, runs over the rest.  Fixing the second label loses nothing.
+    In breadth-first order from a maximum-degree vertex, the second vertex
+    is adjacent to the first exactly when g has an edge, and then canonical
+    introduction leaves it only (t+1..2t), a label that needs 2t <= k.  On
+    an edgeless graph every label extends.  Nodes count the labels tried
+    from the third vertex on, those that forward checking rejects included,
+    and some counted by isomorphism rather than walked (see _Searcher).
+    Where 2t > k on a graph with an edge, or the first two labels already
+    empty a domain, "infeasible" comes at 0 nodes.
     """
-    if t < 1:
-        raise ValueError("need t >= 1")
-    return _decide(g, t, k, SearchBudget() if budget is None else budget,
-                   None)
+    max_nodes, deadline = _limits(budget, t, k)
+    return _decide(g, t, k, max_nodes, deadline, search_layout(g, t))
 
 
-def _decide(g: Graph, t: int, k: int, budget: SearchBudget,
+def _decide(g: Graph, t: int, k: int, max_nodes: int, deadline: float,
             layout: tuple) -> DecideResult:
-    """exact_decide for t >= 1, on layout = search_layout(g, t), or on one
-    built here when layout is None.  The layout is taken on trust: one of
-    another graph or tone decides wrongly, so only tau passes one."""
+    """exact_decide past its checks: at most max_nodes nodes, stopping
+    past the monotonic deadline unless it is None, on layout =
+    search_layout(g, t), which the caller builds.  The layout is taken on
+    trust, since one of another graph or tone decides wrongly; only
+    exact_decide and tau call this, each with the layout of its g and t."""
     if g.n == 0 and k >= 0:     # the empty coloring fits any palette
         return DecideResult("colored", Coloring(t, k))
     if k < t:
@@ -458,10 +467,7 @@ def _decide(g: Graph, t: int, k: int, budget: SearchBudget,
     base = tuple(range(1, t + 1))
     if g.n == 1:
         return DecideResult("colored", Coloring(t, k, {0: base}), 1)
-    searcher = _Searcher(g, t, k, layout)
-    searcher.max_nodes = budget.max_nodes
-    if budget.wall_limit is not None:
-        searcher.deadline = time.monotonic() + budget.wall_limit
+    searcher = _Searcher(layout, t, k, max_nodes, deadline)
     second = tuple(range(t + 1, 2 * t + 1)) if searcher.cons[1] else base
     if second[-1] > k:
         return DecideResult("infeasible")
@@ -489,31 +495,23 @@ def tau(g: Graph, t: int, budget: SearchBudget = None) -> TauResult:
     Starts at the largest applicable lower bound and increments k until the
     decision search succeeds; the infeasibility evidence for value-1 is the
     starting certificate (when the first k works) or the exhausted search.
+    t must be an int >= 1, else ValueError before any table or search.
     The search layout is built once for every k.  The budget's max_nodes
-    holds per k; its wall_limit is one deadline for the whole call, each k
-    getting what is left of it.
+    holds per k; its wall_limit becomes one deadline for the whole call,
+    which every k receives as it is.
     """
-    if t < 1:
-        raise ValueError("need t >= 1")
+    max_nodes, deadline = _limits(budget, t)
     if g.n == 0:
         return TauResult("resolved", value=0, coloring=Coloring(t, 0))
-    if budget is None:
-        budget = SearchBudget()
-    deadline = None
-    if budget.wall_limit is not None:
-        deadline = time.monotonic() + budget.wall_limit
     cert = best_lower_bound(g, t)
     k0 = max(t, cert.bound)
     layout = search_layout(g, t)
     total = 0
     last_refuted = None
     for k in range(k0, g.n * t + 1):
-        if deadline is not None:
-            left = deadline - time.monotonic()
-            if not left > 0:
-                return TauResult("timeout", lower_bound=k, nodes=total)
-            budget = SearchBudget(budget.max_nodes, left)
-        res = _decide(g, t, k, budget, layout)
+        if deadline is not None and time.monotonic() >= deadline:
+            return TauResult("timeout", lower_bound=k, nodes=total)
+        res = _decide(g, t, k, max_nodes, deadline, layout)
         total += res.nodes
         if res.status == "colored":
             if last_refuted is None:

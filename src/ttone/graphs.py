@@ -148,37 +148,35 @@ def distances_within(g: Graph, v: int, radius: int) -> dict:
     return dist
 
 
-def constraint_pairs(g: Graph, t: int) -> list:
-    """All unordered pairs (u, v, d) with u < v and 1 <= d = d(u,v) <= t."""
-    pairs = []
-    for u in range(g.n):
-        for v, d in sorted(distances_within(g, u, t).items()):
-            if v > u:
-                pairs.append((u, v, d))
-    return pairs
+def components(g: Graph):
+    """Yield (root, reach) for each component of g: root is its vertex of
+    largest degree (ties by smallest id), reach is distances_within(g,
+    root, g.n), and the roots come in that order."""
+    seen = [False] * g.n
+    for root in sorted(range(g.n), key=lambda v: (-g.degree(v), v)):
+        if not seen[root]:
+            reach = distances_within(g, root, g.n)
+            seen[root] = True
+            for v in reach:
+                seen[v] = True
+            yield root, reach
 
 
 def effective_diameter(g: Graph, cap: int) -> int:
     """max over vertices of min(eccentricity, cap), ignoring unreachable pairs.
 
-    iFUB (Crescenzi et al. 2013) per component: a BFS from its vertex of
-    largest degree (ties by smallest id), then capped BFSs from its levels,
-    farthest first, until one reaches cap or best >= 2i at level i (nearer
-    vertices then have eccentricity at most max(2i, best))."""
+    iFUB (Crescenzi et al. 2013) per component: the BFS from its root (see
+    components), then capped BFSs from its levels, farthest first, until
+    one reaches cap or best >= 2i at level i (nearer vertices then have
+    eccentricity at most max(2i, best))."""
     best = 0
-    done = [False] * g.n
-    for root in sorted(range(g.n), key=lambda v: (-g.degree(v), v)):
-        if done[root]:
-            continue
-        done[root] = True
-        reach = distances_within(g, root, g.n)
+    for _, reach in components(g):
         ecc = max(reach.values(), default=0)
         if ecc >= cap:
             return cap
         best = max(best, ecc)
         levels = [[] for _ in range(ecc + 1)]
         for v, d in reach.items():
-            done[v] = True
             levels[d].append(v)
         for i in range(ecc, 0, -1):
             for v in levels[i]:
@@ -475,13 +473,11 @@ def _density_exceeds(g: Graph, p: int, q: int):
     d = gcd(p, q)
     p, q = p // d, q // d
     if p < q:
-        side, done = set(), set()
-        for root in range(n):
-            if root not in done:
-                comp = [root, *distances_within(g, root, n)]
-                done.update(comp)
-                if q * sum(len(g.adj[u]) for u in comp) > 2 * p * len(comp):
-                    side.update(comp)
+        side = set()
+        for root, reach in components(g):
+            comp = [root, *reach]
+            if q * sum(len(g.adj[u]) for u in comp) > 2 * p * len(comp):
+                side.update(comp)
         return side or None
     src, snk = n, n + 1
     excess = [q * len(a) - 2 * p for a in g.adj]

@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 from ttone import blocks, coloring, exact
 from ttone.coloring import (StructuralError, Violation, check_structure,
                             label_mask, label_stream)
-from ttone.graphs import (Graph, _min_cut, _run, constraint_pairs,
-                          distances_within, outerplanar_edge_at,
-                          planar_reducible_at)
+from ttone.graphs import (Graph, _min_cut, _run, distances_within,
+                          outerplanar_edge_at, planar_reducible_at)
 
 
 @st.composite
@@ -422,6 +421,16 @@ def count_verifies(monkeypatch) -> list:
     return calls
 
 
+def constraint_pairs(g: Graph, t: int) -> list:
+    """All unordered pairs (u, v, d) with u < v and 1 <= d = d(u,v) <= t."""
+    pairs = []
+    for u in range(g.n):
+        for v, d in sorted(distances_within(g, u, t).items()):
+            if v > u:
+                pairs.append((u, v, d))
+    return pairs
+
+
 def pairs_layout(g: Graph, t: int) -> tuple:
     """exact.search_layout as it was built from constraint_pairs, with the
     later and span tables _dfs_compiled then built per decision: each pair
@@ -456,7 +465,7 @@ def walk_dfs_compiled(self, start: int, mx: int, out: list) -> bool:
     Every domain starts as full, and each label of out ANDs its allowed
     sets into the positions along its later list.  Bound to a _Searcher,
     it decides as exact_decide did then."""
-    n = self.g.n
+    n = len(self.order)
     later = [[] for _ in range(n)]
     for j, lst in enumerate(self.cons):
         for i, cap in lst:

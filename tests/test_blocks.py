@@ -195,3 +195,16 @@ def test_derive_fixtures_reproduces_stored_tables():
         assert blocks._BLOCKS_T2[n] == seq, n
     for key, seq in witnesses.items():
         assert blocks._WITNESSES[key] == seq, key
+
+
+def test_survey_cycles_cross_checks_the_search():
+    # The survey script tabulates the constructions up to C12 and, with
+    # --exact, checks them against tau for n <= 9.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    script = root / "scripts" / "survey_cycles.py"
+    out = subprocess.run([sys.executable, str(script), "--max-n", "12",
+                          "--exact"], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert "MISMATCH" not in out.stdout
+    assert out.stdout.count("[ok]") == 7 * 4

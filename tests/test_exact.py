@@ -18,6 +18,11 @@ from ttone.exact import (ExhaustionProof, SearchBudget, _Searcher,
 from ttone.graphs import Graph, gen_cycle, gen_path, gen_star
 
 
+def _searcher(g, t, k):
+    """A _Searcher of g, t and k with a one-node cap and no deadline."""
+    return _Searcher(search_layout(g, t), t, k, 1, None)
+
+
 def test_search_order_starts_at_max_degree():
     assert search_order(gen_star(4))[0] == 0
     two = Graph(5, [(0, 1), (2, 3), (3, 4)])
@@ -179,7 +184,7 @@ def test_second_vertex_has_at_most_one_branch(g, t, extra):
     # first candidate is (1..t).  exact_decide fixes the second label to
     # that first candidate.
     k = t + extra
-    cons = _Searcher(g, t, k).cons[1]
+    cons = _searcher(g, t, k).cons[1]
     first = label_mask(range(1, t + 1))
     seconds = list(label_stream(k, t, [(first, cap) for _, cap in cons], t))
     if g.m == 0:
@@ -272,7 +277,7 @@ def test_compiled_candidates_equal_label_stream(g, t, extra, rng):
     # sets of its constraints to random labels, decoded lowest bit first,
     # are label_stream's labels under the same caps and reach bound.
     k = t + extra
-    s = _Searcher(g, t, k)
+    s = _searcher(g, t, k)
     pal = s.palette
     assert pal is not None
     masks = [label_mask(rng.sample(range(1, k + 1), t)) for _ in range(g.n)]
@@ -347,15 +352,15 @@ def test_deadline_is_read_when_a_count_jumps_past_2048(monkeypatch):
 
 def test_tau_wall_limit_is_one_deadline(monkeypatch):
     # A fake clock that each decision advances by one second: the limit
-    # covers the whole call, and each k gets what is left of it.
+    # covers the whole call, as one deadline that every k receives.
     now = [0.0]
-    limits = []
+    deadlines = []
     decide = exact._decide
 
-    def one_second_decide(g, t, k, budget, layout):
-        limits.append(budget.wall_limit)
+    def one_second_decide(g, t, k, max_nodes, deadline, layout):
+        deadlines.append(deadline)
         try:
-            return decide(g, t, k, budget, layout)
+            return decide(g, t, k, max_nodes, deadline, layout)
         finally:
             now[0] += 1.0
 
@@ -364,11 +369,12 @@ def test_tau_wall_limit_is_one_deadline(monkeypatch):
     # tau(C7, 2): k = 5 is refuted, k = 6 colors
     res = tau(gen_cycle(7), 2, SearchBudget(wall_limit=10))
     assert (res.status, res.value) == ("resolved", 6)
-    assert limits == [10.0, 9.0]
-    limits.clear()
+    assert deadlines == [10.0, 10.0]
+    deadlines.clear()
+    now[0] = 0.0
     res = tau(gen_cycle(7), 2, SearchBudget(wall_limit=0.5))
     assert (res.status, res.lower_bound) == ("timeout", 6)
-    assert limits == [0.5]
+    assert deadlines == [0.5]
     # max_nodes still holds per k: 26 nodes refute k = 5, 5 more color k = 6
     now[0] = 0.0
     res = tau(gen_cycle(7), 2, SearchBudget(max_nodes=26, wall_limit=10))
@@ -401,6 +407,22 @@ def test_tone_below_one_is_refused(t):
             tau(g, t)
 
 
+@pytest.mark.parametrize("entry, n, args", [
+    ("tau", 5, (True,)), ("tau", 5, (2.0,)), ("tau", 5, ("2",)),
+    ("tau", 0, (True,)), ("exact_decide", 5, (2, 6.0)),
+    ("exact_decide", 5, (2.0, 6)), ("exact_decide", 5, (2, "6")),
+    ("exact_decide", 1, (1, True)), ("exact_decide", 0, (True, 3)),
+])
+def test_non_int_arguments_are_refused(entry, n, args, monkeypatch):
+    # A bool, float or str t or k is refused before any table or search:
+    # True would run as tone 1 or palette 1, and 2.0 fail inside the search.
+    g = gen_cycle(n) if n > 2 else Graph(n, [])
+    monkeypatch.setattr(exact, "search_layout", None)
+    monkeypatch.setattr(exact, "best_lower_bound", None)
+    with pytest.raises(ValueError, match="need t >= 1"):
+        getattr(exact, entry)(g, *args)
+
+
 @given(graphs(), st.integers(1, 5))
 @settings(max_examples=150, deadline=None)
 def test_search_layout_matches_the_constraint_pairs(g, t):
@@ -419,7 +441,7 @@ def test_search_above_the_guard_walks_lazily():
     # K5 at tone 8 needs 40 pairwise disjoint colors; compiling C(40, 8)
     # labels would take ~3e9 bits, the lazy walk three nodes.
     k5 = Graph(5, list(combinations(range(5), 2)))
-    assert _Searcher(k5, 8, 40).palette is None
+    assert _searcher(k5, 8, 40).palette is None
     res = exact_decide(k5, 8, 40, SearchBudget(wall_limit=10))
     assert res.status == "colored" and res.nodes == 3
     assert verify(k5, res.coloring) == []
@@ -520,7 +542,7 @@ def test_compile_guard_holds_on_a_warm_palette(monkeypatch):
                   (3, 4), (3, 5)])
     assert exact_decide(g, 4, 17) == ("infeasible", None, 298)
     monkeypatch.setattr(exact, "_COMPILE_BITS", 0)
-    assert _Searcher(g, 4, 17).palette is None
+    assert _searcher(g, 4, 17).palette is None
     assert exact_decide(g, 4, 17) == ("infeasible", None, 362)
 
 

@@ -8,17 +8,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (ThreadConfig, augmenting_path_cut, bfs_distances,
-                      brute_densest_witness, brute_mad, degeneracy_order,
-                      edge_node_density_exceeds, find_outerplanar_edge,
-                      find_planar_reducible, find_thread_config, graphs,
-                      greedy_2tone_palette, induced, random_steps,
-                      scan_effective_diameter)
+                      brute_densest_witness, brute_mad, constraint_pairs,
+                      degeneracy_order, edge_node_density_exceeds,
+                      find_outerplanar_edge, find_planar_reducible,
+                      find_thread_config, graphs, greedy_2tone_palette,
+                      induced, random_steps, scan_effective_diameter)
 from ttone.coloring import greedy_color
 from ttone import constructions, instances
 from ttone import graphs as graphs_mod
 from ttone.graphs import (OUTERPLANAR_HIGH, PLANAR_HIGH, Density, Graph,
                           GraphError, LeastLive, Reduction, _run,
-                          constraint_pairs, cycle_order, degree_crossings,
+                          components, cycle_order, degree_crossings,
                           distances_within,
                           effective_diameter, gen_cycle, gen_fat_triangle,
                           gen_grid, gen_path, gen_star, mad,
@@ -116,6 +116,24 @@ def test_constraint_pairs():
     assert len(constraint_pairs(gen_cycle(6), 2)) == 12
     assert len(constraint_pairs(gen_cycle(9), 5)) == 36
     assert constraint_pairs(gen_path(2), 3) == [(0, 1, 1)]
+
+
+@given(graphs())
+@settings(max_examples=150)
+def test_components_match_a_plain_bfs(g):
+    # Each vertex once; each root its component's vertex of largest degree
+    # (ties by smallest id), roots in that order; each reach the BFS
+    # distances from its root.
+    walked = list(components(g))
+    seen = [v for root, reach in walked for v in (root, *reach)]
+    assert sorted(seen) == list(range(g.n))
+    keys = [(-g.degree(root), root) for root, _ in walked]
+    assert keys == sorted(keys)
+    for root, reach in walked:
+        dist = bfs_distances(g, root)
+        comp = [v for v in range(g.n) if dist[v] < math.inf]
+        assert min(comp, key=lambda v: (-g.degree(v), v)) == root
+        assert reach == {v: dist[v] for v in comp if v != root}
 
 
 @given(graphs(max_n=7))
