@@ -337,8 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tau", help="exact tone chromatic number")
     p.add_argument("--t", type=_tone, required=True)
     p.add_argument("--in", dest="input", default=None)
-    p.add_argument("--max-nodes", type=int, default=200_000_000)
-    p.add_argument("--wall-limit", type=float, default=None)
+    p.add_argument("--max-nodes", type=int,
+                   default=SearchBudget().max_nodes, help="search nodes per k")
+    p.add_argument("--wall-limit", type=float, default=None,
+                   help="seconds for the whole call, above 0")
     p.add_argument("--emit-witness", default=None, metavar="PATH")
     p.set_defaults(func=cmd_tau)
 

@@ -269,7 +269,7 @@ def color_sparse(g: Graph) -> Coloring:
         raise ClassPreconditionError("maximum average degree is not below 12/5")
 
     def picks(red):
-        low = LeastLive(red, lambda v: red.degree(v) <= 1)
+        low = LeastLive(red, lambda v: len(red.adj[v]) <= 1)
         # vertices of the 2-regular components met so far: exact, since a
         # cycle component changes only by its own 2-thread step, and then
         # stripping removes all of it
@@ -317,19 +317,17 @@ def outerplanar_palette(max_degree: int) -> int:
 def color_outerplanar(g: Graph) -> Coloring:
     """2-tone coloring of an outerplanar graph by repeated edge contraction.
 
-    Contracts an edge xy with d(x) = 1, or d(x) = 2 and d(y) <= 4, colors
-    the contraction, and extends back to x.  Raises when no such edge exists
-    (the input is then not outerplanar).
+    At the least vertex x that outerplanar_edge_at accepts, deletes x if it
+    is isolated, else contracts its edge xy, with d(x) = 1, or d(x) = 2 and
+    d(y) <= 4; colors what is left, and extends back to x.  An isolated
+    vertex lies in no other vertex's ball and lifts to (1, 2), so deleting
+    it earlier or later changes no other step.  Raises when no vertex is
+    accepted (the input is then not outerplanar).
     """
     def picks(red):
-        iso = LeastLive(red, lambda v: red.degree(v) == 0)
         low = LeastLive(red, lambda x: outerplanar_edge_at(red, x),
                         degree_crossings(red, OUTERPLANAR_HIGH))
         while True:
-            v = iso()
-            if v is not None:
-                yield [v], None, None
-                continue
             x = low()
             if x is None:
                 raise ClassPreconditionError(
@@ -354,7 +352,7 @@ def color_planar(g: Graph) -> Coloring:
     maximum degree 12).  Raises when no reducible vertex exists.
     """
     def picks(red):
-        hub = LeastLive(red, lambda v: red.degree(v) >= 13)
+        hub = LeastLive(red, lambda v: len(red.adj[v]) >= 13)
         low = LeastLive(red, lambda v: planar_reducible_at(red, v),
                         degree_crossings(red, PLANAR_HIGH))
         while hub() is not None:       # None: maximum degree <= 12

@@ -434,8 +434,9 @@ def exact_decide(g: Graph, t: int, k: int,
     Returns a verified coloring, "infeasible" after exhausting the
     canonicalized tree, or "timeout".  t and k must be ints, t >= 1 (a
     negative k is infeasible); anything else raises ValueError before any
-    table or search.  The budget becomes one node cap and one deadline,
-    and the search layout of g and t is built for this one decision.
+    table or search.  The budget becomes one node cap and one deadline.
+    The answers that need no search come from _settled, before any table;
+    else the search layout of g and t is built for this one decision.
 
     The first vertex gets (1..t).  The second gets (t+1..2t) when it has a
     constraint to the first, and (1..t) when it has none; the search, with
@@ -450,27 +451,33 @@ def exact_decide(g: Graph, t: int, k: int,
     empty a domain, "infeasible" comes at 0 nodes.
     """
     max_nodes, deadline = _limits(budget, t, k)
-    return _decide(g, t, k, max_nodes, deadline, search_layout(g, t))
+    return _settled(g, t, k) or \
+        _decide(g, t, k, max_nodes, deadline, search_layout(g, t))
+
+
+def _settled(g: Graph, t: int, k: int):
+    """The DecideResult of the cases that need no search, else None: no
+    vertex, k < t, one vertex, and 2t > k on a graph with an edge, where
+    the second label (t+1..2t) does not fit (see exact_decide)."""
+    if g.n == 0 and k >= 0:     # the empty coloring fits any palette
+        return DecideResult("colored", Coloring(t, k))
+    if k < t or 2 * t > k and any(g.adj):
+        return DecideResult("infeasible")
+    if g.n == 1:
+        base = tuple(range(1, t + 1))
+        return DecideResult("colored", Coloring(t, k, {0: base}), 1)
 
 
 def _decide(g: Graph, t: int, k: int, max_nodes: int, deadline: float,
             layout: tuple) -> DecideResult:
-    """exact_decide past its checks: at most max_nodes nodes, stopping
-    past the monotonic deadline unless it is None, on layout =
+    """exact_decide past its checks and _settled: at most max_nodes nodes,
+    stopping past the monotonic deadline unless it is None, on layout =
     search_layout(g, t), which the caller builds.  The layout is taken on
     trust, since one of another graph or tone decides wrongly; only
     exact_decide and tau call this, each with the layout of its g and t."""
-    if g.n == 0 and k >= 0:     # the empty coloring fits any palette
-        return DecideResult("colored", Coloring(t, k))
-    if k < t:
-        return DecideResult("infeasible")
-    base = tuple(range(1, t + 1))
-    if g.n == 1:
-        return DecideResult("colored", Coloring(t, k, {0: base}), 1)
     searcher = _Searcher(layout, t, k, max_nodes, deadline)
+    base = tuple(range(1, t + 1))
     second = tuple(range(t + 1, 2 * t + 1)) if searcher.cons[1] else base
-    if second[-1] > k:
-        return DecideResult("infeasible")
     if searcher.palette is None:
         loop = searcher._dfs_lazy
     else:
@@ -511,7 +518,8 @@ def tau(g: Graph, t: int, budget: SearchBudget = None) -> TauResult:
     for k in range(k0, g.n * t + 1):
         if deadline is not None and time.monotonic() >= deadline:
             return TauResult("timeout", lower_bound=k, nodes=total)
-        res = _decide(g, t, k, max_nodes, deadline, layout)
+        res = _settled(g, t, k) or \
+            _decide(g, t, k, max_nodes, deadline, layout)
         total += res.nodes
         if res.status == "colored":
             if last_refuted is None:

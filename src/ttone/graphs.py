@@ -48,9 +48,6 @@ class Graph:
     def vertices(self) -> range:
         return range(self.n)
 
-    def neighbors(self, v: int) -> tuple:
-        return self.adj[v]
-
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
@@ -213,8 +210,9 @@ class Reduction:
 
     A contraction merges into the lower id, so the live ids keep the order
     a Graph rebuilt with compacted ids would give them.  A search that reads
-    a graph only through vertices(), degree(), neighbors() (sorted) and adj
-    therefore finds the same vertices here as on that rebuild.
+    a graph only through vertices() and adj, and takes neighbors in order
+    only by min() or sorted() (adj holds sets here, sorted tuples on a
+    Graph), therefore finds the same vertices here as on that rebuild.
 
     touched is append-only: every step and undo appends the ids whose
     neighbor sets it changed, so LeastLive can catch up from where it last
@@ -236,12 +234,6 @@ class Reduction:
 
     def vertices(self) -> list:
         return list(compress(range(len(self.alive)), self.alive))
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
-    def neighbors(self, v: int) -> list:
-        return sorted(self.adj[v])
 
     def _remove(self, v: int) -> set:
         nbrs = self.adj[v]
@@ -518,12 +510,12 @@ def mad(g: Graph) -> Density:
 # ---------------------------------------------------------------------------
 # Reducible configurations
 # ---------------------------------------------------------------------------
-# The rules read g only through degree(), neighbors() and adj, so g may be a
-# Graph or a Reduction.  From PLANAR_HIGH a neighbor counts as high for
-# planar_reducible_at, and from OUTERPLANAR_HIGH it is too high for
-# outerplanar_edge_at: the one neighbor fact each rule reads, so the
-# threshold of its index's degree_crossings feed.  From THREAD_HIGH a
-# thread's end fails every end test of thread_at.
+# The rules read g only through adj, a degree as len(adj[v]) and the least
+# neighbor by min() or sorted(), so g may be a Graph or a Reduction.  From
+# PLANAR_HIGH a neighbor counts as high for planar_reducible_at, and from
+# OUTERPLANAR_HIGH it is too high for outerplanar_edge_at: the one neighbor
+# fact each rule reads, so the threshold of its index's degree_crossings
+# feed.  From THREAD_HIGH a thread's end fails every end test of thread_at.
 PLANAR_HIGH = 11
 OUTERPLANAR_HIGH = 5
 THREAD_HIGH = 6
@@ -532,12 +524,13 @@ THREAD_HIGH = 6
 def _run(g: Graph, x: int, y: int):
     """The vertices met walking from x through its neighbor y along
     degree-2 vertices, up to the first one of another degree or x again."""
+    adj = g.adj
     prev, cur = x, y
     while True:
         yield cur
-        if cur == x or g.degree(cur) != 2:
+        if cur == x or len(adj[cur]) != 2:
             return
-        prev, cur = cur, next(u for u in g.adj[cur] if u != prev)
+        prev, cur = cur, next(u for u in adj[cur] if u != prev)
 
 
 def thread_at(g: Graph, x: int, width: int):
@@ -548,14 +541,15 @@ def thread_at(g: Graph, x: int, width: int):
     a 2-thread also a near end of degree <= 3.  The first window x, y, ...
     that passes, y in sorted order, is the answer.  4- and 3-threads in
     2-regular components are not reducible; the caller excludes them."""
-    if g.degree(x) != 2:
+    adj = g.adj
+    if len(adj[x]) != 2:
         return None
-    for y in g.neighbors(x):
+    for y in sorted(adj[x]):
         walk = list(islice(_run(g, x, y), width))
         if len(walk) < width:
             continue
-        far = width == 4 or g.degree(walk[-1]) < THREAD_HIGH
-        near = width > 2 or g.degree(next(u for u in g.adj[x] if u != y)) <= 3
+        far = width == 4 or len(adj[walk[-1]]) < THREAD_HIGH
+        near = width > 2 or len(adj[next(u for u in adj[x] if u != y)]) <= 3
         if far and near:
             return (x, *walk[:-1])
     return None
@@ -588,28 +582,24 @@ def planar_reducible_at(g: Graph, v: int):
     For d(v) >= 3 the partner is the least neighbor of degree <= 10, so
     contraction cannot raise the maximum degree.
     """
-    if g.degree(v) > 5:
+    adj = g.adj
+    nbrs = adj[v]
+    if len(nbrs) > 5 or sum(1 for u in nbrs if len(adj[u]) >= PLANAR_HIGH) > 2:
         return None
-    if sum(1 for u in g.adj[v] if g.degree(u) >= PLANAR_HIGH) > 2:
-        return None
-    if g.degree(v) == 0:
-        return v, None
-    nbrs = g.neighbors(v)
-    if g.degree(v) >= 3:
-        return v, next(u for u in nbrs if g.degree(u) < PLANAR_HIGH)
-    return v, nbrs[0]
+    if len(nbrs) >= 3:
+        return v, min(u for u in nbrs if len(adj[u]) < PLANAR_HIGH)
+    return v, min(nbrs, default=None)
 
 
 def outerplanar_edge_at(g: Graph, x: int):
     """(x, y) with y the one neighbor of x if d(x) = 1, or the least
-    neighbor of degree <= 4 if d(x) = 2; else None."""
-    if g.degree(x) == 1:
-        return x, g.neighbors(x)[0]
-    if g.degree(x) == 2:
-        for y in g.neighbors(x):
-            if g.degree(y) < OUTERPLANAR_HIGH:
-                return x, y
-    return None
+    neighbor of degree <= 4 if d(x) = 2; (x, None) for isolated x, as
+    planar_reducible_at gives it; else None."""
+    adj = g.adj
+    if len(adj[x]) == 2:
+        low = [y for y in adj[x] if len(adj[y]) < OUTERPLANAR_HIGH]
+        return (x, min(low)) if low else None
+    return (x, min(adj[x], default=None)) if len(adj[x]) < 2 else None
 
 
 # ---------------------------------------------------------------------------

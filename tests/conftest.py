@@ -48,7 +48,7 @@ def random_steps(red, rnd, count: int) -> list:
         if not live:
             break
         seen.append(([set(a) for a in red.adj], live))
-        edges = [(u, w) for u in live for w in red.neighbors(u)]
+        edges = [(u, w) for u in live for w in sorted(red.adj[u])]
         if edges and rnd.random() < 0.6:
             red.contract(*rnd.choice(edges))
         else:
@@ -348,11 +348,22 @@ def find_planar_reducible(g) -> tuple:
 
 
 def find_outerplanar_edge(g) -> tuple:
-    """graphs.outerplanar_edge_at for the least vertex that has one, or None:
-    the scan color_outerplanar made at every step before its picks were
-    indexed."""
+    """graphs.outerplanar_edge_at for the least vertex that has one,
+    isolated vertices included, or None: color_outerplanar's pick, by a
+    scan of every live vertex."""
     return next(filter(None, (outerplanar_edge_at(g, x) for x in g.vertices())),
                 None)
+
+
+def isolated_first_pick(red) -> tuple:
+    """The step color_outerplanar took before outerplanar_edge_at accepted
+    isolated vertices: delete the least isolated vertex, else contract
+    what find_outerplanar_edge finds; None when there is neither."""
+    iso = next((v for v in red.vertices() if not red.adj[v]), None)
+    if iso is not None:
+        return [iso], None, None
+    found = find_outerplanar_edge(red)
+    return None if found is None else ([found[0]], found[1], None)
 
 
 class ThreadConfig(namedtuple("ThreadConfig", "kind internal endpoints")):
@@ -378,21 +389,21 @@ def find_thread_config(g):
     4- or 3-thread scan meets the component.
     """
     vs = g.vertices()
-    if any(g.degree(v) < 2 for v in vs):
+    if any(len(g.adj[v]) < 2 for v in vs):
         raise ValueError("find_thread_config requires minimum degree 2")
-    twos = [v for v in vs if g.degree(v) == 2]
+    twos = [v for v in vs if len(g.adj[v]) == 2]
     cyclic = set()
     for kind, width in (("FourThread", 4), ("ThreeThread", 3),
                         ("TwoThread", 2)):
         for x in twos:
             if width > 2 and x in cyclic:
                 continue
-            for y in g.neighbors(x):
+            for y in sorted(g.adj[x]):
                 walk = list(islice(_run(g, x, y), width))
                 if len(walk) < width:
                     continue
                 start = next(u for u in g.adj[x] if u != y)
-                d0, d1 = g.degree(start), g.degree(walk[-1])
+                d0, d1 = len(g.adj[start]), len(g.adj[walk[-1]])
                 if kind == "ThreeThread" and d1 > 5 or \
                         kind == "TwoThread" and (d0 > 3 or d1 > 5):
                     continue

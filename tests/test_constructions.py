@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (count_verifies, graphs, ring_walk_extend,
-                      ring_walk_labels)
+from conftest import (count_verifies, graphs, isolated_first_pick,
+                      ring_walk_extend, ring_walk_labels)
 from ttone import coloring, constructions
 from ttone.blocks import cycle_value
 from ttone.bounds import h_t_bounds, path_tau, star_lower
@@ -243,6 +243,55 @@ def test_color_outerplanar_examples():
     with pytest.raises(ClassPreconditionError):
         color_outerplanar(Graph(4, [(i, j) for i in range(4)
                                     for j in range(i + 1, 4)]))
+
+
+@st.composite
+def _outerplanar_unions(draw):
+    """Disjoint unions of random maximal outerplanar graphs, single vertices
+    and single edges, sometimes with a K4 (not outerplanar), plus isolated
+    vertices, with ids shuffled."""
+    def outerplanar(seed):
+        rng = random.Random(seed)
+        return random_maximal_outerplanar(rng, rng.randint(3, 30))
+
+    pieces = draw(st.lists(st.one_of(
+        st.integers(0, 10 ** 6).map(outerplanar), st.just(Graph(1, [])),
+        st.just(Graph(2, [(0, 1)]))), min_size=1, max_size=4))
+    if draw(st.integers(0, 3)) == 0:
+        pieces.append(Graph(4, [(i, j) for i in range(4) for j in range(i)]))
+    pieces += [Graph(1, [])] * draw(st.integers(0, 3))
+    n = sum(p.n for p in pieces)
+    ids = draw(st.permutations(range(n)))
+    edges, base = [], 0
+    for p in pieces:
+        edges += [(ids[base + u], ids[base + v]) for u, v in p.edges()]
+        base += p.n
+    return Graph(n, edges)
+
+
+def _outcome(colorer, g):
+    try:
+        return colorer(g)
+    except ClassPreconditionError as exc:
+        return str(exc)
+
+
+@given(_outerplanar_unions())
+@settings(max_examples=120, deadline=None)
+def test_outerplanar_isolated_vertices_picked_in_id_order(g):
+    # outerplanar_edge_at gives (x, None) for isolated x, so color_outerplanar
+    # deletes each isolated vertex in id order among its contractions, where
+    # it used to delete them all first: the colorings and errors are the same.
+    def isolated_first(red):
+        while (step := isolated_first_pick(red)) is not None:
+            yield step
+        raise ClassPreconditionError("input not outerplanar: no reducible edge")
+
+    def old(g):
+        return constructions._reduce_and_lift(
+            g, outerplanar_palette(g.max_degree()), isolated_first)
+
+    assert _outcome(color_outerplanar, g) == _outcome(old, g)
 
 
 @settings(max_examples=25, deadline=None)

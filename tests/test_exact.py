@@ -390,6 +390,24 @@ def test_tau_builds_the_layout_once(monkeypatch):
     assert res.lower_certificate.k == 5 and calls == [2]
 
 
+def test_answers_that_need_no_search_build_no_layout(monkeypatch):
+    # No vertex, k < t, one vertex, and 2t > k on a graph with an edge are
+    # answered without a layout, which costs O(n) balls on a long path.
+    def refuse(g, t):
+        raise AssertionError("search layout built")
+
+    monkeypatch.setattr(exact, "search_layout", refuse)
+    path = gen_path(100)
+    assert exact_decide(Graph(0, []), 3, 0) == ("colored", Coloring(3, 0), 0)
+    assert exact_decide(path, 3, 2) == ("infeasible", None, 0)
+    assert exact_decide(Graph(1, []), 3, 4) == \
+        ("colored", Coloring(3, 4, {0: (1, 2, 3)}), 1)
+    assert exact_decide(path, 3, 5) == ("infeasible", None, 0)
+    # an edgeless graph takes (1..t) twice, so 2t > k alone settles nothing
+    with pytest.raises(AssertionError, match="layout built"):
+        exact_decide(Graph(2, []), 3, 5)
+
+
 def test_decide_takes_no_layout():
     # A layout is taken on trust (one of C7 would decide P7, where tau_3 is
     # 8, wrongly), so only tau hands one over.

@@ -225,7 +225,7 @@ def test_searches_on_reduction_match_compacted_rebuild(g, rnd):
     k = max(2, greedy_2tone_palette(h.max_degree()))
     assert greedy_color(red, 2, k).labels == {
         ids[v]: lab for v, lab in greedy_color(h, 2, k).labels.items()}
-    while low := [v for v in red.vertices() if red.degree(v) <= 1]:
+    while low := [v for v in red.vertices() if len(red.adj[v]) <= 1]:
         red.delete(*low)
     ids = red.vertices()
     cfg = find_thread_config(induced(red, ids))
@@ -239,7 +239,7 @@ def _thread_by_definition(g):
     after its last vertex as endpoints, that passes the kind's end-degree
     test; 4- and 3-threads outside 2-regular components; the least internal
     tuple of the first kind in preference order that has one."""
-    twos = {v for v in g.vertices() if g.degree(v) == 2}
+    twos = {v for v in g.vertices() if len(g.adj[v]) == 2}
     regular, seen = set(), set()
     for s in g.vertices():
         if s in seen:
@@ -271,7 +271,7 @@ def _thread_by_definition(g):
             for internal in paths([x], width):
                 e0 = next(u for u in g.adj[internal[0]] if u != internal[1])
                 e1 = next(u for u in g.adj[internal[-1]] if u != internal[-2])
-                if ends_ok(g.degree(e0), g.degree(e1)):
+                if ends_ok(len(g.adj[e0]), len(g.adj[e1])):
                     found.append(ThreadConfig(kind, internal, (e0, e1)))
         if found:
             return min(found, key=lambda c: c.internal)
@@ -312,7 +312,7 @@ def _hub_threads(seed: int) -> Graph:
 
 def _thread_search_agrees(g: Graph, rnd) -> None:
     def strip(red):
-        while low := [v for v in red.vertices() if red.degree(v) <= 1]:
+        while low := [v for v in red.vertices() if len(red.adj[v]) <= 1]:
             red.delete(*low)
         return red
 
@@ -667,8 +667,8 @@ def _scan(red, test):
 
 def _on_cycle(red, v):
     """Whether v's component is 2-regular: v's run closes on v."""
-    return red.degree(v) == 2 and \
-        list(_run(red, v, red.neighbors(v)[0]))[-1] == v
+    return len(red.adj[v]) == 2 and \
+        list(_run(red, v, min(red.adj[v])))[-1] == v
 
 
 def _indexes(red):
@@ -677,10 +677,10 @@ def _indexes(red):
     reach.  The thread rules test 2-regularity directly, where color_sparse
     keeps a set of the cycles it has met."""
     rules = [
-        (lambda v: red.degree(v) <= 1, None),
-        (lambda v: red.degree(v) == 0, None),
-        (lambda v: red.degree(v) >= 13, None),
-        (lambda v: red.degree(v) >= 3, None),
+        (lambda v: len(red.adj[v]) <= 1, None),
+        (lambda v: len(red.adj[v]) == 0, None),
+        (lambda v: len(red.adj[v]) >= 13, None),
+        (lambda v: len(red.adj[v]) >= 3, None),
         (lambda v: outerplanar_edge_at(red, v) is not None,
          degree_crossings(red, OUTERPLANAR_HIGH)),
         (lambda v: planar_reducible_at(red, v) is not None,
@@ -757,7 +757,7 @@ def _scan_pick(kind, red):
     """The step each colorer took by scanning every live vertex, before
     its picks were indexed; None where the colorer stops."""
     if kind == "sparse":
-        low = next((v for v in red.vertices() if red.degree(v) <= 1), None)
+        low = next((v for v in red.vertices() if len(red.adj[v]) <= 1), None)
         if low is not None:
             return [low], None, None
         cfg = find_thread_config(red)
@@ -767,12 +767,9 @@ def _scan_pick(kind, red):
             return [cfg.internal[2], cfg.internal[1]], None, None
         return [cfg.internal[0]], None, cfg.internal[1]
     if kind == "outerplanar":
-        iso = next((v for v in red.vertices() if red.degree(v) == 0), None)
-        if iso is not None:
-            return [iso], None, None
         x, y = find_outerplanar_edge(red)
         return [x], y, None
-    if max(map(red.degree, red.vertices())) <= 12:
+    if max(len(red.adj[v]) for v in red.vertices()) <= 12:
         return None
     v, w = find_planar_reducible(red)
     return [v], w, None
