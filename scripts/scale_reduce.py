@@ -27,8 +27,8 @@ is 10^5.
     PYTHONPATH=src python scripts/scale_reduce.py --planar-max 10000
 
 Each sparse graph is generated in under a second, 10^5 included: their
-bases are 2-degenerate, so random_subdivided runs no exact mad check on
-them.  The colorer calls at 10^5 take seconds each.
+bases are 2-degenerate, so random_subdivided runs no class check
+(mad_below_12_5) on them.  The colorer calls at 10^5 take seconds each.
 """
 
 import argparse

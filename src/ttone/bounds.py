@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import namedtuple
-from math import comb
+from math import comb, isqrt
 
 from .graphs import Graph, cycle_order, effective_diameter
 
@@ -13,38 +13,25 @@ class Certificate(namedtuple("Certificate", "kind parameters bound")):
 
     __slots__ = ()
 
-    def to_json_line(self) -> str:
-        import json     # on first use, so import ttone does not load it
-        payload = {"kind": self.kind, "parameters": self.parameters, "bound": self.bound}
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
-
-def _least_k(pred, lo: int = 0) -> int:
-    """Smallest k >= lo with pred(k), for predicates monotone in k."""
-    k = lo
-    step = 1
-    while not pred(k):
-        k += step
-        step *= 2
-    hi, lo2 = k, max(lo, k - step // 2)
-    while lo2 < hi:
-        mid = (lo2 + hi) // 2
-        if pred(mid):
-            hi = mid
-        else:
-            lo2 = mid + 1
-    return hi
+def _least_pairs(b: int) -> int:
+    """The least m >= 0 with C(m, 2) >= b: the palette root of every
+    binomial bound here.  For b > 0 it is the ceiling of the positive root
+    (1 + sqrt(8b + 1)) / 2 of m(m-1)/2 = b; (1 + isqrt(8b + 1)) // 2 is
+    that ceiling or one less, and one test of C(m, 2) settles which.
+    Integers only, so exact at any size."""
+    if b <= 0:
+        return 0
+    m = (1 + isqrt(8 * b + 1)) // 2
+    return m + (comb(m, 2) < b)
 
 
 def star_lower(max_degree: int) -> int:
-    """Least k with C(k-2, 2) >= max_degree; the 2-tone star lower bound.
-
-    Integer arithmetic only: the square-root form of this bound is exactly
-    the positive root of the binomial inequality.
-    """
+    """Least k with C(k-2, 2) >= max_degree; the 2-tone star lower bound,
+    2 + _least_pairs(max_degree)."""
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    return _least_k(lambda k: comb(max(k - 2, 0), 2) >= max_degree, lo=2)
+    return 2 + _least_pairs(max_degree)
 
 
 def path_tau(n: int, t: int) -> int:
@@ -130,13 +117,12 @@ def h_t_bounds(t: int) -> tuple:
 
     lower: least k with C(k,2) >= 3t (the 3t degree-2 vertices need distinct
     2-sets); upper: least k with C(k,2) - C(6,2) >= 3t (degree-2 vertices
-    additionally avoid all 2-sets drawn from the six hub colors).
+    additionally avoid all 2-sets drawn from the six hub colors).  Both
+    are _least_pairs roots, at 3t and 3t + 15.
     """
     if t < 1:
         raise ValueError("need t >= 1")
-    lower = _least_k(lambda k: comb(k, 2) >= 3 * t, lo=2)
-    upper = _least_k(lambda k: comb(k, 2) - comb(6, 2) >= 3 * t, lo=6)
-    return lower, upper
+    return _least_pairs(3 * t), _least_pairs(3 * t + 15)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +162,7 @@ def certificates(g: Graph, t: int) -> list:
         out.append(Certificate("C4Subgraph", {"t": t}, c4_lower(t)))
     # a longest shortest path is a path subgraph; its formula value stabilizes
     # once C(i,2) >= t, so a capped eccentricity scan suffices
-    cap = _least_k(lambda i: comb(i, 2) >= t)
+    cap = _least_pairs(t)
     n_path = effective_diameter(g, cap) + 1
     out.append(Certificate(
         "PathFormula", {"path_vertices": n_path, "t": t}, path_tau(n_path, t)))

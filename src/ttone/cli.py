@@ -16,13 +16,12 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import json
 import sys
 from math import gcd
 
 from . import bounds as bounds_mod
 from . import constructions
-from .coloring import Coloring, verify
+from .coloring import Coloring, _json_line, verify
 from .exact import SearchBudget, tau
 from .graphs import (MAX_EDGE_LIST_VERTICES, Graph, cycle_order,
                      distances_within, gen_cycle, gen_fat_triangle, gen_grid,
@@ -58,10 +57,6 @@ def _read(path) -> str:
         return sys.stdin.read()
     with open(path) as fh:
         return fh.read()
-
-
-def _json_line(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +265,7 @@ def cmd_tau(args) -> int:
 def cmd_bounds(args) -> int:
     g = read_edge_list(_read(args.input))
     for cert in bounds_mod.certificates(g, args.t):
-        _emit(cert.to_json_line() + "\n")
+        _emit(_json_line(cert._asdict()))
     return EXIT_OK
 
 

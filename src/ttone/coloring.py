@@ -55,13 +55,11 @@ class Coloring:
         return set(chain.from_iterable(self.labels.values()))
 
     def to_json(self) -> str:
-        import json     # on first use, so import ttone does not load it
-        payload = {
+        return _json_line({
             "t": self.t,
             "k": self.k,
             "labels": {str(v): list(lab) for v, lab in sorted(self.labels.items())},
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        })
 
     @classmethod
     def from_json(cls, text: str) -> "Coloring":
@@ -90,6 +88,13 @@ class Coloring:
                                       f"label {lab!r} is not a list of integers")
             labels[v] = tuple(sorted(lab))
         return cls(t, k, labels)
+
+
+def _json_line(obj) -> str:
+    """The one JSON writer: obj as one line with sorted keys and no spaces,
+    and a newline, as every ttone output in JSON is written."""
+    import json     # on first use, so import ttone does not load it
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _unique_keys(pairs) -> dict:

@@ -5,15 +5,15 @@ bounded-density, outerplanar, and planar graphs."""
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb, inf
+from math import inf
 
 from .blocks import BLOCK_TABLES, cycle_value, ensure_validated, exceptional_witness
-from .bounds import _least_k, h_t_bounds, path_tau, star_lower
+from .bounds import _least_pairs, h_t_bounds, path_tau, star_lower
 from .coloring import (Coloring, ColoringError, _checked, available_labels,
                        greedy_color, greedy_extend)
 from .graphs import (OUTERPLANAR_HIGH, PLANAR_HIGH, Graph, LeastLive, Reduction,
-                     _density_exceeds, _run, degree_crossings, gen_cycle,
-                     gen_fat_triangle, gen_grid, gen_path, outerplanar_edge_at,
+                     _run, degree_crossings, gen_cycle, gen_fat_triangle,
+                     gen_grid, gen_path, mad_below_12_5, outerplanar_edge_at,
                      planar_reducible_at, thread_at, thread_runs)
 
 
@@ -261,11 +261,9 @@ def color_sparse(g: Graph) -> Coloring:
     Strips vertices of degree at most 1, otherwise removes a reducible
     thread, colors the rest, and extends back; a 2-thread may force one
     recoloring round on its surviving interior vertex.  The class gate is
-    one max-density decision: subgraph densities |E|/|V| are fractions with
-    denominator at most n, so one is at least 6/5 exactly when it exceeds
-    6/5 - 1/(5n+1) = (30n+1)/(25n+5).
+    mad_below_12_5, one max-density decision.
     """
-    if _density_exceeds(g, 30 * g.n + 1, 25 * g.n + 5) is not None:
+    if not mad_below_12_5(g):
         raise ClassPreconditionError("maximum average degree is not below 12/5")
 
     def picks(red):
@@ -310,8 +308,8 @@ def color_sparse(g: Graph) -> Coloring:
 
 
 def outerplanar_palette(max_degree: int) -> int:
-    """Least k with C(k-4, 2) > max_degree + 2."""
-    return _least_k(lambda k: comb(max(k - 4, 0), 2) > max_degree + 2, lo=4)
+    """Least k >= 4 with C(k-4, 2) > max_degree + 2."""
+    return 4 + _least_pairs(max_degree + 3)
 
 
 def color_outerplanar(g: Graph) -> Coloring:
@@ -338,9 +336,8 @@ def color_outerplanar(g: Graph) -> Coloring:
 
 
 def planar_palette(max_degree: int) -> int:
-    """max(41, least k with C(k-10, 2) > 2*max_degree + 25)."""
-    return max(41, _least_k(
-        lambda k: comb(max(k - 10, 0), 2) > 2 * max_degree + 25, lo=10))
+    """max(41, least k >= 10 with C(k-10, 2) > 2*max_degree + 25)."""
+    return max(41, 10 + _least_pairs(2 * max_degree + 26))
 
 
 def color_planar(g: Graph) -> Coloring:

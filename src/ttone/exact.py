@@ -135,12 +135,13 @@ class _Palette:
     (every label), canonical[mx] for mx in 0..k (the reach bound: the
     labels that hold c-1 whenever they hold a color c > mx+1, so that
     their colors above mx are mx+1..mx+j), decoded, a memo from label
-    index to (mask, label, last color), and allowed[cap] for cap in
-    0..t-1, a memo from a mask to _allowed(has, full, cap, mask).  An
-    allowed set depends on (k, t, cap, mask) alone, never on the graph,
-    so the decisions on a palette share them.  They are the only memos
-    keyed by label masks; trim, called after every compiled decision,
-    drops them when they hold more than _MEMO_BITS bits."""
+    index to (mask, label, last color) read off has (see _decode), and
+    allowed[cap] for cap in 0..t-1, a memo from a mask to
+    _allowed(has, full, cap, mask).  An allowed set depends on (k, t, cap,
+    mask) alone, never on the graph, so the decisions on a palette share
+    them.  They are the only memos keyed by label masks; trim, called
+    after every compiled decision, drops them when they hold more than
+    _MEMO_BITS bits."""
 
     __slots__ = ("has", "full", "canonical", "decoded", "allowed")
 
@@ -151,7 +152,7 @@ class _Palette:
         for mx in range(k - 2, -1, -1):
             canonical[mx] = canonical[mx + 1] & (~has[mx + 2] | has[mx + 1])
         self.canonical = canonical
-        self.decoded = _Memo(partial(_unrank, k, t))
+        self.decoded = _Memo(partial(_decode, has))
         self.allowed = [_Memo(partial(_allowed, has, full, cap))
                         for cap in range(t)]
 
@@ -166,22 +167,11 @@ class _Palette:
 _palette = lru_cache(maxsize=_PALETTES)(_Palette)
 
 
-def _unrank(k: int, t: int, x: int) -> tuple:
-    """(mask, label, last color) of the x-th t-subset of [1..k] in lex
-    order.  Each color is the first c, counting up from the one before,
-    whose C(k-c, s) labels (those going on from c with s more colors)
-    reach past what is left of x; the labels skipped are taken off x."""
-    label = []
-    c = 0
-    for s in range(t - 1, -1, -1):
-        c += 1
-        while x >= comb(k - c, s):
-            x -= comb(k - c, s)
-            c += 1
-        label.append(c)
-    label = tuple(label)
-    mask = label_mask(label)
-    return mask, label, mask.bit_length()
+def _decode(has: list, x: int) -> tuple:
+    """(mask, label, last color) of the x-th label in lex order, read off
+    the color sets: its colors are the c whose has[c] holds bit x."""
+    label = tuple(c for c, h in enumerate(has) if h >> x & 1)
+    return label_mask(label), label, label[-1]
 
 
 def _allowed(has: list, full: int, cap: int, mask: int) -> int:
@@ -477,7 +467,7 @@ def _decide(g: Graph, t: int, k: int, max_nodes: int, deadline: float,
     exact_decide and tau call this, each with the layout of its g and t."""
     searcher = _Searcher(layout, t, k, max_nodes, deadline)
     base = tuple(range(1, t + 1))
-    second = tuple(range(t + 1, 2 * t + 1)) if searcher.cons[1] else base
+    second = tuple(range(t + 1, 2 * t + 1)) if any(g.adj) else base
     if searcher.palette is None:
         loop = searcher._dfs_lazy
     else:

@@ -507,6 +507,14 @@ def mad(g: Graph) -> Density:
         edges_in = sum(1 for u, v in g.edges() if u in denser and v in denser)
 
 
+def mad_below_12_5(g: Graph) -> bool:
+    """Whether mad(g) < 12/5, the class of color_sparse, by one max-density
+    decision: subgraph densities |E|/|V| are fractions with denominator at
+    most n, so one is at least 6/5 exactly when it exceeds
+    6/5 - 1/(5n+1) = (30n+1)/(25n+5).  True on the empty graph."""
+    return _density_exceeds(g, 30 * g.n + 1, 25 * g.n + 5) is None
+
+
 # ---------------------------------------------------------------------------
 # Reducible configurations
 # ---------------------------------------------------------------------------

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
-from .graphs import Graph, mad
+from .graphs import Graph, mad_below_12_5
 
 
 def random_tree(rng: random.Random, n: int) -> Graph:
@@ -35,11 +34,11 @@ def random_subdivided(rng: random.Random, n_base: int = 8,
     per-edge 2..6 interior vertices (long threads dominate), uniformly 3
     (every maximal thread has exactly three interior vertices), or uniformly
     2 (all short threads).  Each mode resamples with 5+ subdivisions per
-    edge, which is always below 12/5, in the rare case the exact check
-    fails: a base with a subgraph of average degree 4 (6 when uniformly 3)
-    reaches 12/5, and enough extra edges make one.
+    edge, which is always below 12/5, in the rare case the class check,
+    mad_below_12_5, fails: a base with a subgraph of average degree 4 (6
+    when uniformly 3) reaches 12/5, and enough extra edges make one.
 
-    The exact check runs only when the base is not 2-degenerate, because a
+    The class check runs only when the base is not 2-degenerate, because a
     2-degenerate base subdivided at least twice per edge has mad < 12/5.
     Proof: if some subgraph has average degree at least 12/5 > 2, stripping
     its vertices of degree at most 1 keeps that so, which gives one, H, of
@@ -66,7 +65,7 @@ def random_subdivided(rng: random.Random, n_base: int = 8,
         g = subdivide(base, lambda u, v: 2)
     else:
         g = subdivide(base, lambda u, v: rng.randint(2, 6))
-    if not _two_degenerate(base) and mad(g).fraction >= Fraction(12, 5):
+    if not _two_degenerate(base) and not mad_below_12_5(g):
         g = subdivide(base, lambda u, v: rng.randint(5, 7))
     return g
 

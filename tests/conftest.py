@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from ttone import blocks, coloring, exact
 from ttone.coloring import (StructuralError, Violation, check_structure,
                             label_mask, label_stream)
-from ttone.graphs import (Graph, _min_cut, _run, distances_within,
+from ttone.graphs import (Graph, _min_cut, _run, distances_within, mad,
                           outerplanar_edge_at, planar_reducible_at)
 
 
@@ -257,6 +257,31 @@ def greedy_2tone_palette(delta: int) -> int:
     """ceil((2 + sqrt 2) * delta), exactly: greedy always succeeds here."""
     sq = isqrt(2 * delta * delta)
     return 2 * delta + (sq if sq * sq == 2 * delta * delta else sq + 1)
+
+
+def least_k(pred, lo: int = 0) -> int:
+    """The smallest k >= lo with pred(k), for pred monotone in k, as the
+    palette roots were found before bounds._least_pairs: gallop up from lo
+    by doubling steps, then bisect the last step."""
+    k = lo
+    step = 1
+    while not pred(k):
+        k += step
+        step *= 2
+    hi, lo2 = k, max(lo, k - step // 2)
+    while lo2 < hi:
+        mid = (lo2 + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo2 = mid + 1
+    return hi
+
+
+def mad_at_least_12_5(g: Graph) -> bool:
+    """The class check random_subdivided made before graphs.mad_below_12_5:
+    the exact mad by Dinkelbach, compared as a Fraction."""
+    return mad(g).fraction >= Fraction(12, 5)
 
 
 def degenerate_palette(degeneracy: int, t: int, delta: int) -> int:

@@ -1,15 +1,18 @@
+import random
 from math import comb, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttone.bounds import (best_lower_bound, c4_lower,
+from ttone.bounds import (_least_pairs, best_lower_bound, c4_lower,
                           c9_t5_counting, c9_t5_feasible_tuple, certificates,
                           contains_c4, cycle_counting_t3, h_t_bounds,
                           path_tau, star_lower)
+from ttone.coloring import _json_line
+from ttone.constructions import outerplanar_palette, planar_palette
 from conftest import (degenerate_palette, graphs, greedy_2tone_palette,
-                      pairwise_contains_c4)
+                      least_k, pairwise_contains_c4)
 from ttone.graphs import Graph, gen_cycle, gen_grid, gen_path, gen_star
 
 
@@ -20,6 +23,45 @@ def ceil_star_formula(delta):
     if s * s == m:
         return (5 + s + 1) // 2 if (5 + s) % 2 else (5 + s) // 2
     return (5 + s) // 2 + 1
+
+
+def test_least_pairs_matches_a_scan():
+    m = 0
+    for b in range(-5, 10 ** 4 + 1):
+        while comb(m, 2) < b:
+            m += 1
+        assert _least_pairs(b) == m
+
+
+def _roots_sample(seed: int) -> list:
+    """Seeded values up to 10**30: a few at each order of magnitude, and
+    C(m, 2) and its neighbors for m at each, where a root moves."""
+    rng = random.Random(seed)
+    out = []
+    for e in range(31):
+        out += [rng.randrange(10 ** e, 10 ** (e + 1)) for _ in range(3)]
+        m = rng.randrange(isqrt(2 * 10 ** e) + 2, isqrt(2 * 10 ** (e + 1)) + 3)
+        out += [comb(m, 2) - 1, comb(m, 2), comb(m, 2) + 1]
+    return out
+
+
+def test_palette_roots_match_the_search_they_replaced():
+    # the six least-k searches, by the galloping oracle, where a scan
+    # cannot finish
+    values = _roots_sample(29)
+    for d in values:
+        assert star_lower(d) == least_k(
+            lambda k: comb(max(k - 2, 0), 2) >= d, lo=2)
+        assert h_t_bounds(d) == (
+            least_k(lambda k: comb(k, 2) >= 3 * d, lo=2),
+            least_k(lambda k: comb(k, 2) - comb(6, 2) >= 3 * d, lo=6))
+        # the PathFormula cap of certificates
+        assert _least_pairs(d) == least_k(lambda i: comb(i, 2) >= d)
+    for d in [*range(-40, 0), -10 ** 30, -10 ** 6, 0, *values]:
+        assert outerplanar_palette(d) == least_k(
+            lambda k: comb(max(k - 4, 0), 2) > d + 2, lo=4)
+        assert planar_palette(d) == max(41, least_k(
+            lambda k: comb(max(k - 10, 0), 2) > 2 * d + 25, lo=10))
 
 
 def test_star_lower_examples():
@@ -140,5 +182,5 @@ def test_certificates_listing_and_json():
     certs = certificates(gen_grid(3, 3), 2)
     kinds = [c.kind for c in certs]
     assert kinds == ["Star", "C4Subgraph", "PathFormula"]
-    line = certs[0].to_json_line()
-    assert line.startswith('{"bound":')
+    line = _json_line(certs[0]._asdict())
+    assert line.startswith('{"bound":') and line.endswith("}\n")

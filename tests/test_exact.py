@@ -517,6 +517,15 @@ def test_palette_tables_match_their_definitions():
                 colors = set(masks[mask])
                 assert value == sum(1 << x for x, label in enumerate(labels)
                                     if len(colors.intersection(label)) <= cap)
+    # two large tone-5 palettes, (24, 5) the largest compiled, at seeded
+    # label indices
+    rng = random.Random(29)
+    for k, t in ((20, 5), (24, 5)):
+        pal = exact._palette(k, t)
+        labels = list(combinations(range(1, k + 1), t))
+        for x in [0, len(labels) - 1, *rng.sample(range(len(labels)), 200)]:
+            label = labels[x]
+            assert pal.decoded[x] == (label_mask(label), label, label[-1])
 
 
 def _mixed_decisions():

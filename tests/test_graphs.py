@@ -1,7 +1,7 @@
 import math
 import re
 from fractions import Fraction
-from itertools import compress
+from itertools import combinations, compress
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +12,8 @@ from conftest import (ThreadConfig, augmenting_path_cut, bfs_distances,
                       degeneracy_order, edge_node_density_exceeds,
                       find_outerplanar_edge, find_planar_reducible,
                       find_thread_config, graphs, greedy_2tone_palette,
-                      induced, random_steps, scan_effective_diameter)
+                      induced, mad_at_least_12_5, random_steps,
+                      scan_effective_diameter)
 from ttone.coloring import greedy_color
 from ttone import constructions, instances
 from ttone import graphs as graphs_mod
@@ -21,7 +22,7 @@ from ttone.graphs import (OUTERPLANAR_HIGH, PLANAR_HIGH, Density, Graph,
                           components, cycle_order, degree_crossings,
                           distances_within,
                           effective_diameter, gen_cycle, gen_fat_triangle,
-                          gen_grid, gen_path, gen_star, mad,
+                          gen_grid, gen_path, gen_star, mad, mad_below_12_5,
                           outerplanar_edge_at, planar_reducible_at,
                           read_edge_list, thread_at, thread_runs,
                           write_edge_list)
@@ -650,11 +651,52 @@ def test_random_subdivided_is_below_12_5(seed, n_base, extra):
     assert mad(g).fraction < Fraction(12, 5)
 
 
+def test_mad_below_12_5_matches_exact_mad_on_gnp():
+    # seeded G(n, p) with average degree about 1 to 4, around 12/5
+    rng = random.Random(12)
+    at = 0
+    for _ in range(1000):
+        n = rng.randint(1, 40)
+        p = rng.uniform(1, 4) / n
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        exact = mad(g).fraction
+        assert mad_below_12_5(g) == (exact < Fraction(12, 5))
+        at += exact == Fraction(12, 5)
+    assert at == 22
+    assert mad_below_12_5(Graph(0, []))
+
+
+def test_random_subdivided_draws_the_graphs_of_the_exact_check(monkeypatch):
+    # the same seeded draws under the class predicate and under the exact
+    # mad it replaced, with enough extra edges that the resample fires
+    fired = []
+
+    def counted(g):
+        below = mad_below_12_5(g)
+        fired[-1] += not below
+        return below
+
+    def parent(g):
+        return not mad_at_least_12_5(g)
+
+    check = [None]
+    monkeypatch.setattr(instances, "mad_below_12_5", lambda g: check[0](g))
+    for n_base, extra in ((6, 12), (10, 20), (12, 40)):
+        fired.append(0)
+        for seed in range(400):
+            check[0] = counted
+            got = random_subdivided(random.Random(seed), n_base, extra)
+            check[0] = parent
+            assert got == random_subdivided(random.Random(seed), n_base, extra)
+    assert fired == [7, 64, 110]
+
+
 def test_mixed_subdivided_draw_skips_mad(monkeypatch):
     # A mixed-mode draw of 10 791 vertices, whose exact mad took 16 s.  Its
-    # base is 2-degenerate, so mad is never called.
+    # base is 2-degenerate, so the class check is never called.
     calls = []
-    monkeypatch.setattr(instances, "mad", lambda g: calls.append(g) or mad(g))
+    monkeypatch.setattr(instances, "mad_below_12_5",
+                        lambda g: calls.append(g) or mad_below_12_5(g))
     g = random_subdivided(random.Random(3), 2000, 200)
     base_edges = g.m - (g.n - 2000)     # each interior vertex adds one edge
     assert g.n == 10_791 and g.n - 2000 not in (2 * base_edges, 3 * base_edges)

@@ -1,16 +1,17 @@
 """networkx as an independent oracle for distances and the random instance
-families.  networkx is a test-only dependency; without it this module is
-skipped."""
+families, and its graph atlas as a corpus for the class predicate.
+networkx is a test-only dependency; without it this module is skipped."""
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bfs_distances, graphs
-from ttone.graphs import Graph
+from ttone.graphs import Graph, mad, mad_below_12_5
 from ttone.instances import random_apollonian, random_maximal_outerplanar
 
 nx = pytest.importorskip("networkx")
@@ -50,3 +51,15 @@ def test_random_maximal_outerplanar_is_outerplanar(seed):
     h.add_edges_from((g.n, v) for v in range(g.n))
     assert nx.check_planarity(h)[0]        # planar with an apex on every vertex
     assert g.m == 2 * g.n - 3              # maximal outerplanar
+
+
+def test_mad_below_12_5_matches_exact_mad_on_the_atlas():
+    at = 0
+    for h in nx.graph_atlas_g()[1:]:
+        if not nx.is_connected(h):
+            continue
+        g = Graph(h.number_of_nodes(), list(h.edges()))
+        exact = mad(g).fraction
+        assert mad_below_12_5(g) == (exact < Fraction(12, 5))
+        at += exact == Fraction(12, 5)
+    assert at == 36

@@ -49,8 +49,19 @@ def test_import_ttone_loads_no_fractions_json_or_random():
 
 def test_cli_import_loads_no_fractions_random_or_instances():
     loaded = loaded_after("import ttone.cli")
-    assert {"ttone.cli", "argparse", "json"} <= loaded
-    assert not loaded & {"fractions", "decimal", "random", "ttone.instances"}
+    assert {"ttone.cli", "argparse"} <= loaded
+    assert not loaded & {"fractions", "decimal", "json", "random",
+                         "ttone.instances"}
+
+
+def test_gen_loads_no_json():
+    # gen writes an edge list only; json loads with the first JSON line read
+    # or written
+    loaded = loaded_after(
+        "import contextlib, io, ttone.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert ttone.cli.run(['gen', '--path', '5']) == 0")
+    assert "ttone.cli" in loaded and "json" not in loaded
 
 
 def test_serializing_and_gen_random_load_what_they_use():
