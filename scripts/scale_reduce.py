@@ -4,9 +4,12 @@
 Prints one line per colorer and size: vertex count, seconds for one
 colorer call (graph generation excluded; the best of as many calls as fit
 in one second, at least one), the median and the maximum of those calls,
-and microseconds per vertex of the best.  The best alone does not compare
-two commits on a shared machine; a median far above it, or a wide maximum,
-says that the row moved with the machine's load.
+and microseconds per vertex of the best.  The sparse rows add the seconds
+of color_sparse's class gate alone (mad_below_12_5, one max-density
+decision, timed the same way) and its share of the best colorer call.
+The best alone does not compare two commits on a shared machine; a median
+far above it, or a wide maximum, says that the row moved with the
+machine's load.
 Inputs are fixed-seed ttone.instances graphs:
 
   planar           random_apollonian (a stacked triangulation)
@@ -38,6 +41,7 @@ import sys
 import time
 
 from ttone.constructions import color_outerplanar, color_planar, color_sparse
+from ttone.graphs import mad_below_12_5
 from ttone.instances import (random_apollonian, random_maximal_outerplanar,
                              random_subdivided)
 
@@ -53,6 +57,16 @@ COLORERS = {
 }
 
 
+def timed(call) -> list:
+    """Seconds of each call of call() that fit in one second, at least one."""
+    calls = []
+    while sum(calls) < 1.0:
+        start = time.perf_counter()
+        call()
+        calls.append(time.perf_counter() - start)
+    return calls
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawTextHelpFormatter)
@@ -62,22 +76,22 @@ def main():
     args = parser.parse_args()
 
     print(f"{'colorer':<15} {'n':>7} {'seconds':>9} {'median':>9} {'max':>9} "
-          f"{'us/vertex':>10}")
+          f"{'us/vertex':>10} {'gate':>9} {'share':>6}")
     for name, (colorer, make) in COLORERS.items():
         largest = getattr(args, f"{name.replace('-', '_')}_max")
         for size in SIZES:
             if size > largest:
                 break
             g = make(random.Random(f"1/{name}/{size}"), size)
-            calls = []
-            while sum(calls) < 1.0:     # the calls that fit in a second
-                start = time.perf_counter()
-                colorer(g)
-                calls.append(time.perf_counter() - start)
+            calls = timed(lambda: colorer(g))
             best = min(calls)
+            gate = ""
+            if colorer is color_sparse:
+                gate = min(timed(lambda: mad_below_12_5(g)))
+                gate = f" {gate:>9.4f} {gate / best:>6.1%}"
             print(f"{name:<15} {g.n:>7} {best:>9.3f} "
                   f"{statistics.median(calls):>9.3f} {max(calls):>9.3f} "
-                  f"{best / g.n * 1e6:>10.1f}", flush=True)
+                  f"{best / g.n * 1e6:>10.1f}{gate}", flush=True)
     return 0
 
 

@@ -349,10 +349,20 @@ def color_planar(g: Graph) -> Coloring:
     maximum degree 12).  Raises when no reducible vertex exists.
     """
     def picks(red):
-        hub = LeastLive(red, lambda v: len(red.adj[v]) >= 13)
+        adj, touched = red.adj, red.touched
+        # the live ids of degree >= 13, kept from touched; a removed id's
+        # neighbor set is empty, so it leaves as it is read
+        hubs = {v for v, a in enumerate(adj) if len(a) >= 13}
+        read = len(touched)
         low = LeastLive(red, lambda v: planar_reducible_at(red, v),
                         degree_crossings(red, PLANAR_HIGH))
-        while hub() is not None:       # None: maximum degree <= 12
+        while True:
+            fresh = touched[read:]
+            read += len(fresh)
+            hubs.difference_update(fresh)
+            hubs.update(u for u in fresh if len(adj[u]) >= 13)
+            if not hubs:               # maximum degree <= 12
+                return
             v = low()
             if v is None:
                 raise ClassPreconditionError(

@@ -438,22 +438,31 @@ def _density_exceeds(g: Graph, p: int, q: int):
 
     The threshold is two ints, p >= 0 and q >= 1, reduced here by gcd, so
     the capacities are those of the reduced fraction.
-    Returns a witness vertex set, or None when the answer is no.
-    Goldberg's (1984) network on the vertices alone, n + 2 nodes: one arc
-    of capacity q each way per edge, and for each vertex v an arc s -> v of
-    capacity q*m and v -> sink of capacity q*m + 2p - q*d(v).  The cut that
-    puts S on the source side costs q*m*n + 2(p|S| - q|E(S)|).  Every cut crosses exactly one of s -> v and
-    v -> sink, so the network here takes min(q*m, q*m + 2p - q*d(v)) off
-    both, which lowers every cut by the same sum: s -> v keeps
-    max(0, q*d(v) - 2p), v -> sink max(0, 2p - q*d(v)), and S = {} cuts the
-    sum of the s -> v capacities, so the strict test is flow < that sum.
+    Returns a witness vertex set, the smallest maximizer of
+    q|E(S)| - p|S| when that maximum is positive, or None when the answer
+    is no.  mad's witnesses rest on that set.
 
-    The residual source side of a maximum flow, which _min_cut's last BFS
-    levels, is the smallest minimum cut, so the witness, that side without
-    s, is the smallest maximizer of q|E(S)| - p|S|: the set the source /
-    edge-node / vertex-node / sink network gives too, since there every
-    edge node of E(S) joins S on the source side of a minimum cut.  mad's
-    witnesses rest on that set.
+    From threshold 1 on (p >= q) the smallest maximizer S lies on the
+    2-core's branch vertices (degree >= 3 there) and on whole threads, the
+    maximal paths of degree-2 vertices between two of them:
+    - a vertex of degree <= 1 in S adds at most q - p <= 0, so S has none,
+      and lies in the 2-core;
+    - so S holds a thread's s vertices all or none, and all only with both
+      of its ends u and z (u = z for a loop), when they add
+      w = q(s+1) - ps; S holds them exactly when w > 0, and, since a
+      2-regular component of L vertices adds L(q - p) <= 0, no such
+      component.
+    The branch vertices and the threads with w > 0 are thus a multigraph
+    with edge weights w whose smallest maximizer of (sum of w inside) -
+    p|B| is S's branch part, and S is that part plus the threads with both
+    ends in it.  Goldberg's (1984) network on the branch vertices: an arc
+    pair of capacity w each way per thread, and the excess x(v) = D(v) - 2p,
+    D(v) the sum of w over the threads at v (a loop counts twice), on an
+    arc s -> v of capacity x(v) when x(v) > 0, else v -> sink of capacity
+    -x(v).  The cut that puts B on the source side costs the sum of the
+    positive excesses less twice B's value, so the strict test is flow <
+    that sum.  The residual source side of a maximum flow, which
+    _min_cut's last BFS levels, is the smallest minimum cut: B, without s.
 
     Below threshold 1 (p < q) no flow is run: a vertex joined to S by an
     edge adds at least 1 - p/q > 0 to |E(S)| - (p/q)|S|, so the maximizers
@@ -464,23 +473,60 @@ def _density_exceeds(g: Graph, p: int, q: int):
     n = g.n
     d = gcd(p, q)
     p, q = p // d, q // d
+    adj = g.adj
     if p < q:
         side = set()
         for root, reach in components(g):
             comp = [root, *reach]
-            if q * sum(len(g.adj[u]) for u in comp) > 2 * p * len(comp):
+            if q * sum(len(adj[u]) for u in comp) > 2 * p * len(comp):
                 side.update(comp)
         return side or None
-    src, snk = n, n + 1
-    excess = [q * len(a) - 2 * p for a in g.adj]
-    arcs = [(src, v, x, 0) if x > 0 else (v, snk, -x, 0)
-            for v, x in enumerate(excess) if x]
-    arcs += [(u, v, q, q) for u, v in g.edges()]
-    flow, side = _min_cut(n + 2, arcs, src, snk)
+    deg = [len(a) for a in adj]
+    core = [x > 1 for x in deg]
+    peel = [v for v in range(n) if not core[v]]
+    while peel:
+        for u in adj[peel.pop()]:
+            if core[u]:
+                deg[u] -= 1
+                if deg[u] < 2:
+                    core[u] = False
+                    peel.append(u)
+    branch = [v for v in range(n) if core[v] and deg[v] > 2]
+    if not branch:
+        return None
+    node = {v: i for i, v in enumerate(branch)}
+    excess = [-2 * p] * len(branch)
+    pairs, threads = [], []
+    walked = [False] * n
+    for u in branch:
+        for y in adj[u]:
+            if not core[y] or walked[y] or y < u and y in node:
+                continue
+            inner, prev, z = [], u, y
+            while z not in node:
+                inner.append(z)
+                prev, z = z, next(x for x in adj[z] if x != prev and core[x])
+            if inner:
+                walked[inner[-1]] = True
+            w = q * (len(inner) + 1) - p * len(inner)
+            if w > 0:
+                excess[node[u]] += w
+                excess[node[z]] += w
+                if u != z:
+                    pairs.append((node[u], node[z], w, w))
+                if inner:
+                    threads.append((u, z, inner))
+    src = len(branch)
+    arcs = [(src, i, x, 0) if x > 0 else (i, src + 1, -x, 0)
+            for i, x in enumerate(excess) if x]
+    flow, side = _min_cut(src + 2, arcs + pairs, src, src + 1)
     if flow >= sum(x for x in excess if x > 0):
         return None
-    side.discard(src)
-    return side
+    witness = {branch[i] for i in side if i < src}
+    for u, z, inner in threads:
+        if u in witness and z in witness:
+            witness.update(inner)
+    return witness
 
 
 def mad(g: Graph) -> Density:

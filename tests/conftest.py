@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from ttone import blocks, coloring, exact
 from ttone.coloring import (StructuralError, Violation, check_structure,
                             label_mask, label_stream)
-from ttone.graphs import (Graph, _min_cut, _run, distances_within, mad,
+from ttone.constructions import ClassPreconditionError
+from ttone.graphs import (PLANAR_HIGH, Graph, LeastLive, _min_cut, _run,
+                          components, degree_crossings, distances_within, mad,
                           outerplanar_edge_at, planar_reducible_at)
 
 
@@ -28,6 +30,31 @@ def graphs(draw, max_n=8, min_n=1):
                           max_size=len(pairs)))
     edges = [e for e, r in zip(pairs, picks) if r < p]
     return Graph(n, edges)
+
+
+@st.composite
+def threaded_graphs(draw):
+    """A random simple graph on up to 6 vertices, often dense, plus threads
+    of 1..6 new vertices between its vertices, loops (2..6 vertices) and
+    parallel threads included; then pendant trees hung anywhere and pure
+    cycles beside it, with the ids shuffled."""
+    base = draw(graphs(max_n=6))
+    end = st.integers(0, base.n - 1)
+    edges, n = base.edges(), base.n
+    for u, z, s in draw(st.lists(st.tuples(end, end, st.integers(1, 6)),
+                                 max_size=8)):
+        s = max(s, 2) if u == z else s
+        chain = [u, *range(n, n + s), z]
+        n += s
+        edges += zip(chain, chain[1:])
+    for _ in range(draw(st.integers(0, 4))):
+        edges.append((draw(st.integers(0, n - 1)), n))
+        n += 1
+    for length in draw(st.lists(st.integers(3, 7), max_size=2)):
+        edges += [(n + i, n + (i + 1) % length) for i in range(length)]
+        n += length
+    ids = draw(st.permutations(range(n)))
+    return Graph(n, [(ids[u], ids[v]) for u, v in edges])
 
 
 def induced(g, keep) -> Graph:
@@ -91,6 +118,36 @@ def edge_node_density_exceeds(g: Graph, threshold: Fraction):
     if flow >= q * m:
         return None
     return {v for v in range(n) if 1 + m + v in side}
+
+
+def vertex_network_density_exceeds(g: Graph, p: int, q: int):
+    """graphs._density_exceeds on Goldberg's network over every vertex, as
+    it ran before the network was folded onto the 2-core's branch vertices:
+    n + 2 nodes, one arc of capacity q each way per edge, s -> v of capacity
+    max(0, q*d(v) - 2p) and v -> sink of capacity max(0, 2p - q*d(v)), so
+    the strict test is flow < the sum of the s -> v capacities and the
+    witness is the residual source side without s.  Below threshold 1 the
+    components denser than p/q, without flow."""
+    n = g.n
+    d = math.gcd(p, q)
+    p, q = p // d, q // d
+    if p < q:
+        side = set()
+        for root, reach in components(g):
+            comp = [root, *reach]
+            if q * sum(len(g.adj[u]) for u in comp) > 2 * p * len(comp):
+                side.update(comp)
+        return side or None
+    src, snk = n, n + 1
+    excess = [q * len(a) - 2 * p for a in g.adj]
+    arcs = [(src, v, x, 0) if x > 0 else (v, snk, -x, 0)
+            for v, x in enumerate(excess) if x]
+    arcs += [(u, v, q, q) for u, v in g.edges()]
+    flow, side = _min_cut(n + 2, arcs, src, snk)
+    if flow >= sum(x for x in excess if x > 0):
+        return None
+    side.discard(src)
+    return side
 
 
 def augmenting_path_cut(size: int, arcs, s: int, t: int):
@@ -378,6 +435,20 @@ def find_outerplanar_edge(g) -> tuple:
     scan of every live vertex."""
     return next(filter(None, (outerplanar_edge_at(g, x) for x in g.vertices())),
                 None)
+
+
+def hub_heap_planar_picks(red):
+    """color_planar's steps as it took them while a LeastLive heap, not a
+    set kept from touched, answered whether a live vertex of degree >= 13
+    is left."""
+    hub = LeastLive(red, lambda v: len(red.adj[v]) >= 13)
+    low = LeastLive(red, lambda v: planar_reducible_at(red, v),
+                    degree_crossings(red, PLANAR_HIGH))
+    while hub() is not None:
+        v = low()
+        if v is None:
+            raise ClassPreconditionError("input not planar: no reducible vertex")
+        yield [v], low.found[1], None
 
 
 def isolated_first_pick(red) -> tuple:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (count_verifies, graphs, isolated_first_pick,
-                      ring_walk_extend, ring_walk_labels)
+from conftest import (count_verifies, graphs, hub_heap_planar_picks,
+                      isolated_first_pick, ring_walk_extend, ring_walk_labels)
 from ttone import coloring, constructions
 from ttone.blocks import cycle_value
 from ttone.bounds import h_t_bounds, path_tau, star_lower
@@ -316,6 +316,35 @@ def test_color_planar_random_apollonian(seed):
     g = random_apollonian(rng, rng.randint(1, 40))
     col = color_planar(g)
     assert col.k <= planar_palette(g.max_degree())
+
+
+def test_color_planar_picks_match_the_hub_heap(monkeypatch):
+    # color_planar asks "is a vertex of degree >= 13 left?" of a set kept
+    # from the Reduction's touched list; the steps and the colorings are
+    # those of the LeastLive heap it replaced.
+    real = constructions._reduce_and_lift
+    taken = []
+
+    def recorded(g, k, picks):
+        def steps(red):
+            for step in picks(red):
+                taken[-1].append(step)
+                yield step
+        return real(g, k, steps)
+
+    monkeypatch.setattr(constructions, "_reduce_and_lift", recorded)
+    contracted = 0
+    for seed in range(50):
+        rng = random.Random(seed)
+        g = random_apollonian(rng, rng.randint(17, 397))
+        taken.append([])
+        got = color_planar(g)
+        taken.append([])
+        want = recorded(g, planar_palette(g.max_degree()), hub_heap_planar_picks)
+        assert taken[-2] == taken[-1]
+        assert got == want
+        contracted += len(taken[-1])
+    assert contracted > 0
 
 
 def test_lifted_partials_verify_before_extension():

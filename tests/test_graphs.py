@@ -13,7 +13,8 @@ from conftest import (ThreadConfig, augmenting_path_cut, bfs_distances,
                       find_outerplanar_edge, find_planar_reducible,
                       find_thread_config, graphs, greedy_2tone_palette,
                       induced, mad_at_least_12_5, random_steps,
-                      scan_effective_diameter)
+                      scan_effective_diameter, threaded_graphs,
+                      vertex_network_density_exceeds)
 from ttone.coloring import greedy_color
 from ttone import constructions, instances
 from ttone import graphs as graphs_mod
@@ -383,10 +384,21 @@ def test_mad_flow_calls(monkeypatch):
     # 9 edges on 7 vertices, then K4's 6 on 4, passed unreduced; the flow
     # runs on the reduced threshold 3/2, so each edge's arc pair carries 2
     assert calls == [(9, 7), (6, 4)]
+    # the tail leaves the 2-core, so the network is K4's four branch nodes,
+    # one arc pair per K4 edge, a thread of no vertex: w = q = 2 each way
     size, arcs = networks[-1]
     edge_arcs = {(u, v): (c, back) for u, v, c, back in arcs
                  if u < size - 2 and v < size - 2}
-    assert edge_arcs == {e: (2, 2) for e in k4_tail.edges()}
+    assert size == 6
+    assert edge_arcs == {e: (2, 2) for e in combinations(range(4), 2)}
+    # a theta graph of threads of 0, 1 and 3 vertices between 0 and 1, at
+    # 8/7: w = q(s+1) - ps is 7, 6 and 4, one arc pair each, and each end's
+    # excess 17 - 2p = 1
+    networks.clear()
+    theta = Graph(6, [(0, 1), (0, 2), (2, 1), (0, 3), (3, 4), (4, 5), (5, 1)])
+    assert exceeds(theta, 8, 7) == set(range(6))
+    assert networks == [(4, [(2, 0, 1, 0), (2, 1, 1, 0), (0, 1, 7, 7),
+                             (0, 1, 6, 6), (0, 1, 4, 4)])]
 
 
 @st.composite
@@ -430,12 +442,14 @@ def test_density_gate_matches_edge_node_network(g, rnd):
 
 
 def test_mad_on_long_chains():
-    # K4 with a 4 500-vertex tail: the flow carries the clique's excess far
-    # down the tail, along augmenting paths of over 1 100 arcs, more than
-    # Python's recursion limit would allow a search with a frame per arc.
+    # K4 with a 4 500-vertex tail, which the density decision peels off
     lollipop = Graph(4504, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)] +
                      [(v, v + 1) for v in range(3, 4503)])
     assert mad(lollipop) == Density(12, 4)
+    # one augmenting path of 3 001 arcs, more than Python's recursion limit
+    # would allow a search with a frame per arc
+    arcs = [(v, v + 1, 1, 0) for v in range(3001)]
+    assert graphs_mod._min_cut(3002, arcs, 0, 3001) == (1, {0})
     # below threshold 1, decided by components without flow
     perm = list(range(1500))
     random.Random(0).shuffle(perm)
@@ -443,7 +457,17 @@ def test_mad_on_long_chains():
     assert mad(path) == Density(2 * 1499, 1500)
 
 
+def _branch_count(g: Graph) -> int:
+    """The vertices of degree >= 3 in g's 2-core, the core found by deleting
+    vertices of degree <= 1 until none is left."""
+    core = set(range(g.n))
+    while low := [v for v in core if len(core.intersection(g.adj[v])) < 2]:
+        core.difference_update(low)
+    return sum(1 for v in core if len(core.intersection(g.adj[v])) > 2)
+
+
 def test_density_gate_network_is_on_the_vertices(monkeypatch):
+    # the branch vertices of the 2-core, plus source and sink
     sizes = []
     min_cut = graphs_mod._min_cut
 
@@ -454,17 +478,78 @@ def test_density_gate_network_is_on_the_vertices(monkeypatch):
     monkeypatch.setattr(graphs_mod, "_min_cut", counted)
     k4_tail = Graph(7, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
                         (3, 4), (4, 5), (5, 6)])
-    for g in [gen_cycle(6), gen_grid(3, 3), k4_tail]:
+    for g, branch in [(gen_grid(3, 3), 5), (k4_tail, 4)]:
         sizes.clear()
         mad(g)
-        assert sizes and set(sizes) == {g.n + 2}, (g, sizes)
-    sizes.clear()
-    mad(gen_star(4))            # density 4/5: below 1, decided without flow
-    assert sizes == []
+        assert _branch_count(g) == branch
+        assert sizes and set(sizes) == {branch + 2}, (g, sizes)
+    for g in [gen_star(4),      # density 4/5: below 1, decided without flow
+              gen_cycle(6)]:    # 2-regular: no branch vertex, no flow
+        sizes.clear()
+        mad(g)
+        assert sizes == []
     g = random_subdivided(random.Random(0), 30, 8)
     sizes.clear()
     constructions.color_sparse(g)
-    assert sizes == [g.n + 2]
+    assert sizes == [_branch_count(g) + 2] and sizes[0] < g.n // 2
+
+
+@given(st.one_of(threaded_graphs(), graphs(max_n=12)),
+       st.lists(st.tuples(st.integers(0, 24), st.integers(1, 8)), min_size=1,
+                max_size=6),
+       st.randoms(use_true_random=False))
+@example(Graph(7, list(combinations(range(6), 2)) + [(0, 6), (6, 1)]),
+         [(2, 1)], random.Random(0))    # K6 and a 1-vertex thread, w = 0
+@settings(max_examples=200, deadline=None)
+def test_density_gate_matches_vertex_network(g, thresholds, rnd):
+    # The folded network against the one on every vertex: the same witness
+    # at thresholds on both sides of 1, among them w = 0 at (s+1)/s, and at
+    # the density of a random subgraph, a tie for it; the same mad.
+    sub = set(rnd.sample(range(g.n), rnd.randint(1, g.n)))
+    inside = sum(1 for u, v in g.edges() if u in sub and v in sub)
+    for p, q in thresholds + [(inside, len(sub))]:
+        assert graphs_mod._density_exceeds(g, p, q) == \
+            vertex_network_density_exceeds(g, p, q), (p, q)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graphs_mod, "_density_exceeds",
+                      vertex_network_density_exceeds)
+        want = mad(g)
+    assert mad(g) == want
+
+
+def _theta(threads: int, length: int) -> Graph:
+    """Vertices 0 and 1 joined by the given number of threads of length
+    vertices each."""
+    edges, n = [], 2
+    for _ in range(threads):
+        chain = [0, *range(n, n + length), 1]
+        n += length
+        edges += zip(chain, chain[1:])
+    return Graph(n, edges)
+
+
+@pytest.mark.parametrize("g", [
+    _theta(3, 1000),
+    Graph(3000, [(v, (v + 1) % 3000) for v in range(3000)] + [(0, 1500)])],
+    ids=["theta-3002", "cycle-3000-chord"])
+def test_long_chains_fold_to_their_branch_vertices(g, monkeypatch):
+    # Not a timing test: each long thread is one arc pair between the two
+    # branch vertices, so the flow runs on 4 nodes where the vertex network
+    # had n + 2 and a Dinic phase per step along a thread.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graphs_mod, "_density_exceeds",
+                      vertex_network_density_exceeds)
+        want = mad(g)
+    sizes = []
+    min_cut = graphs_mod._min_cut
+
+    def counted(size, arcs, s, t):
+        sizes.append(size)
+        return min_cut(size, arcs, s, t)
+
+    monkeypatch.setattr(graphs_mod, "_min_cut", counted)
+    assert mad(g) == want == Density(2 * g.m, g.n)
+    assert sizes and max(sizes) <= 4
 
 
 def test_thread_config_on_cycles():
