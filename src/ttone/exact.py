@@ -103,16 +103,18 @@ _COMPILE_BITS = 1 << 20
 
 def _color_sets(k: int, t: int) -> list:
     """has[c] for c in 1..k: the bitset of the t-subsets of [1..k] holding
-    c, bit x standing for the x-th subset in lex order.  Built for a = k
-    down to 1 by the lex recursion: the s-subsets of [a..k] are a plus the
-    (s-1)-subsets of [a+1..k], followed by the s-subsets of [a+1..k]."""
+    c, bit C(k, t) - 1 - x standing for the x-th subset in lex order, so
+    the lex-first is the top bit.  Built for a = k down to 1 by the lex
+    recursion: the s-subsets of [a..k] are a plus the (s-1)-subsets of
+    [a+1..k], followed by the s-subsets of [a+1..k], whose C(k-a, s) bits
+    go below."""
     count = [1] + [0] * t               # C(k-a+1, s) for s = 0..t
     rows = [[0] * (k + 1) for _ in range(t + 1)]
     for a in range(k, 0, -1):
         lo = max(1, t - a + 1)          # a smaller s cannot reach t colors
         rows = rows[:1] + [None] * (lo - 1) + [
-            [0] * a + [(1 << count[s - 1]) - 1]
-            + [rows[s - 1][c] | rows[s][c] << count[s - 1]
+            [0] * a + [((1 << count[s - 1]) - 1) << count[s]]
+            + [rows[s - 1][c] << count[s] | rows[s][c]
                for c in range(a + 1, k + 1)]
             for s in range(lo, t + 1)]
         count = [1] + [count[s - 1] + count[s] for s in range(1, t + 1)]
@@ -134,14 +136,14 @@ class _Palette:
     shared by every decision on that palette: has (from _color_sets), full
     (every label), canonical[mx] for mx in 0..k (the reach bound: the
     labels that hold c-1 whenever they hold a color c > mx+1, so that
-    their colors above mx are mx+1..mx+j), decoded, a memo from label
-    index to (mask, label, last color) read off has (see _decode), and
-    allowed[cap] for cap in 0..t-1, a memo from a mask to
-    _allowed(has, full, cap, mask).  An allowed set depends on (k, t, cap,
-    mask) alone, never on the graph, so the decisions on a palette share
-    them.  They are the only memos keyed by label masks; trim, called
-    after every compiled decision, drops them when they hold more than
-    _MEMO_BITS bits."""
+    their colors above mx are mx+1..mx+j), decoded, a memo from a bit of
+    has (the lex-first label at the top) to (mask, label, last color)
+    read off has (see _decode), and allowed[cap] for cap in 0..t-1, a
+    memo from a mask to _allowed(has, full, cap, mask).  An allowed set
+    depends on (k, t, cap, mask) alone, never on the graph, so the
+    decisions on a palette share them.  They are the only memos keyed by
+    label masks; trim, called after every compiled decision, drops them
+    when they hold more than _MEMO_BITS bits."""
 
     __slots__ = ("has", "full", "canonical", "decoded", "allowed")
 
@@ -168,8 +170,8 @@ _palette = lru_cache(maxsize=_PALETTES)(_Palette)
 
 
 def _decode(has: list, x: int) -> tuple:
-    """(mask, label, last color) of the x-th label in lex order, read off
-    the color sets: its colors are the c whose has[c] holds bit x."""
+    """(mask, label, last color) of the label at bit x, read off the color
+    sets: its colors are the c whose has[c] holds bit x."""
     label = tuple(c for c, h in enumerate(has) if h >> x & 1)
     return label_mask(label), label, label[-1]
 
@@ -207,9 +209,10 @@ class _Searcher:
     of each position to earlier and to later ones, come from the layout
     (see search_layout), which the caller builds: exact_decide for its one
     decision, tau once for all its k.  When k * C(k, t) <= _COMPILE_BITS
-    the labels are compiled to bits in lex order, and the tables that
-    depend on (k, t) alone come from _palette, built once per palette and
-    shared by the decisions on it, so a decision binds only its palette.
+    the labels are compiled to bits, the lex-first at the top bit (see
+    _color_sets), and the tables that depend on (k, t) alone come from
+    _palette, built once per palette and shared by the decisions on it,
+    so a decision binds only its palette.
     A position's domain is the AND of allowed(mask, cap), the labels
     sharing at most cap colors with mask, over its constraints to labeled
     positions; L is in it iff L passes label_stream's caps, and in
@@ -220,11 +223,12 @@ class _Searcher:
     label ANDs one allowed set into the domain of each later position i
     constrains.  A label that empties a domain is counted as a node and
     rejected, and the domains a label narrowed are restored on backtrack.
-    A position's candidates are canonical[mx] & its domain, read lowest
-    bit first.  A candidate whose subtree is isomorphic to that of an
-    earlier sibling, which failed, is not walked: the sibling's node count
-    is added in its place (see _dfs_compiled).  The nodes are those of the
-    same tree, some counted by isomorphism, and the witness is the same.
+    A position's candidates are canonical[mx] & its domain, read top bit
+    first, which is lex order.  A candidate whose subtree is isomorphic to
+    that of an earlier sibling, which failed, is not walked: the sibling's
+    node count is added in its place (see _dfs_compiled).  The nodes are
+    those of the same tree, some counted by isomorphism, and the witness
+    is the same.
 
     Above the guard _dfs_lazy draws the candidates from label_stream,
     unpruned.  Both paths read candidates in lex order, and forward
@@ -308,6 +312,9 @@ class _Searcher:
         dom[i+1:span[i]]; saved[i] is that slice as it was before i's label
         narrowed it.  Every domain starts as full, and each label of out
         ANDs its allowed sets into the positions along its later list.
+        Each draw takes the top bit x of cands[-1] by bit_length, with no
+        negation of the whole bitset, and decoded[x] is its label, so
+        candidates come in lex order.
 
         sig[c] is the bitset of the assigned positions whose labels hold c,
         and a candidate's orbit key is the sorted tuple of its colors' sig.
@@ -365,10 +372,10 @@ class _Searcher:
                 dom[i + 1:span[i]] = saved[i]
                 seen[-1][keys[i]] = nodes - base[i]
                 continue
-            low = cand & -cand
-            cands[-1] = cand ^ low
-            m, label, last = decoded[low.bit_length() - 1]
-            key = tuple(sorted([sig[c] for c in label]))
+            x = cand.bit_length() - 1
+            cands[-1] = cand ^ (1 << x)
+            m, label, last = decoded[x]
+            key = tuple(sorted(map(sig.__getitem__, label)))
             count = seen[-1].get(key)
             if count is not None:
                 nodes += count

@@ -149,8 +149,8 @@ def components(g: Graph):
     """Yield (root, reach) for each component of g: root is its vertex of
     largest degree (ties by smallest id), reach is distances_within(g,
     root, g.n), and the roots come in that order."""
-    seen = [False] * g.n
-    for root in sorted(range(g.n), key=lambda v: (-g.degree(v), v)):
+    seen, adj = [False] * g.n, g.adj
+    for root in sorted(range(g.n), key=lambda v: -len(adj[v])):
         if not seen[root]:
             reach = distances_within(g, root, g.n)
             seen[root] = True

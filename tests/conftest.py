@@ -570,8 +570,9 @@ def walk_dfs_compiled(self, start: int, mx: int, out: list) -> bool:
     constraint from i to a later j, all of them in dom[i+1:span[i]];
     saved[i] is that slice as it was before i's label narrowed it.
     Every domain starts as full, and each label of out ANDs its allowed
-    sets into the positions along its later list.  Bound to a _Searcher,
-    it decides as exact_decide did then."""
+    sets into the positions along its later list.  Candidates are drawn
+    top bit first, lex order in the palette's layout.  Bound to a
+    _Searcher, it decides as exact_decide did then."""
     n = len(self.order)
     later = [[] for _ in range(n)]
     for j, lst in enumerate(self.cons):
@@ -605,12 +606,12 @@ def walk_dfs_compiled(self, start: int, mx: int, out: list) -> bool:
             i -= 1
             dom[i + 1:span[i]] = saved[i]
             continue
-        low = cand & -cand
-        cands[-1] = cand ^ low
+        x = cand.bit_length() - 1
+        cands[-1] = cand ^ (1 << x)
         nodes += 1
         if nodes >= check:
             check = self._budget(nodes)
-        m, label, last = decoded[low.bit_length() - 1]
+        m, label, last = decoded[x]
         hi = span[i]
         saved[i] = dom[i + 1:hi]
         for j, allowed in later[i]:

@@ -1,4 +1,6 @@
 import random
+from inspect import signature
+from itertools import product
 from math import comb, isqrt
 
 import pytest
@@ -125,6 +127,39 @@ def test_c9_t5_counting():
     s1, s2, s3p, s3pp, s4 = c9_t5_feasible_tuple(distance2_cap=12)
     assert s1 + s2 + s3p + s3pp + s4 == 16
     assert s1 + 2 * s2 + 3 * (s3p + s3pp) + 4 * s4 == 45
+
+
+def test_c9_t5_feasible_tuple_matches_brute_force():
+    # the same integer system, every tuple of counts 0..16 tried: nonnegative
+    # counts of 16 colors filling 45 label slots, within the distance-2 cap
+    # (3*s4 + s3' <= cap) and the distance-3 capacity (s3' + 3*s3'' <= 18)
+    def fits(counts, cap):
+        s1, s2, s3p, s3pp, s4 = counts
+        return (sum(counts) == 16
+                and s1 + 2 * s2 + 3 * (s3p + s3pp) + 4 * s4 == 45
+                and 3 * s4 + s3p <= cap and s3p + 3 * s3pp <= 18)
+
+    loose = [c for c in product(range(17), repeat=5) if fits(c, 48)]  # no cap
+    for cap in range(19):
+        feasible = [c for c in loose if fits(c, cap)]
+        found = c9_t5_feasible_tuple(cap)
+        assert (found is None) == (not feasible) == (cap <= 10), cap
+        if found is not None:
+            assert found in feasible and fits(found, cap), cap
+    assert c9_t5_feasible_tuple(11) == (0, 3, 11, 2, 0)
+    # the certificate names the cap its default refutes
+    default = signature(c9_t5_feasible_tuple).parameters["distance2_cap"]
+    assert c9_t5_counting().parameters["distance2_cap"] == default.default
+
+
+def test_bound_argument_guards():
+    for call in (lambda: path_tau(0, 3), lambda: path_tau(3, 0),
+                 lambda: c4_lower(0), lambda: certificates(Graph(0, []), 2),
+                 lambda: certificates(gen_path(2), 0)):
+        with pytest.raises(ValueError):
+            call()
+    assert c4_lower(1) == 2
+    assert path_tau(1, 1) == 1
 
 
 def test_h_t_bounds():

@@ -177,6 +177,38 @@ def test_verify_structural_error(tmp_path, capsys):
         assert (code, out) == (2, "") and err.startswith("error: "), text
 
 
+@pytest.mark.parametrize("labels", [
+    {"0": [1, 2], "1": [3, 4], "2": [1, 3], "3": [2, 4]},
+    {"3": [2, 4], "0": [1, 2, 3], "1": [3, 4], "2": [1, 3]}])
+def test_verify_refuses_a_label_on_vertex_id_n(tmp_path, capsys, labels):
+    # id 3 on the 3-vertex path, with every label well-formed and with
+    # another label bad after it: one error line, no traceback
+    gfile = tmp_path / "p3.el"
+    gfile.write_text(write_edge_list(gen_path(3)))
+    cfile = tmp_path / "c.json"
+    cfile.write_text(json.dumps({"t": 2, "k": 4, "labels": labels}))
+    code, out, err = invoke(["verify", "--graph", str(gfile), "--in", str(cfile)],
+                            capsys)
+    assert (code, out, err) == (2, "", "error: label on unknown vertex 3\n")
+
+
+@pytest.mark.parametrize("label", [5, "ab", {"a": 1}, None, [1, True]])
+def test_verify_refuses_a_label_that_is_no_list_of_ints(tmp_path, capsys,
+                                                          label):
+    # a label of each JSON type but a list of integers is refused by the
+    # reader, with one error line and no traceback
+    gfile = tmp_path / "p2.el"
+    gfile.write_text(write_edge_list(gen_path(2)))
+    cfile = tmp_path / "c.json"
+    cfile.write_text(json.dumps(
+        {"t": 2, "k": 4, "labels": {"0": label, "1": [3, 4]}}))
+    code, out, err = invoke(["verify", "--graph", str(gfile), "--in", str(cfile)],
+                            capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"error: bad coloring JSON: vertex 0: label {label!r} "
+                   "is not a list of integers\n")
+
+
 def test_verify_deeply_nested_json(tmp_path, capsys):
     # deeper than the JSON parser's stack: refused as malformed (exit 2),
     # not a traceback under the exit code of violations

@@ -105,6 +105,18 @@ def test_verify_names_the_first_bad_label():
             verify_partial(g, Coloring(2, 4, labels))
 
 
+@pytest.mark.parametrize("labels", [
+    {0: (1, 2), 1: (3, 4), 2: (1, 3), 3: (2, 4)},
+    {3: (2, 4), 0: (1, 2, 3), 1: (3, 4), 2: (1, 3)}])
+def test_verify_refuses_a_label_on_vertex_id_n(labels):
+    # id 3 on the 3-vertex path, one past the last vertex: with every label
+    # well-formed (check_structure's fast path), and with a bad label listed
+    # after it (its slow path, which checks the id first)
+    with pytest.raises(StructuralError,
+                       match=r"^label on unknown vertex 3$"):
+        verify(gen_path(3), Coloring(2, 4, labels))
+
+
 def test_verify_memory_independent_of_color_values():
     # colors come from untrusted JSON; masks one bit per color value would
     # need 2^value bits (keep the value small enough for that to finish)

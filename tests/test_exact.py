@@ -274,8 +274,8 @@ def test_compiled_and_lazy_agree_without_budget(g, t, ks):
 @settings(max_examples=120, deadline=None)
 def test_compiled_candidates_equal_label_stream(g, t, extra, rng):
     # A position's compiled candidates, canonical[mx] ANDed with the allowed
-    # sets of its constraints to random labels, decoded lowest bit first,
-    # are label_stream's labels under the same caps and reach bound.
+    # sets of its constraints to random labels, decoded top bit first, are
+    # label_stream's labels under the same caps and reach bound.
     k = t + extra
     s = _searcher(g, t, k)
     pal = s.palette
@@ -289,9 +289,9 @@ def test_compiled_candidates_equal_label_stream(g, t, extra, rng):
         cand &= pal.allowed[cap][m]
     compiled = []
     while cand:
-        low = cand & -cand
-        cand ^= low
-        m, label, last = pal.decoded[low.bit_length() - 1]
+        x = cand.bit_length() - 1
+        cand ^= 1 << x
+        m, label, last = pal.decoded[x]
         compiled.append((m, label, max(last, mx)))
     assert compiled == list(label_stream(k, t, cons, mx))
 
@@ -477,7 +477,8 @@ def test_color_sets_build_no_row_that_cannot_reach_t():
         tracemalloc.stop()
     assert peak < 1 << 20
     labels = list(combinations(range(1, 25), 22))
-    assert has[1:] == [sum(1 << x for x, label in enumerate(labels)
+    top = len(labels) - 1           # label x sits at bit top - x
+    assert has[1:] == [sum(1 << top - x for x, label in enumerate(labels)
                            if c in label) for c in range(1, 25)]
 
 
@@ -493,15 +494,17 @@ def test_palette_tables_match_their_definitions():
         exact_decide(gen_cycle(7), t, k, SearchBudget(max_nodes=200))
         pal = exact._palette(k, t)
         labels = list(combinations(range(1, k + 1), t))
+        top = len(labels) - 1       # label x sits at bit top - x
         assert pal.full == (1 << len(labels)) - 1
         for x, label in enumerate(labels):
-            assert pal.decoded[x] == (label_mask(label), label, label[-1])
+            assert pal.decoded[top - x] == \
+                (label_mask(label), label, label[-1])
             for c in range(1, k + 1):
-                assert (pal.has[c] >> x & 1) == (c in label)
+                assert (pal.has[c] >> top - x & 1) == (c in label)
         for mx in range(k + 1):
             # canonical[mx]: the colors above mx are mx+1..mx+j
             above = [{c for c in label if c > mx} for label in labels]
-            want = sum(1 << x for x, a in enumerate(above)
+            want = sum(1 << top - x for x, a in enumerate(above)
                        if a == set(range(mx + 1, mx + 1 + len(a))))
             assert pal.canonical[mx] == want
         # allowed[cap][mask]: the labels sharing at most cap colors with
@@ -515,7 +518,8 @@ def test_palette_tables_match_their_definitions():
                 memo[mask]          # a _Memo fills a missing entry
             for mask, value in memo.items():
                 colors = set(masks[mask])
-                assert value == sum(1 << x for x, label in enumerate(labels)
+                assert value == sum(1 << top - x
+                                    for x, label in enumerate(labels)
                                     if len(colors.intersection(label)) <= cap)
     # two large tone-5 palettes, (24, 5) the largest compiled, at seeded
     # label indices
@@ -523,9 +527,11 @@ def test_palette_tables_match_their_definitions():
     for k, t in ((20, 5), (24, 5)):
         pal = exact._palette(k, t)
         labels = list(combinations(range(1, k + 1), t))
-        for x in [0, len(labels) - 1, *rng.sample(range(len(labels)), 200)]:
+        top = len(labels) - 1
+        for x in [0, top, *rng.sample(range(len(labels)), 200)]:
             label = labels[x]
-            assert pal.decoded[x] == (label_mask(label), label, label[-1])
+            assert pal.decoded[top - x] == \
+                (label_mask(label), label, label[-1])
 
 
 def _mixed_decisions():
