@@ -23,9 +23,9 @@ from . import bounds as bounds_mod
 from . import constructions
 from .coloring import Coloring, _json_line, verify
 from .exact import SearchBudget, tau
-from .graphs import (MAX_EDGE_LIST_VERTICES, Graph, cycle_order,
-                     distances_within, gen_cycle, gen_fat_triangle, gen_grid,
-                     gen_path, gen_star, mad, read_edge_list, write_edge_list)
+from .graphs import (MAX_EDGE_LIST_VERTICES, Graph, cycle_order, gen_cycle,
+                     gen_fat_triangle, gen_grid, gen_path, gen_star, mad,
+                     path_order, read_edge_list, write_edge_list)
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -122,18 +122,6 @@ def cmd_gen(args) -> int:
 # color
 # ---------------------------------------------------------------------------
 
-def _as_path_order(g: Graph):
-    if g.n == 1:
-        return [0]
-    ends = [v for v in range(g.n) if g.degree(v) == 1]
-    if len(ends) != 2 or any(g.degree(v) > 2 for v in range(g.n)):
-        return None
-    # with degrees at most 2, the component of an end is a path that the
-    # breadth-first walk from that end visits in order
-    order = [ends[0], *distances_within(g, ends[0], g.n)]
-    return order if len(order) == g.n else None
-
-
 def _as_grid_dims(g: Graph):
     # in the generator layout with m, n >= 2, vertex 0 is a corner whose
     # neighbors are 1 and n, so one candidate grid is enough
@@ -170,7 +158,7 @@ def _whole(g: Graph) -> Graph:
 # family: (recognizer, colorer of what the recognizer returned at tone t,
 # tones colored, what the input must be), in the order auto tries them
 _FAMILIES = {
-    "path": (_as_path_order,
+    "path": (path_order,
              lambda order, t: _along(constructions.color_path, order, t),
              range(1, sys.maxsize), "a path"),      # every tone
     "cycle": (cycle_order,

@@ -274,8 +274,11 @@ def label_stream(k: int, t: int, cons, mx: int = None):
     appear only as mx+1, mx+2, ... in that order, and top is mx plus the new
     colors the label brings.  Without mx every color counts as introduced
     and top is k.  One generator frame walks an explicit stack of chosen
-    colors, so deep labels cost no nested generator resumes.
+    colors, so deep labels cost no nested generator resumes.  A tone that
+    is no int of at least 1 raises ValueError on the first draw.
     """
+    if type(t) is not int or t < 1:     # else no label has t colors: no end
+        raise ValueError(f"tone must be an int >= 1, got {t!r}")
     hits = {}
     rem = []
     for i, (mask, cap) in enumerate(cons):

@@ -41,9 +41,7 @@ def color_path(n: int, t: int) -> Coloring:
     At n = 5000 that is 11, 22 and 23 calls at tones 3, 4 and 5, and the
     labels are those of greedy_color in id order.
     """
-    if n < 1 or t < 1:
-        raise ValueError("need n, t >= 1")
-    k = path_tau(n, t)
+    k = path_tau(n, t)      # raises ValueError unless n, t >= 1
     g = gen_path(n)
     coloring = Coloring(t, k)
     labels = coloring.labels

@@ -7,7 +7,7 @@ from collections import namedtuple
 from functools import lru_cache, partial
 from math import comb
 
-from .bounds import best_lower_bound
+from .bounds import Certificate, best_lower_bound
 from .coloring import Coloring, _checked, label_mask, label_stream
 from .graphs import Graph, components, distances_within
 
@@ -32,14 +32,9 @@ class SearchBudget(namedtuple("SearchBudget", "max_nodes wall_limit")):
         return super().__new__(cls, max_nodes, wall_limit)
 
 
-class ExhaustionProof(namedtuple("ExhaustionProof", "k nodes")):
-    """k was refuted by exhausting the canonicalized search tree."""
-
-    __slots__ = ()
-
-
 # DecideResult.status: "colored" | "infeasible" | "timeout"; TauResult.status:
-# "resolved" | "timeout", lower_certificate: Certificate | ExhaustionProof
+# "resolved" | "timeout", lower_certificate: a Certificate, the starting bound
+# or Exhaustion (the search refuted "colors" = value - 1 in "nodes" nodes)
 DecideResult = namedtuple("DecideResult", "status coloring nodes",
                           defaults=(None, 0))
 TauResult = namedtuple("TauResult", "status value coloring lower_certificate "
@@ -498,7 +493,8 @@ def tau(g: Graph, t: int, budget: SearchBudget = None) -> TauResult:
 
     Starts at the largest applicable lower bound and increments k until the
     decision search succeeds; the infeasibility evidence for value-1 is the
-    starting certificate (when the first k works) or the exhausted search.
+    starting certificate (when the first k works) or an Exhaustion
+    certificate of the search that refuted value-1.
     t must be an int >= 1, else ValueError before any table or search.
     The search layout is built once for every k.  The budget's max_nodes
     holds per k; its wall_limit becomes one deadline for the whole call,
@@ -511,7 +507,7 @@ def tau(g: Graph, t: int, budget: SearchBudget = None) -> TauResult:
     k0 = max(t, cert.bound)
     layout = search_layout(g, t)
     total = 0
-    last_refuted = None
+    lower = cert
     for k in range(k0, g.n * t + 1):
         if deadline is not None and time.monotonic() >= deadline:
             return TauResult("timeout", lower_bound=k, nodes=total)
@@ -519,13 +515,10 @@ def tau(g: Graph, t: int, budget: SearchBudget = None) -> TauResult:
             _decide(g, t, k, max_nodes, deadline, layout)
         total += res.nodes
         if res.status == "colored":
-            if last_refuted is None:
-                lower = cert
-            else:
-                lower = ExhaustionProof(k - 1, last_refuted)
             return TauResult("resolved", value=k, coloring=res.coloring,
                              lower_certificate=lower, lower_bound=k, nodes=total)
         if res.status == "timeout":
             return TauResult("timeout", lower_bound=k, nodes=total)
-        last_refuted = res.nodes
+        lower = Certificate("Exhaustion", {"colors": k, "nodes": res.nodes},
+                            k + 1)
     raise AssertionError("search exceeded the trivial palette n*t")

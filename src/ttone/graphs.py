@@ -185,19 +185,66 @@ def effective_diameter(g: Graph, cap: int) -> int:
     return best
 
 
+# ---------------------------------------------------------------------------
+# Degree-2 runs and cores
+# ---------------------------------------------------------------------------
+
+def _run(g: Graph, x: int, y: int):
+    """The vertices met walking from x through its neighbor y along
+    degree-2 vertices, up to the first one of another degree or x again:
+    the one walk along degree-2 vertices.  g may be a Graph or a
+    Reduction, whose adj holds sorted tuples or sets."""
+    adj = g.adj
+    prev, cur = x, y
+    while True:
+        yield cur
+        if cur == x or len(adj[cur]) != 2:
+            return
+        a, b = adj[cur]
+        prev, cur = cur, b if a == prev else a
+
+
 def cycle_order(g: Graph):
     """The vertices of g in cycle order, from 0 toward its lesser neighbor,
     when g is connected and 2-regular; else None."""
     adj = g.adj
     if g.n < 3 or any(len(a) != 2 for a in adj):
         return None
-    order = [0]
-    prev, cur = 0, adj[0][0]
-    while cur:
-        order.append(cur)
-        a, b = adj[cur]
-        prev, cur = cur, b if a == prev else a
+    order = [0, *_run(g, 0, adj[0][0])]
+    order.pop()                         # the run closes back at 0
     return order if len(order) == g.n else None
+
+
+def path_order(g: Graph):
+    """The vertices of g in path order, from the lesser of its two ends,
+    when g is a path (one vertex included); else None.  The run from the
+    least vertex of degree 1 meets every vertex only when g is a path."""
+    adj = g.adj
+    if g.n == 1:
+        return [0]
+    end = next((v for v, a in enumerate(adj) if len(a) == 1), None)
+    if end is None:
+        return None
+    order = [end, *_run(g, end, adj[end][0])]
+    return order if len(order) == g.n else None
+
+
+def _core(adj, k: int) -> tuple:
+    """(inside, deg): whether each vertex lies in the k-core, the largest
+    subgraph of minimum degree >= k, and the degree there of each vertex
+    inside it.  Each vertex is peeled once, when its degree falls below k:
+    the one core peel."""
+    deg = [len(a) for a in adj]
+    inside = [d >= k for d in deg]
+    peel = [v for v, up in enumerate(inside) if not up]
+    while peel:
+        for u in adj[peel.pop()]:
+            if inside[u]:
+                deg[u] -= 1
+                if deg[u] < k:
+                    inside[u] = False
+                    peel.append(u)
+    return inside, deg
 
 
 # ---------------------------------------------------------------------------
@@ -481,16 +528,7 @@ def _density_exceeds(g: Graph, p: int, q: int):
             if q * sum(len(adj[u]) for u in comp) > 2 * p * len(comp):
                 side.update(comp)
         return side or None
-    deg = [len(a) for a in adj]
-    core = [x > 1 for x in deg]
-    peel = [v for v in range(n) if not core[v]]
-    while peel:
-        for u in adj[peel.pop()]:
-            if core[u]:
-                deg[u] -= 1
-                if deg[u] < 2:
-                    core[u] = False
-                    peel.append(u)
+    core, deg = _core(adj, 2)
     branch = [v for v in range(n) if core[v] and deg[v] > 2]
     if not branch:
         return None
@@ -573,18 +611,6 @@ def mad_below_12_5(g: Graph) -> bool:
 PLANAR_HIGH = 11
 OUTERPLANAR_HIGH = 5
 THREAD_HIGH = 6
-
-
-def _run(g: Graph, x: int, y: int):
-    """The vertices met walking from x through its neighbor y along
-    degree-2 vertices, up to the first one of another degree or x again."""
-    adj = g.adj
-    prev, cur = x, y
-    while True:
-        yield cur
-        if cur == x or len(adj[cur]) != 2:
-            return
-        prev, cur = cur, next(u for u in adj[cur] if u != prev)
 
 
 def thread_at(g: Graph, x: int, width: int):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from .graphs import Graph, mad_below_12_5
+from .graphs import Graph, _core, mad_below_12_5
 
 
 def random_tree(rng: random.Random, n: int) -> Graph:
@@ -38,8 +38,9 @@ def random_subdivided(rng: random.Random, n_base: int = 8,
     mad_below_12_5, fails: a base with a subgraph of average degree 4 (6
     when uniformly 3) reaches 12/5, and enough extra edges make one.
 
-    The class check runs only when the base is not 2-degenerate, because a
-    2-degenerate base subdivided at least twice per edge has mad < 12/5.
+    The class check runs only when the base is not 2-degenerate, that is
+    when its 3-core is not empty, because a 2-degenerate base subdivided at
+    least twice per edge has mad < 12/5.
     Proof: if some subgraph has average degree at least 12/5 > 2, stripping
     its vertices of degree at most 1 keeps that so, which gives one, H, of
     minimum degree 2.  An interior vertex in H has both
@@ -65,24 +66,9 @@ def random_subdivided(rng: random.Random, n_base: int = 8,
         g = subdivide(base, lambda u, v: 2)
     else:
         g = subdivide(base, lambda u, v: rng.randint(2, 6))
-    if not _two_degenerate(base) and not mad_below_12_5(g):
+    if any(_core(base.adj, 3)[0]) and not mad_below_12_5(g):
         g = subdivide(base, lambda u, v: rng.randint(5, 7))
     return g
-
-
-def _two_degenerate(g: Graph) -> bool:
-    """Whether stripping vertices of degree at most 2 empties g.  Each
-    vertex is stacked once: at the start, or when its degree falls to 2."""
-    deg = [g.degree(v) for v in range(g.n)]
-    stack = [v for v in range(g.n) if deg[v] <= 2]
-    stripped = 0
-    while stack:
-        stripped += 1
-        for w in g.adj[stack.pop()]:
-            deg[w] -= 1
-            if deg[w] == 2:
-                stack.append(w)
-    return stripped == g.n
 
 
 def random_maximal_outerplanar(rng: random.Random, n: int) -> Graph:

@@ -16,7 +16,7 @@ from ttone.coloring import (StructuralError, Violation, check_structure,
                             label_mask, label_stream)
 from ttone.constructions import ClassPreconditionError
 from ttone.graphs import (PLANAR_HIGH, Graph, LeastLive, _min_cut, _run,
-                          components, degree_crossings, distances_within, mad,
+                          components, degree_crossings, mad,
                           outerplanar_edge_at, planar_reducible_at)
 
 
@@ -275,14 +275,16 @@ def sample_small_graphs(target=500, seed=20250810, max_n=7, reps=25):
     return out
 
 
-def bfs_distances(g: Graph, v: int) -> list:
-    """Exact shortest-path distances from v in g (a Graph or a Reduction);
-    math.inf for unreachable."""
+def bfs_distances(g: Graph, v: int, radius=math.inf) -> list:
+    """Exact shortest-path distances from v in g (a Graph or a Reduction)
+    up to radius; math.inf for unreachable vertices and farther ones."""
     dist = [math.inf] * len(g.adj)
     dist[v] = 0
     queue = deque([v])
     while queue:
         u = queue.popleft()
+        if dist[u] >= radius:
+            break
         du = dist[u] + 1
         for w in g.adj[u]:
             if dist[w] > du:
@@ -391,7 +393,7 @@ def rescan_search_order(g: Graph) -> list:
 
 
 def ball_verify_partial(g: Graph, coloring) -> list:
-    """coloring.verify_partial as one distances_within ball per assigned
+    """coloring.verify_partial as one bfs_distances ball per assigned
     vertex: every pair u < v at distance d <= t, by u then v, that shares at
     least d colors (counted on masks over the ranks of the colors in use)."""
     check_structure(g, coloring)
@@ -402,8 +404,8 @@ def ball_verify_partial(g: Graph, coloring) -> list:
     bad = []
     for u in sorted(masks):
         mu = masks[u]
-        for v, d in sorted(distances_within(g, u, t).items()):
-            if v > u and v in masks:
+        for v, d in enumerate(bfs_distances(g, u, t)):
+            if v > u and v in masks and d <= t:
                 shared = (mu & masks[v]).bit_count()
                 if shared >= d:
                     bad.append(Violation(u, v, d, shared))
@@ -415,8 +417,8 @@ def scan_effective_diameter(g: Graph, cap: int) -> int:
     every vertex, the largest eccentricity found, cap once it is reached."""
     best = 0
     for v in range(g.n):
-        reach = distances_within(g, v, cap)
-        best = max(best, max(reach.values(), default=0))
+        reach = bfs_distances(g, v, cap)
+        best = max(best, max(d for d in reach if d <= cap))
         if best >= cap:
             return cap
     return best
@@ -532,8 +534,8 @@ def constraint_pairs(g: Graph, t: int) -> list:
     """All unordered pairs (u, v, d) with u < v and 1 <= d = d(u,v) <= t."""
     pairs = []
     for u in range(g.n):
-        for v, d in sorted(distances_within(g, u, t).items()):
-            if v > u:
+        for v, d in enumerate(bfs_distances(g, u, t)):
+            if v > u and d <= t:
                 pairs.append((u, v, d))
     return pairs
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from itertools import combinations
 
@@ -533,3 +536,33 @@ def test_coloring_json_round_trip():
     assert payload["labels"]["0"] == [1, 2, 3]
     with pytest.raises(StructuralError):
         Coloring.from_json("{}")
+
+
+@pytest.mark.parametrize("t, k", [(2, "true"), (2, "5.0"), ("false", 5),
+                                  ("2.0", 5), ("true", "false")])
+def test_from_json_refuses_a_bool_or_float_t_or_k(t, k):
+    # one of t and k a JSON integer and the other not is refused as well
+    text = f'{{"t":{t},"k":{k},"labels":{{}}}}'
+    with pytest.raises(StructuralError, match="must be integers"):
+        Coloring.from_json(text)
+
+
+@pytest.mark.parametrize("call", [
+    "greedy_color(g, 0, 3)", "greedy_color(g, -1, 3)",
+    "greedy_color(g, 1.5, 3)", "greedy_extend(g, Coloring(0, 3), 0)",
+    "available_labels(g, Coloring(0, 4), 0)", "next(label_stream(4, 0, []))"],
+    ids=["color-0", "color-minus-1", "color-1.5", "extend-0", "available-0",
+         "stream-0"])
+def test_a_tone_below_1_or_no_int_is_refused(call):
+    # label_stream found no label of such a tone, and no end either: each
+    # call runs in a child with a timeout, so that a loop fails the test
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coloring.__file__)))
+    script = ("from ttone.coloring import (Coloring, available_labels, "
+              "greedy_color, greedy_extend, label_stream)\n"
+              "from ttone.graphs import Graph\n"
+              "g = Graph(2, [(0, 1)])\n"
+              f"try:\n    {call}\nexcept ValueError as exc:\n    print(exc)\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         timeout=30, env=dict(os.environ, PYTHONPATH=src))
+    assert (out.returncode, out.stderr) == (0, b"")
+    assert out.stdout.decode().startswith("tone must be an int >= 1, got ")

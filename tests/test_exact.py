@@ -13,8 +13,8 @@ from conftest import (count_verifies, graphs, pairs_layout,
 from ttone.bounds import Certificate, path_tau
 from ttone.coloring import Coloring, label_mask, label_stream, verify
 from ttone import exact
-from ttone.exact import (ExhaustionProof, SearchBudget, _Searcher,
-                         exact_decide, search_layout, search_order, tau)
+from ttone.exact import (SearchBudget, _Searcher, exact_decide,
+                         search_layout, search_order, tau)
 from ttone.graphs import Graph, gen_cycle, gen_path, gen_star
 
 
@@ -115,8 +115,9 @@ def test_tau_lower_certificate_kinds():
     assert isinstance(res.lower_certificate, Certificate)
     assert res.lower_certificate.kind == "C4Subgraph"
     res = tau(gen_cycle(7), 2)
-    assert isinstance(res.lower_certificate, ExhaustionProof)
-    assert res.lower_certificate.k == 5
+    # the search refuted 5 colors in 26 nodes (see the budget test below)
+    assert res.lower_certificate == \
+        Certificate("Exhaustion", {"colors": 5, "nodes": 26}, 6)
 
 
 def test_tau_c9_tone5_resolves_at_counting_floor():
@@ -387,7 +388,7 @@ def test_tau_builds_the_layout_once(monkeypatch):
     monkeypatch.setattr(exact, "search_layout",
                         lambda g, t: calls.append(t) or build(g, t))
     res = tau(gen_cycle(7), 2)
-    assert res.lower_certificate.k == 5 and calls == [2]
+    assert res.lower_certificate.parameters["colors"] == 5 and calls == [2]
 
 
 def test_answers_that_need_no_search_build_no_layout(monkeypatch):

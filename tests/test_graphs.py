@@ -19,17 +19,16 @@ from ttone.coloring import greedy_color
 from ttone import constructions, instances
 from ttone import graphs as graphs_mod
 from ttone.graphs import (OUTERPLANAR_HIGH, PLANAR_HIGH, Density, Graph,
-                          GraphError, LeastLive, Reduction, _run,
+                          GraphError, LeastLive, Reduction, _core, _run,
                           components, cycle_order, degree_crossings,
                           distances_within,
                           effective_diameter, gen_cycle, gen_fat_triangle,
                           gen_grid, gen_path, gen_star, mad, mad_below_12_5,
-                          outerplanar_edge_at, planar_reducible_at,
-                          read_edge_list, thread_at, thread_runs,
-                          write_edge_list)
-from ttone.instances import (_two_degenerate, random_apollonian,
-                             random_maximal_outerplanar, random_subdivided,
-                             subdivide)
+                          outerplanar_edge_at, path_order,
+                          planar_reducible_at, read_edge_list, thread_at,
+                          thread_runs, write_edge_list)
+from ttone.instances import (random_apollonian, random_maximal_outerplanar,
+                             random_subdivided, subdivide)
 import random
 
 
@@ -102,16 +101,48 @@ def test_cycle_order():
     # ids shuffled around the cycle: the walk leaves 0 toward 3, not 4
     g = Graph(6, [(0, 4), (4, 2), (2, 5), (5, 1), (1, 3), (3, 0)])
     assert cycle_order(g) == [0, 3, 1, 5, 2, 4]
+    assert path_order(g) is None
     assert cycle_order(gen_cycle(7)) == list(range(7))
     assert cycle_order(Graph(0, [])) is None
     assert cycle_order(gen_path(7)) is None
-    # 2-regular but not connected, with 0 in each component in turn
+    # ids shuffled along the path: the walk starts at the lesser end, 1
+    g = Graph(6, [(4, 0), (0, 5), (5, 2), (2, 3), (3, 1)])
+    assert path_order(g) == [1, 3, 2, 5, 0, 4]
+    assert cycle_order(g) is None
+    assert path_order(gen_path(7)) == list(range(7))
+    assert path_order(Graph(1, [])) == [0]
+    assert path_order(Graph(2, [(0, 1)])) == [0, 1]
+    assert path_order(Graph(0, [])) is None
+    assert path_order(Graph(2, [])) is None
+    assert path_order(gen_star(3)) is None
+    # relabeled: the cycle from 0 toward its lesser neighbor, the path
+    # from its lesser end
+    rnd = random.Random(5)
+    for n in range(3, 40):
+        ids = rnd.sample(range(n), n)
+        ring = Graph(n, [(ids[i], ids[(i + 1) % n]) for i in range(n)])
+        line = Graph(n, list(zip(ids, ids[1:])))
+        at = ids.index(0)
+        around = ids[at:] + ids[:at]
+        if around[-1] < around[1]:
+            around = around[:1] + around[:0:-1]
+        assert cycle_order(ring) == around
+        assert path_order(line) == (ids if ids[0] < ids[-1] else ids[::-1])
+    # not connected, with 0 in each component in turn: two cycles, a
+    # cycle beside a path, a path beside an isolated vertex, two paths
     for sizes in ((3, 3), (3, 5), (5, 3)):
         edges, offset = [], 0
         for n in sizes:
             edges += [(offset + i, offset + (i + 1) % n) for i in range(n)]
             offset += n
         assert cycle_order(Graph(offset, edges)) is None
+        assert path_order(Graph(offset, edges)) is None
+    for n, edges in ((5, [(0, 1), (1, 2), (2, 0), (3, 4)]),
+                     (5, [(0, 1), (2, 3), (3, 4), (4, 2)]),
+                     (3, [(1, 2)]), (3, [(0, 1)]), (4, [(0, 1), (2, 3)]),
+                     (5, [(0, 1), (1, 2), (3, 4)])):
+        g = Graph(n, edges)
+        assert cycle_order(g) is None and path_order(g) is None
 
 
 def test_constraint_pairs():
@@ -714,9 +745,10 @@ def test_subdivide_helper():
 def test_two_degenerate_base_subdivided_twice_is_below_12_5(base, rnd):
     # random_subdivided's shortcut, against the exact mad: at least two
     # interior vertices per edge of a 2-degenerate base keep mad < 12/5
-    assert _two_degenerate(base) == (degeneracy_order(base)[1] <= 2)
+    two_degenerate = not any(_core(base.adj, 3)[0])
+    assert two_degenerate == (degeneracy_order(base)[1] <= 2)
     g = subdivide(base, lambda u, v: rnd.choice((2, 2, 3, 6)))
-    if _two_degenerate(base):
+    if two_degenerate:
         assert mad(g).fraction < Fraction(12, 5)
 
 
@@ -724,8 +756,23 @@ def test_two_degenerate_bound_is_tight():
     # K5 is 4-degenerate, and subdivided twice per edge it reaches 12/5:
     # 30 edges on 25 vertices
     k5 = Graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
-    assert not _two_degenerate(k5)
+    assert all(_core(k5.adj, 3)[0])
     assert mad(subdivide(k5, lambda u, v: 2)).fraction == Fraction(12, 5)
+
+
+@given(graphs(max_n=7), st.integers(0, 4))
+@settings(max_examples=150, deadline=None)
+def test_core_is_the_largest_subgraph_of_min_degree_k(g, k):
+    # the k-core by its definition: the union of the vertex sets whose
+    # induced subgraphs have minimum degree >= k, which is one itself
+    core = set()
+    for size in range(g.n + 1):
+        for keep in map(set, combinations(range(g.n), size)):
+            if all(len(keep.intersection(g.adj[v])) >= k for v in keep):
+                core |= keep
+    inside, deg = _core(g.adj, k)
+    assert [v for v in range(g.n) if inside[v]] == sorted(core)
+    assert all(deg[v] == len(core.intersection(g.adj[v])) for v in core)
 
 
 @given(st.integers(0, 10 ** 6), st.integers(2, 40), st.integers(0, 12))

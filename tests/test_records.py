@@ -11,8 +11,7 @@ import ttone
 from ttone.blocks import BLOCK_TABLES
 from ttone.bounds import Certificate
 from ttone.coloring import Coloring, Violation
-from ttone.exact import (DecideResult, ExhaustionProof, SearchBudget,
-                         TauResult)
+from ttone.exact import DecideResult, SearchBudget, TauResult
 from ttone.graphs import Density
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(ttone.__file__)))
@@ -110,7 +109,7 @@ def test_only_the_cli_entry_point_touches_the_collector():
     (Density(8, 5), "numerator"),
     (TauResult("timeout", lower_bound=4), "value"),
     (BLOCK_TABLES[3], "k"),
-    (ExhaustionProof(7, 84), "nodes"),
+    (Certificate("Exhaustion", {"colors": 7, "nodes": 84}, 8), "parameters"),
     (SearchBudget(), "max_nodes"),
     (DecideResult("infeasible"), "status"),
 ])
