@@ -36,14 +36,14 @@ def star_lower(max_degree: int) -> int:
 
 def path_tau(n: int, t: int) -> int:
     """Tone chromatic number of the n-vertex path: sum of max(0, t - C(i,2))."""
-    if n < 1 or t < 1:
+    if n < 1 or type(t) is not int or t < 1:
         raise ValueError("need n, t >= 1")
     return sum(max(0, t - comb(i, 2)) for i in range(n))
 
 
 def c4_lower(t: int) -> int:
     """Tone chromatic number of the 4-cycle: 4t - 2."""
-    if t < 1:
+    if type(t) is not int or t < 1:
         raise ValueError("need t >= 1")
     return 4 * t - 2
 
@@ -152,7 +152,7 @@ def contains_c4(g: Graph) -> bool:
 
 def certificates(g: Graph, t: int) -> list:
     """Every applicable lower-bound certificate for (g, t)."""
-    if g.n < 1 or t < 1:
+    if g.n < 1 or type(t) is not int or t < 1:
         raise ValueError("need a nonempty graph and t >= 1")
     out = []
     if t == 2:

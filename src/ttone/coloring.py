@@ -341,14 +341,15 @@ def _labels_at(g: Graph, partial: Coloring, v: int):
     leave the pairs (a, b), a < b, of free colors (outside near) that are
     not banned; they come off the complement of near lowest bit first.  v
     has no label, and each neighbor's label lies inside near, so neither
-    equals such a pair.  Other tones stream label_stream over one cap per
-    labeled vertex of the ball distances_within(g, v, t) (g a Graph or a
+    equals such a pair.  Other tones, and a t that is no int (which
+    label_stream refuses), stream label_stream over one cap per labeled
+    vertex of the ball distances_within(g, v, t) (g a Graph or a
     Reduction).
     """
     labels, t, k = partial.labels, partial.t, partial.k
     if v in labels:
         raise StructuralError(f"vertex {v} already assigned")
-    if t != 2:
+    if t != 2 or type(t) is not int:
         cons = [(label_mask(labels[w]), d - 1)
                 for w, d in distances_within(g, v, t).items() if w in labels]
         for _, label, _ in label_stream(k, t, cons):

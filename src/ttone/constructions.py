@@ -102,7 +102,7 @@ def color_cycle(n: int, t: int) -> Coloring:
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    if t not in BLOCK_TABLES:
+    if type(t) is not int or t not in BLOCK_TABLES:
         raise ValueError("cycle construction covers tones 2..5")
     ensure_validated()
     stored = exceptional_witness(n, t)
@@ -141,7 +141,7 @@ def color_grid(m: int, n: int, t: int) -> Coloring:
     tones 2..5.  Rows i in 1..m, columns j in 1..n, id (i-1)*n + (j-1)."""
     if m < 2 or n < 2:
         raise ValueError("need m, n >= 2")
-    if t not in (2, 3, 4, 5):
+    if type(t) is not int or t not in (2, 3, 4, 5):
         raise ValueError("grid construction covers tones 2..5")
     k = {2: 6, 3: 10, 4: 14, 5: 22}[t]
     labels = {}

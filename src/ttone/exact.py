@@ -48,33 +48,24 @@ def search_order(g: Graph) -> list:
 
 
 def search_layout(g: Graph, t: int) -> tuple:
-    """(order, cons, later, span), the tables of a search that depend on g
-    and t alone, so that tau builds them once for every k.  order is
-    search_order(g); cons[i] holds position i's constraints to earlier
-    positions as (j, cap) pairs, cap being the most colors the two labels
-    may share (distance minus 1), in order of cap; later[j] holds the same
-    constraints from j's side as (i, cap) pairs, i increasing; span[j] is
-    one past the last i in later[j] (j + 1 when there is none).  One
-    distances_within ball per position in search order gives both lists;
-    its keys come in order of distance, so cons needs no sort, and within
-    one cap they keep the ball's discovery order.  The search loops only
-    AND or test a position's constraints, so that order changes nothing."""
+    """(order, later), the tables of a search that depend on g and t alone,
+    so that tau builds them once for every k.  order is search_order(g);
+    later[j] holds position j's constraints to later positions as (i, cap)
+    pairs, i increasing, cap being the most colors the two labels may
+    share (distance minus 1).  One distances_within ball per position in
+    search order gives every list; each search loop derives the index it
+    reads from later."""
     order = search_order(g)
     pos = [0] * g.n
     for i, v in enumerate(order):
         pos[v] = i
-    cons = []
     later = [[] for _ in range(g.n)]
     for i, v in enumerate(order):
-        earlier = []
         for w, d in distances_within(g, v, t).items():
             j = pos[w]
             if j < i:
-                earlier.append((j, d - 1))
                 later[j].append((i, d - 1))
-        cons.append(earlier)
-    span = [lst[-1][0] + 1 if lst else j + 1 for j, lst in enumerate(later)]
-    return order, cons, later, span
+    return order, later
 
 
 class _Timeout(Exception):
@@ -194,20 +185,20 @@ class _Searcher:
     (color-introduction canonicalization), applied as label_stream's reach
     bound.  exact_decide fixes the first two labels by that rule and passes
     them as out to one of two loops, _dfs_compiled or _dfs_lazy, which
-    builds its state from them and searches the positions after them.
-    Both loops are iterative, so the depth of the search never touches the
-    interpreter's recursion limit.  A searcher is built whole, with its
-    layout, t, k, max_nodes and monotonic deadline (None for none); only
-    nodes changes after that.
+    builds its state from them and searches from position len(out), with
+    the reach bound out[-1][-1].  Both loops are iterative, so the depth of
+    the search never touches the interpreter's recursion limit.  A searcher
+    is built whole, with later, t, k, max_nodes and monotonic deadline
+    (None for none); only nodes changes after that.
 
-    The tables that depend on (g, t) alone, the order and the constraints
-    of each position to earlier and to later ones, come from the layout
-    (see search_layout), which the caller builds: exact_decide for its one
-    decision, tau once for all its k.  When k * C(k, t) <= _COMPILE_BITS
-    the labels are compiled to bits, the lex-first at the top bit (see
-    _color_sets), and the tables that depend on (k, t) alone come from
-    _palette, built once per palette and shared by the decisions on it,
-    so a decision binds only its palette.
+    later, the one table of (g, t) alone, comes from the layout (see
+    search_layout), which the caller builds: exact_decide for its one
+    decision, tau once for all its k; each loop derives from it the index
+    it reads.  When k * C(k, t) <= _COMPILE_BITS the labels are compiled
+    to bits, the lex-first at the top bit (see _color_sets), and the
+    tables that depend on (k, t) alone come from _palette, built once per
+    palette and shared by the decisions on it, so a decision binds only
+    its palette.
     A position's domain is the AND of allowed(mask, cap), the labels
     sharing at most cap colors with mask, over its constraints to labeled
     positions; L is in it iff L passes label_stream's caps, and in
@@ -233,9 +224,9 @@ class _Searcher:
     needs more.
     """
 
-    def __init__(self, layout: tuple, t: int, k: int, max_nodes: int,
+    def __init__(self, later: list, t: int, k: int, max_nodes: int,
                  deadline: float):
-        self.order, self.cons, self.later, self.span = layout
+        self.later = later
         self.t = t
         self.k = k
         self.max_nodes = max_nodes
@@ -262,17 +253,23 @@ class _Searcher:
             raise _Timeout
         return min(stop, nodes - nodes % 2048 + 2048)
 
-    def _dfs_lazy(self, start: int, mx: int, out: list) -> bool:
+    def _dfs_lazy(self, out: list) -> bool:
         """One label_stream per open position, over its caps to the label
-        masks of the earlier positions (masks, seeded from out)."""
-        n, k, t, cons = len(self.order), self.k, self.t, self.cons
+        masks of the earlier positions (masks, seeded from out), read off
+        later as earlier[i]; label_stream yields the same labels in any
+        order of the caps."""
+        n, k, t, start = len(self.later), self.k, self.t, len(out)
+        earlier = [[] for _ in range(n)]
+        for j, lst in enumerate(self.later):
+            for i, cap in lst:
+                earlier[i].append((j, cap))
         masks = [label_mask(label) for label in out] + [0] * (n - start)
 
         def stream(i, top):
-            return label_stream(k, t, [(masks[j], cap) for j, cap in cons[i]],
-                                top)
+            return label_stream(
+                k, t, [(masks[j], cap) for j, cap in earlier[i]], top)
 
-        streams = [stream(start, mx)]
+        streams = [stream(start, out[-1][-1])]
         nodes = self.nodes
         check = nodes + 1
         i = start
@@ -298,18 +295,17 @@ class _Searcher:
                 return True
             streams.append(stream(i, top))
 
-    def _dfs_compiled(self, start: int, mx: int, out: list) -> bool:
+    def _dfs_compiled(self, out: list) -> bool:
         """Forward checking over one stack of candidate bitsets, with tops
-        (the mx of each open position) and seen beside it.  It builds no
-        table of the graph: later[i] and span[i] come from the layout, and
-        a label with mask m at i ANDs the palette's allowed[cap][m] into
-        dom[j] for each (j, cap) of later[i], all of them in
-        dom[i+1:span[i]]; saved[i] is that slice as it was before i's label
-        narrowed it.  Every domain starts as full, and each label of out
-        ANDs its allowed sets into the positions along its later list.
-        Each draw takes the top bit x of cands[-1] by bit_length, with no
-        negation of the whole bitset, and decoded[x] is its label, so
-        candidates come in lex order.
+        (the mx of each open position) and seen beside it.  A label with
+        mask m at i ANDs the palette's allowed[cap][m] into dom[j] for each
+        (j, cap) of later[i], all of them in dom[i+1:span[i]], span[i] being
+        one past the last j (i + 1 when there is none); saved[i] is that
+        slice before i's label narrowed it.  Every domain starts as full,
+        and each label of out ANDs its allowed sets into the positions
+        along its later list.  Each draw takes the top bit x of cands[-1]
+        by bit_length, with no negation of the whole bitset, and decoded[x]
+        is its label, so candidates come in lex order.
 
         sig[c] is the bitset of the assigned positions whose labels hold c,
         and a candidate's orbit key is the sorted tuple of its colors' sig.
@@ -328,7 +324,9 @@ class _Searcher:
         subtree is thus isomorphic to one that failed completely, and fails
         with the same count; a jump past max_nodes or past a multiple of
         2048 is checked as the walk's single steps were (see _budget)."""
-        n, later, span = len(self.order), self.later, self.span
+        later = self.later
+        n, start, mx = len(later), len(out), out[-1][-1]
+        span = [lst[-1][0] + 1 if lst else i + 1 for i, lst in enumerate(later)]
         allowed = self.palette.allowed
         dom = [self.palette.full] * n
         for p, label in enumerate(out):
@@ -466,17 +464,17 @@ def _decide(g: Graph, t: int, k: int, max_nodes: int, deadline: float,
     stopping past the monotonic deadline unless it is None, on layout =
     search_layout(g, t), which the caller builds.  The layout is taken on
     trust, since one of another graph or tone decides wrongly; only
-    exact_decide and tau call this, each with the layout of its g and t."""
-    searcher = _Searcher(layout, t, k, max_nodes, deadline)
+    exact_decide and tau call this, each with the layout of its g and t.
+    Position 0 has maximum degree, so later[0] is empty iff g has no edge."""
+    order, later = layout
+    searcher = _Searcher(later, t, k, max_nodes, deadline)
     base = tuple(range(1, t + 1))
-    second = tuple(range(t + 1, 2 * t + 1)) if any(g.adj) else base
-    if searcher.palette is None:
-        loop = searcher._dfs_lazy
-    else:
-        loop = searcher._dfs_compiled
+    second = tuple(range(t + 1, 2 * t + 1)) if later[0] else base
+    loop = searcher._dfs_lazy if searcher.palette is None \
+        else searcher._dfs_compiled
     out = [base, second]
     try:
-        found = g.n == 2 or loop(2, second[-1], out)
+        found = g.n == 2 or loop(out)
     except _Timeout:
         return DecideResult("timeout", nodes=searcher.nodes)
     finally:
@@ -484,7 +482,7 @@ def _decide(g: Graph, t: int, k: int, max_nodes: int, deadline: float,
             searcher.palette.trim()
     if not found:
         return DecideResult("infeasible", nodes=searcher.nodes)
-    coloring = Coloring(t, k, {searcher.order[i]: out[i] for i in range(g.n)})
+    coloring = Coloring(t, k, {order[i]: out[i] for i in range(g.n)})
     return DecideResult("colored", _checked(g, coloring), searcher.nodes)
 
 

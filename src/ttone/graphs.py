@@ -163,25 +163,22 @@ def effective_diameter(g: Graph, cap: int) -> int:
     """max over vertices of min(eccentricity, cap), ignoring unreachable pairs.
 
     iFUB (Crescenzi et al. 2013) per component: the BFS from its root (see
-    components), then capped BFSs from its levels, farthest first, until
-    one reaches cap or best >= 2i at level i (nearer vertices then have
-    eccentricity at most max(2i, best))."""
+    components), then capped BFSs from its vertices in reverse breadth-first
+    order, farthest first, until one reaches cap or best >= 2i at a vertex
+    of level i (it and the vertices left have eccentricity at most
+    max(2i, best))."""
     best = 0
     for _, reach in components(g):
         ecc = max(reach.values(), default=0)
         if ecc >= cap:
             return cap
         best = max(best, ecc)
-        levels = [[] for _ in range(ecc + 1)]
-        for v, d in reach.items():
-            levels[d].append(v)
-        for i in range(ecc, 0, -1):
-            for v in levels[i]:
-                if best >= 2 * i:
-                    break
-                best = max(best, max(distances_within(g, v, cap).values()))
-                if best >= cap:
-                    return cap
+        for v in reversed(reach):
+            if best >= 2 * reach[v]:
+                break
+            best = max(best, max(distances_within(g, v, cap).values()))
+            if best >= cap:
+                return cap
     return best
 
 

@@ -541,30 +541,31 @@ def constraint_pairs(g: Graph, t: int) -> list:
 
 
 def pairs_layout(g: Graph, t: int) -> tuple:
-    """exact.search_layout as it was built from constraint_pairs, with the
-    later and span tables _dfs_compiled then built per decision: each pair
-    (u, v, d) goes to the later of its two positions as (earlier, d - 1),
-    each cons list is sorted by cap, later[i] collects (j, cap) over the
-    cons of every later j in order of j, and span[i] is one past the
-    largest such j (i + 1 when there is none)."""
+    """exact.search_layout built from constraint_pairs: (order, later),
+    where each pair (u, v, d) goes to the earlier of its two positions as
+    (later position, d - 1), and each later list is sorted by position."""
     order = exact.search_order(g)
     pos = {v: i for i, v in enumerate(order)}
-    cons = [[] for _ in range(g.n)]
-    for u, v, d in constraint_pairs(g, t):
-        i, j = pos[u], pos[v]
-        cons[max(i, j)].append((min(i, j), d - 1))
-    for lst in cons:
-        lst.sort(key=lambda jc: jc[1])
     later = [[] for _ in range(g.n)]
-    for j, lst in enumerate(cons):
+    for u, v, d in constraint_pairs(g, t):
+        i, j = sorted((pos[u], pos[v]))
+        later[i].append((j, d - 1))
+    for lst in later:
+        lst.sort()
+    return order, later
+
+
+def earlier_lists(later: list) -> list:
+    """The backward lists of a layout's later table: earlier[i] holds the
+    (j, cap) pairs of every j < i with (i, cap) in later[j], j increasing."""
+    earlier = [[] for _ in later]
+    for j, lst in enumerate(later):
         for i, cap in lst:
-            later[i].append((j, cap))
-    span = [max((j for j, _ in lst), default=i) + 1
-            for i, lst in enumerate(later)]
-    return order, cons, later, span
+            earlier[i].append((j, cap))
+    return earlier
 
 
-def walk_dfs_compiled(self, start: int, mx: int, out: list) -> bool:
+def walk_dfs_compiled(self, out: list) -> bool:
     """exact._Searcher._dfs_compiled as it was before it counted the
     subtrees of symmetric siblings: it walks every node.  Forward
     checking over one stack of candidate bitsets, with tops (the mx of
@@ -573,13 +574,12 @@ def walk_dfs_compiled(self, start: int, mx: int, out: list) -> bool:
     saved[i] is that slice as it was before i's label narrowed it.
     Every domain starts as full, and each label of out ANDs its allowed
     sets into the positions along its later list.  Candidates are drawn
-    top bit first, lex order in the palette's layout.  Bound to a
+    top bit first, lex order in the palette's layout.  It starts at
+    position len(out) with the reach bound out[-1][-1].  Bound to a
     _Searcher, it decides as exact_decide did then."""
-    n = len(self.order)
-    later = [[] for _ in range(n)]
-    for j, lst in enumerate(self.cons):
-        for i, cap in lst:
-            later[i].append((j, self.palette.allowed[cap]))
+    n, start, mx = len(self.later), len(out), out[-1][-1]
+    later = [[(j, self.palette.allowed[cap]) for j, cap in lst]
+             for lst in self.later]
     span = [max((j for j, _ in lst), default=i) + 1
             for i, lst in enumerate(later)]
     dom = [self.palette.full] * n

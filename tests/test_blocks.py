@@ -162,6 +162,12 @@ def test_cycle_values():
     assert cycle_value(100, 5) == 16
 
 
+@pytest.mark.parametrize("n", [2, 0, -1])
+def test_cycle_value_needs_three_vertices(n):
+    with pytest.raises(ValueError, match="need n >= 3"):
+        cycle_value(n, 3)
+
+
 def test_witnesses_verify_with_exact_color_counts():
     for t in (2, 3, 4, 5):
         for n in range(3, 14):

@@ -162,6 +162,25 @@ def test_bound_argument_guards():
     assert path_tau(1, 1) == 1
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: path_tau(3, 2.5), "need n, t >= 1"),
+    (lambda: path_tau(3, True), "need n, t >= 1"),
+    (lambda: c4_lower(2.5), "need t >= 1"),
+    (lambda: c4_lower(True), "need t >= 1"),
+    (lambda: certificates(gen_cycle(5), 2.0), "graph and t >= 1"),
+    (lambda: certificates(gen_cycle(5), True), "graph and t >= 1"),
+    (lambda: star_lower(-1), "max_degree must be nonnegative"),
+    (lambda: cycle_counting_t3(2), "need n >= 3"),
+    (lambda: h_t_bounds(0), "need t >= 1"),
+], ids=["path-2.5", "path-true", "c4-2.5", "c4-true", "certificates-2.0",
+        "certificates-true", "star-minus-1", "counting-t3-n2", "h-t-0"])
+def test_bounds_refuse_out_of_range_arguments(call, match):
+    # a float or bool tone is refused as a tone below 1 is: 2.5 would give
+    # a fractional bound, and True would run as tone 1
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_h_t_bounds():
     assert h_t_bounds(1)[0] == 3
     assert h_t_bounds(5) == (6, 9)

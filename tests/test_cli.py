@@ -352,6 +352,32 @@ def test_class_precondition_exit_code(tmp_path, capsys):
     assert (code, out) == (4, "") and "12/5" in err
 
 
+def _out_of_memory(g):
+    raise MemoryError
+
+
+_K14 = "14 91\n" + "".join(f"{u} {v}\n" for u in range(14)
+                           for v in range(u + 1, 14))
+_C5 = "5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n"
+
+
+@pytest.mark.parametrize("argv, graph, sparse, code, err", [
+    (["--family", "cycle", "--t", "1"], _C5, None, 2,
+     "error: family cycle colors tones 2..5\n"),
+    (["--family", "planar"], _K14, None, 4,
+     "error: input not planar: no reducible vertex\n"),
+    (["--family", "sparse"], _C5, _out_of_memory, 3, "error: out of memory\n"),
+], ids=["cycle-tone-1", "planar-k14", "out-of-memory"])
+def test_color_refusals_exit_codes(tmp_path, capsys, monkeypatch, argv, graph,
+                                   sparse, code, err):
+    if sparse is not None:
+        monkeypatch.setattr(constructions, "color_sparse", sparse)
+    gfile = tmp_path / "g.el"
+    gfile.write_text(graph)
+    assert invoke(["color", *argv, "--in", str(gfile)], capsys) == \
+        (code, "", err)
+
+
 @pytest.mark.parametrize("error", [AssertionError("invariant broke"),
                                    ColoringError(3)])
 def test_internal_failure_exit_code(tmp_path, capsys, monkeypatch, error):

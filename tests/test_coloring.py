@@ -468,6 +468,12 @@ def test_greedy_color_reports_stuck_vertex():
     assert exc.value.vertex == 2
 
 
+@pytest.mark.parametrize("order", [[0], [0, 0], [1, 2], [0, 1, 2]])
+def test_greedy_color_refuses_an_order_that_is_no_permutation(order):
+    with pytest.raises(ValueError, match="order must be a permutation"):
+        greedy_color(gen_path(2), 2, 5, order)
+
+
 def test_greedy_color_k1():
     col = greedy_color(Graph(1, []), 4, 4)
     assert col.labels[0] == (1, 2, 3, 4)
@@ -550,9 +556,10 @@ def test_from_json_refuses_a_bool_or_float_t_or_k(t, k):
 @pytest.mark.parametrize("call", [
     "greedy_color(g, 0, 3)", "greedy_color(g, -1, 3)",
     "greedy_color(g, 1.5, 3)", "greedy_extend(g, Coloring(0, 3), 0)",
-    "available_labels(g, Coloring(0, 4), 0)", "next(label_stream(4, 0, []))"],
+    "available_labels(g, Coloring(0, 4), 0)", "next(label_stream(4, 0, []))",
+    "greedy_color(g, 2.0, 5)", "greedy_extend(g, Coloring(2.0, 4), 0)"],
     ids=["color-0", "color-minus-1", "color-1.5", "extend-0", "available-0",
-         "stream-0"])
+         "stream-0", "color-2.0", "extend-2.0"])
 def test_a_tone_below_1_or_no_int_is_refused(call):
     # label_stream found no label of such a tone, and no end either: each
     # call runs in a child with a timeout, so that a loop fails the test

@@ -108,6 +108,21 @@ def test_color_cycle_agrees_with_exact_search():
             assert tau(gen_cycle(n), t).value == cycle_value(n, t), (n, t)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: color_path(4, 2.0), "need n, t >= 1"),
+    (lambda: color_cycle(5, 2.0), "covers tones 2..5"),
+    (lambda: color_grid(3, 3, 2.0), "covers tones 2..5"),
+    (lambda: color_grid(3, 3, 6), "covers tones 2..5"),
+    (lambda: color_fat_triangle(0), "need t >= 1"),
+    (lambda: decompose(5, [0]), "lengths must be positive"),
+], ids=["path-2.0", "cycle-2.0", "grid-2.0", "grid-6", "fat-triangle-0",
+        "decompose-0"])
+def test_constructions_refuse_out_of_range_arguments(call, match):
+    # a float tone is refused before any work, as a tone out of range is
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_color_grid_examples():
     col = color_grid(2, 2, 3)
     assert verify(gen_grid(2, 2), col) == []

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (count_verifies, graphs, pairs_layout,
+from conftest import (count_verifies, earlier_lists, graphs, pairs_layout,
                       rescan_search_order, walk_dfs_compiled)
 from ttone.bounds import Certificate, path_tau
 from ttone.coloring import Coloring, label_mask, label_stream, verify
@@ -20,7 +20,7 @@ from ttone.graphs import Graph, gen_cycle, gen_path, gen_star
 
 def _searcher(g, t, k):
     """A _Searcher of g, t and k with a one-node cap and no deadline."""
-    return _Searcher(search_layout(g, t), t, k, 1, None)
+    return _Searcher(search_layout(g, t)[1], t, k, 1, None)
 
 
 def test_search_order_starts_at_max_degree():
@@ -185,7 +185,7 @@ def test_second_vertex_has_at_most_one_branch(g, t, extra):
     # first candidate is (1..t).  exact_decide fixes the second label to
     # that first candidate.
     k = t + extra
-    cons = _searcher(g, t, k).cons[1]
+    cons = earlier_lists(_searcher(g, t, k).later)[1]
     first = label_mask(range(1, t + 1))
     seconds = list(label_stream(k, t, [(first, cap) for _, cap in cons], t))
     if g.m == 0:
@@ -284,7 +284,7 @@ def test_compiled_candidates_equal_label_stream(g, t, extra, rng):
     masks = [label_mask(rng.sample(range(1, k + 1), t)) for _ in range(g.n)]
     i = rng.randrange(g.n)
     mx = rng.randint(t, k)
-    cons = [(masks[j], cap) for j, cap in s.cons[i]]
+    cons = [(masks[j], cap) for j, cap in earlier_lists(s.later)[i]]
     cand = pal.canonical[mx]
     for m, cap in cons:
         cand &= pal.allowed[cap][m]
@@ -446,14 +446,8 @@ def test_non_int_arguments_are_refused(entry, n, args, monkeypatch):
 @settings(max_examples=150, deadline=None)
 def test_search_layout_matches_the_constraint_pairs(g, t):
     # The one-ball-per-position layout against the one built from
-    # constraint_pairs: the same order, the same constraints per position
-    # (cons in order of cap), and equal later and span.
-    order, cons, later, span = search_layout(g, t)
-    want_order, want_cons, want_later, want_span = pairs_layout(g, t)
-    assert order == want_order
-    assert [sorted(c) for c in cons] == [sorted(c) for c in want_cons]
-    assert all(c == sorted(c, key=lambda jc: jc[1]) for c in cons)
-    assert (later, span) == (want_later, want_span)
+    # constraint_pairs: the same order and equal later lists.
+    assert search_layout(g, t) == pairs_layout(g, t)
 
 
 def test_search_above_the_guard_walks_lazily():

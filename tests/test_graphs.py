@@ -78,6 +78,22 @@ def test_generators():
         gen_grid(0, 3)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: read_edge_list("2 1\n0 x\n"), "bad edge line: '0 x'"),
+    (lambda: gen_path(0), "path needs n >= 1"),
+    (lambda: gen_star(0), "star needs d >= 1"),
+    (lambda: gen_fat_triangle(0), "fat triangle needs t >= 1"),
+], ids=["edge-line", "path-0", "star-0", "fat-triangle-0"])
+def test_graph_readers_and_generators_refuse_bad_input(call, match):
+    with pytest.raises(GraphError, match=match):
+        call()
+
+
+def test_random_maximal_outerplanar_needs_three_vertices():
+    with pytest.raises(ValueError, match="need n >= 3"):
+        random_maximal_outerplanar(random.Random(0), 2)
+
+
 def test_fat_triangle_shape():
     h1 = gen_fat_triangle(1)
     assert (h1.n, h1.m) == (6, 6)
