@@ -195,8 +195,10 @@ CYCLE_VALUES = {
 
 def cycle_value(n: int, t: int) -> int:
     """Expected tone chromatic number of the n-cycle, t in 2..5."""
-    if n < 3:
+    if type(n) is not int or n < 3:
         raise ValueError("need n >= 3")
+    if type(t) is not int or t not in CYCLE_VALUES:
+        raise ValueError("cycle values cover tones 2..5")
     exceptional, general = CYCLE_VALUES[t]
     return exceptional.get(n, general)
 

@@ -29,14 +29,14 @@ def _least_pairs(b: int) -> int:
 def star_lower(max_degree: int) -> int:
     """Least k with C(k-2, 2) >= max_degree; the 2-tone star lower bound,
     2 + _least_pairs(max_degree)."""
-    if max_degree < 0:
+    if type(max_degree) is not int or max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     return 2 + _least_pairs(max_degree)
 
 
 def path_tau(n: int, t: int) -> int:
     """Tone chromatic number of the n-vertex path: sum of max(0, t - C(i,2))."""
-    if n < 1 or type(t) is not int or t < 1:
+    if type(n) is not int or n < 1 or type(t) is not int or t < 1:
         raise ValueError("need n, t >= 1")
     return sum(max(0, t - comb(i, 2)) for i in range(n))
 
@@ -56,7 +56,7 @@ def cycle_counting_t3(n: int):
     has only 3s+1 such pairs, each able to host one shared color.  Fires
     exactly for n in {10, 13}; returns None otherwise.
     """
-    if n < 3:
+    if type(n) is not int or n < 3:
         raise ValueError("need n >= 3")
     if n < 8 or (n - 1) % 3 != 0:
         return None
@@ -120,7 +120,7 @@ def h_t_bounds(t: int) -> tuple:
     additionally avoid all 2-sets drawn from the six hub colors).  Both
     are _least_pairs roots, at 3t and 3t + 15.
     """
-    if t < 1:
+    if type(t) is not int or t < 1:
         raise ValueError("need t >= 1")
     return _least_pairs(3 * t), _least_pairs(3 * t + 15)
 

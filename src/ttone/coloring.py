@@ -401,8 +401,13 @@ def greedy_color(g: Graph, t: int, k: int, order=None) -> Coloring:
     extension; g may be a Graph or a Reduction.
 
     Raises ColoringError naming the first stuck vertex.  For t=2 this always
-    succeeds when k >= ceil((2+sqrt(2)) * max_degree).
+    succeeds when k >= ceil((2+sqrt(2)) * max_degree).  A t or k that is
+    no int, or t < 1, raises ValueError first, even with no vertex to draw.
     """
+    if type(t) is not int or t < 1:
+        raise ValueError(f"tone must be an int >= 1, got {t!r}")
+    if type(k) is not int:
+        raise ValueError(f"k must be an int, got {k!r}")
     if order is None:
         order = g.vertices()
     order = list(order)

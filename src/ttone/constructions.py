@@ -75,9 +75,9 @@ def decompose(n: int, lengths):
     the least.  Returns a sorted tuple of block lengths, or None.
     """
     lengths = sorted(set(lengths))
-    if any(x < 1 for x in lengths):
+    if any(type(x) is not int or x < 1 for x in lengths):
         raise ValueError("lengths must be positive")
-    if n < 0:
+    if type(n) is not int or n < 0:
         raise ValueError("n must be nonnegative")
     count = [0] + [inf] * n
     for total in range(1, n + 1):
@@ -100,7 +100,7 @@ def color_cycle(n: int, t: int) -> Coloring:
     Exceptional lengths come from stored witnesses; all other lengths are a
     concatenation of table blocks laid around the cycle in sorted order.
     """
-    if n < 3:
+    if type(n) is not int or n < 3:
         raise ValueError("need n >= 3")
     if type(t) is not int or t not in BLOCK_TABLES:
         raise ValueError("cycle construction covers tones 2..5")
@@ -139,7 +139,7 @@ def _grid_label(i: int, j: int, t: int) -> tuple:
 def color_grid(m: int, n: int, t: int) -> Coloring:
     """Modular-formula grid coloring: 6, 10, 14, or at most 22 colors for
     tones 2..5.  Rows i in 1..m, columns j in 1..n, id (i-1)*n + (j-1)."""
-    if m < 2 or n < 2:
+    if type(m) is not int or type(n) is not int or m < 2 or n < 2:
         raise ValueError("need m, n >= 2")
     if type(t) is not int or t not in (2, 3, 4, 5):
         raise ValueError("grid construction covers tones 2..5")
@@ -162,7 +162,7 @@ def color_fat_triangle(t: int) -> Coloring:
     2-set avoiding all pairs from the six hub colors, except that labels
     meeting a hub's pair go only on the side not adjacent to that hub.
     """
-    if t < 1:
+    if type(t) is not int or t < 1:
         raise ValueError("need t >= 1")
     g = gen_fat_triangle(t)
     if t == 1:

@@ -208,7 +208,8 @@ class _Searcher:
     keeps the domain of every open position, and giving position i a
     label ANDs one allowed set into the domain of each later position i
     constrains.  A label that empties a domain is counted as a node and
-    rejected, and the domains a label narrowed are restored on backtrack.
+    rejected; one that does not pushes one frame, and the frame popped on
+    backtrack restores the domains it narrowed (see _dfs_compiled).
     A position's candidates are canonical[mx] & its domain, read top bit
     first, which is lex order.  A candidate whose subtree is isomorphic to
     that of an earlier sibling, which failed, is not walked: the sibling's
@@ -296,34 +297,34 @@ class _Searcher:
             streams.append(stream(i, top))
 
     def _dfs_compiled(self, out: list) -> bool:
-        """Forward checking over one stack of candidate bitsets, with tops
-        (the mx of each open position) and seen beside it.  A label with
-        mask m at i ANDs the palette's allowed[cap][m] into dom[j] for each
-        (j, cap) of later[i], all of them in dom[i+1:span[i]], span[i] being
-        one past the last j (i + 1 when there is none); saved[i] is that
-        slice before i's label narrowed it.  Every domain starts as full,
-        and each label of out ANDs its allowed sets into the positions
-        along its later list.  Each draw takes the top bit x of cands[-1]
-        by bit_length, with no negation of the whole bitset, and decoded[x]
-        is its label, so candidates come in lex order.
+        """Forward checking on one frame stack.  The open position i keeps
+        its undrawn candidates cand, reach bound top (its mx) and orbit map
+        seen in locals.  A label with mask m at i ANDs the palette's
+        allowed[cap][m] into dom[j] for each (j, cap) of later[i], all in
+        dom[i+1:span[i]], span[i] being one past the last j (i + 1 when
+        there is none); saved is that slice before the AND.  Every domain
+        starts as full, and each label of out ANDs its allowed sets into
+        the positions along its later list.  Each draw takes the top bit x
+        of cand by bit_length, and decoded[x] is its label, so candidates
+        come in lex order.  A label that empties no domain pushes the frame
+        (cand, top, seen, saved, key, before) of i, key being its orbit key
+        and before the node count before it, and opens i + 1; when cand is
+        empty, popping that frame restores i's locals and domains.
 
         sig[c] is the bitset of the assigned positions whose labels hold c,
         and a candidate's orbit key is the sorted tuple of its colors' sig.
-        seen[-1] maps each key tried at the open position to the nodes
-        counted under the first label with it (1 when forward checking
-        rejected that label), and a later candidate with a key in it adds
-        that count in place of its walk; keys[i] and base[i] are the key of
-        i's label and the node count before it.  The count is that of the
-        subtree skipped: two candidates with one key differ by a swap of
-        colors of equal sig, which fixes the partial assignment.
-        Constraints read only intersection sizes, so the swap maps one
-        subtree onto the other.  The colors above mx all have sig 0, and
-        both labels' new colors are the next unused ones, so the swap can
-        fix every color above mx, and with them tops and the reach bound.
-        Forward checking reads only the partial assignment.  The skipped
-        subtree is thus isomorphic to one that failed completely, and fails
-        with the same count; a jump past max_nodes or past a multiple of
-        2048 is checked as the walk's single steps were (see _budget)."""
+        seen maps each key tried at the open position to the nodes counted
+        under the first label with it (1 when forward checking rejected it,
+        else nodes - before at the pop), and a later candidate with a key in
+        it adds that count in place of its walk.  Two candidates with one
+        key differ by a swap of colors of equal sig, which fixes the partial
+        assignment.  Constraints read only intersection sizes, so the swap
+        maps one subtree onto the other.  The colors above mx all have sig
+        0, and both labels' new colors are the next unused ones, so the swap
+        can fix every color above mx, and with them top and the reach bound.
+        Forward checking reads only the partial assignment, so the skipped
+        subtree fails, as its image did, with the same count; a jump past
+        max_nodes or a multiple of 2048 is checked as one step is (_budget)."""
         later = self.later
         n, start, mx = len(later), len(out), out[-1][-1]
         span = [lst[-1][0] + 1 if lst else i + 1 for i, lst in enumerate(later)]
@@ -340,36 +341,30 @@ class _Searcher:
         for p, label in enumerate(out):
             for c in label:
                 sig[c] |= 1 << p
-        saved = [None] * n
-        keys = [None] * n
-        base = [0] * n
-        cands = [canonical[mx] & dom[start]]
-        tops = [mx]
-        seen = [{}]
+        cand, top, seen = canonical[mx] & dom[start], mx, {}
+        stack = []
+        sig_at = sig.__getitem__
         nodes = self.nodes
         check = nodes + 1
         i = start
         while True:
-            cand = cands[-1]
             if not cand:
-                cands.pop()
-                tops.pop()
-                seen.pop()
-                if not cands:
+                if not stack:
                     self.nodes = nodes
                     return False
                 i -= 1
                 bit = 1 << i
                 for c in out.pop():
                     sig[c] ^= bit
-                dom[i + 1:span[i]] = saved[i]
-                seen[-1][keys[i]] = nodes - base[i]
+                cand, top, seen, saved, key, before = stack.pop()
+                dom[i + 1:span[i]] = saved
+                seen[key] = nodes - before
                 continue
             x = cand.bit_length() - 1
-            cands[-1] = cand ^ (1 << x)
+            cand ^= 1 << x
             m, label, last = decoded[x]
-            key = tuple(sorted(map(sig.__getitem__, label)))
-            count = seen[-1].get(key)
+            key = tuple(sorted(map(sig_at, label)))
+            count = seen.get(key)
             if count is not None:
                 nodes += count
                 if nodes >= check:
@@ -379,12 +374,12 @@ class _Searcher:
             if nodes >= check:
                 check = self._budget(nodes)
             hi = span[i]
-            saved[i] = dom[i + 1:hi]
+            saved = dom[i + 1:hi]
             for j, cap in later[i]:
                 d = dom[j] & allowed[cap][m]
                 if not d:
-                    dom[i + 1:hi] = saved[i]
-                    seen[-1][key] = 1
+                    dom[i + 1:hi] = saved
+                    seen[key] = 1
                     break
                 dom[j] = d
             else:
@@ -392,16 +387,14 @@ class _Searcher:
                 bit = 1 << i
                 for c in label:
                     sig[c] ^= bit
-                keys[i] = key
-                base[i] = nodes - 1
+                stack.append((cand, top, seen, saved, key, nodes - 1))
                 i += 1
                 if i == n:
                     self.nodes = nodes
                     return True
-                top = tops[-1]
-                tops.append(last if last > top else top)
-                cands.append(canonical[tops[-1]] & dom[i])
-                seen.append({})
+                if last > top:
+                    top = last
+                cand, seen = canonical[top] & dom[i], {}
 
 
 def _limits(budget: SearchBudget, t: int, *ks) -> tuple:

@@ -72,20 +72,20 @@ class Graph:
 # ---------------------------------------------------------------------------
 
 def gen_path(n: int) -> Graph:
-    if n < 1:
+    if type(n) is not int or n < 1:
         raise GraphError("path needs n >= 1")
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def gen_cycle(n: int) -> Graph:
-    if n < 3:
+    if type(n) is not int or n < 3:
         raise GraphError("cycle needs n >= 3")
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def gen_grid(m: int, n: int) -> Graph:
     """Grid with rows 1..m, columns 1..n; (i,j) has id (i-1)*n + (j-1)."""
-    if m < 1 or n < 1:
+    if type(m) is not int or type(n) is not int or m < 1 or n < 1:
         raise GraphError("grid needs m, n >= 1")
     edges = []
     for i in range(m):
@@ -100,7 +100,7 @@ def gen_grid(m: int, n: int) -> Graph:
 
 def gen_star(d: int) -> Graph:
     """Star with center 0 and d leaves."""
-    if d < 1:
+    if type(d) is not int or d < 1:
         raise GraphError("star needs d >= 1")
     return Graph(d + 1, [(0, i) for i in range(1, d + 1)])
 
@@ -110,7 +110,7 @@ def gen_fat_triangle(t: int) -> Graph:
 
     The result has 3t+3 vertices, 6t edges, and maximum degree 2t.
     """
-    if t < 1:
+    if type(t) is not int or t < 1:
         raise GraphError("fat triangle needs t >= 1")
     edges = []
     mid = 3

@@ -168,6 +168,18 @@ def test_cycle_value_needs_three_vertices(n):
         cycle_value(n, 3)
 
 
+@pytest.mark.parametrize("n, t, match", [
+    (5.0, 2, "need n >= 3"), (True, 2, "need n >= 3"),
+    (5, 2.0, "cover tones 2..5"), (5, True, "cover tones 2..5"),
+    (5, 6, "cover tones 2..5")],
+    ids=["n-5.0", "n-true", "t-2.0", "t-true", "t-6"])
+def test_cycle_value_refuses_a_float_bool_or_unknown_argument(n, t, match):
+    # 5.0 and 2.0 used to hash as the table keys and return 5; True and 6
+    # fell through to a KeyError
+    with pytest.raises(ValueError, match=match):
+        cycle_value(n, t)
+
+
 def test_witnesses_verify_with_exact_color_counts():
     for t in (2, 3, 4, 5):
         for n in range(3, 14):

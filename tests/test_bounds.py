@@ -172,11 +172,21 @@ def test_bound_argument_guards():
     (lambda: star_lower(-1), "max_degree must be nonnegative"),
     (lambda: cycle_counting_t3(2), "need n >= 3"),
     (lambda: h_t_bounds(0), "need t >= 1"),
+    (lambda: path_tau(True, 3), "need n, t >= 1"),
+    (lambda: path_tau(2.5, 3), "need n, t >= 1"),
+    (lambda: star_lower(True), "max_degree must be nonnegative"),
+    (lambda: star_lower(2.0), "max_degree must be nonnegative"),
+    (lambda: cycle_counting_t3(10.0), "need n >= 3"),
+    (lambda: h_t_bounds(True), "need t >= 1"),
+    (lambda: h_t_bounds(2.5), "need t >= 1"),
 ], ids=["path-2.5", "path-true", "c4-2.5", "c4-true", "certificates-2.0",
-        "certificates-true", "star-minus-1", "counting-t3-n2", "h-t-0"])
+        "certificates-true", "star-minus-1", "counting-t3-n2", "h-t-0",
+        "path-n-true", "path-n-2.5", "star-true", "star-2.0",
+        "counting-t3-10.0", "h-t-true", "h-t-2.5"])
 def test_bounds_refuse_out_of_range_arguments(call, match):
-    # a float or bool tone is refused as a tone below 1 is: 2.5 would give
-    # a fractional bound, and True would run as tone 1
+    # a float or bool is refused where an int is meant, as a value below
+    # range is: 2.5 would give a fractional bound or a TypeError, 10.0 a
+    # certificate with float parameters, and True would run as 1
     with pytest.raises(ValueError, match=match):
         call()
 

@@ -474,6 +474,13 @@ def test_greedy_color_refuses_an_order_that_is_no_permutation(order):
         greedy_color(gen_path(2), 2, 5, order)
 
 
+@pytest.mark.parametrize("k", [5.0, True])
+def test_greedy_color_refuses_a_k_that_is_no_int(k):
+    # 5.0 failed as a bare TypeError, and True ran as k = 1
+    with pytest.raises(ValueError, match=f"k must be an int, got {k!r}"):
+        greedy_color(gen_path(2), 2, k)
+
+
 def test_greedy_color_k1():
     col = greedy_color(Graph(1, []), 4, 4)
     assert col.labels[0] == (1, 2, 3, 4)
@@ -557,12 +564,15 @@ def test_from_json_refuses_a_bool_or_float_t_or_k(t, k):
     "greedy_color(g, 0, 3)", "greedy_color(g, -1, 3)",
     "greedy_color(g, 1.5, 3)", "greedy_extend(g, Coloring(0, 3), 0)",
     "available_labels(g, Coloring(0, 4), 0)", "next(label_stream(4, 0, []))",
-    "greedy_color(g, 2.0, 5)", "greedy_extend(g, Coloring(2.0, 4), 0)"],
+    "greedy_color(g, 2.0, 5)", "greedy_extend(g, Coloring(2.0, 4), 0)",
+    "greedy_color(Graph(0, []), 2.0, 5)", "greedy_color(Graph(0, []), 0, 5)"],
     ids=["color-0", "color-minus-1", "color-1.5", "extend-0", "available-0",
-         "stream-0", "color-2.0", "extend-2.0"])
+         "stream-0", "color-2.0", "extend-2.0", "color-empty-2.0",
+         "color-empty-0"])
 def test_a_tone_below_1_or_no_int_is_refused(call):
     # label_stream found no label of such a tone, and no end either: each
-    # call runs in a child with a timeout, so that a loop fails the test
+    # call runs in a child with a timeout, so that a loop fails the test.
+    # With no vertex no label is drawn, so greedy_color checks t itself.
     src = os.path.dirname(os.path.dirname(os.path.abspath(coloring.__file__)))
     script = ("from ttone.coloring import (Coloring, available_labels, "
               "greedy_color, greedy_extend, label_stream)\n"

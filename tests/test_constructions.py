@@ -115,10 +115,18 @@ def test_color_cycle_agrees_with_exact_search():
     (lambda: color_grid(3, 3, 6), "covers tones 2..5"),
     (lambda: color_fat_triangle(0), "need t >= 1"),
     (lambda: decompose(5, [0]), "lengths must be positive"),
+    (lambda: color_fat_triangle(True), "need t >= 1"),
+    (lambda: color_fat_triangle(2.0), "need t >= 1"),
+    (lambda: color_cycle(9.0, 3), "need n >= 3"),
+    (lambda: color_grid(3.0, 3, 2), "need m, n >= 2"),
+    (lambda: decompose(10.0, [3, 4]), "n must be nonnegative"),
+    (lambda: decompose(10, [3.0, 4]), "lengths must be positive"),
 ], ids=["path-2.0", "cycle-2.0", "grid-2.0", "grid-6", "fat-triangle-0",
-        "decompose-0"])
+        "decompose-0", "fat-triangle-true", "fat-triangle-2.0", "cycle-n-9.0",
+        "grid-m-3.0", "decompose-n-10.0", "decompose-length-3.0"])
 def test_constructions_refuse_out_of_range_arguments(call, match):
-    # a float tone is refused before any work, as a tone out of range is
+    # a float or bool is refused before any work where an int is meant, as
+    # a value out of range is: True would color the t = 1 hexagon
     with pytest.raises(ValueError, match=match):
         call()
 

@@ -332,6 +332,55 @@ def test_counted_subtrees_match_the_walk(monkeypatch):
     assert cases > 6000 and len(jumps) >= 40
 
 
+def test_frame_stack_agrees_with_the_walk_at_the_last_node(monkeypatch):
+    # Each decision of at most 20 000 nodes, unbudgeted count N, is run by
+    # the compiled loop and by the walk at max_nodes N - 1 (one node short:
+    # a timeout) and N (just enough); both decide alike.  An infeasible
+    # compiled decision pops every frame it pushed: out holds the two fixed
+    # labels again.
+    compiled = _Searcher._dfs_compiled
+    after = []
+
+    def spy(self, out):
+        fixed = list(out)
+        found = compiled(self, out)
+        after.append((found, fixed, list(out)))
+        return found
+
+    monkeypatch.setattr(_Searcher, "_dfs_compiled", spy)
+    rng = random.Random(18)
+    gs = [gen_cycle(n) for n in range(3, 12)]
+    for n in (rng.randint(2, 8) for _ in range(30)):
+        gs.append(Graph(n, [e for e in combinations(range(n), 2)
+                            if rng.random() < 0.45]))
+    statuses = set()
+    refuted = 0
+    for g in gs:
+        for t in range(1, 6):
+            for k in range(t, min(g.n * t, 3 * t + 3) + 1):
+                full = exact_decide(g, t, k, SearchBudget(20_000))
+                if full.status == "timeout" or full.nodes < 2:
+                    continue
+                for max_nodes in (full.nodes - 1, full.nodes):
+                    b = SearchBudget(max_nodes)
+                    counted = exact_decide(g, t, k, b)
+                    with monkeypatch.context() as mp:
+                        mp.setattr(_Searcher, "_dfs_compiled",
+                                   walk_dfs_compiled)
+                        walked = exact_decide(g, t, k, b)
+                    assert _decision(counted) == _decision(walked), \
+                        (g.edges(), t, k, max_nodes)
+                    want = "timeout" if max_nodes < full.nodes else full.status
+                    assert counted.status == want
+                    statuses.add(counted.status)
+                for found, fixed, out in after:
+                    if not found:
+                        assert out == fixed and len(fixed) == 2
+                        refuted += 1
+                del after[:]
+    assert statuses == {"timeout", "colored", "infeasible"} and refuted > 100
+
+
 def test_deadline_is_read_when_a_count_jumps_past_2048(monkeypatch):
     # C9/t5/k16 first passes 2048 nodes by adding a counted subtree, from
     # below 2048 to 2049; a fake clock that reads past the deadline from its

@@ -83,7 +83,13 @@ def test_generators():
     (lambda: gen_path(0), "path needs n >= 1"),
     (lambda: gen_star(0), "star needs d >= 1"),
     (lambda: gen_fat_triangle(0), "fat triangle needs t >= 1"),
-], ids=["edge-line", "path-0", "star-0", "fat-triangle-0"])
+    (lambda: gen_fat_triangle(True), "fat triangle needs t >= 1"),
+    (lambda: gen_star(True), "star needs d >= 1"),
+    (lambda: gen_cycle(5.0), "cycle needs n >= 3"),
+    (lambda: gen_grid(2, 2.0), "grid needs m, n >= 1"),
+    (lambda: gen_path(2.0), "path needs n >= 1"),
+], ids=["edge-line", "path-0", "star-0", "fat-triangle-0", "fat-triangle-true",
+        "star-true", "cycle-5.0", "grid-2.0", "path-2.0"])
 def test_graph_readers_and_generators_refuse_bad_input(call, match):
     with pytest.raises(GraphError, match=match):
         call()
