@@ -275,7 +275,7 @@ def color_sparse(g: Graph) -> Coloring:
             found = None if width > 2 and x in cycles else \
                 thread_at(red, x, width)
             if found and width > 2:
-                run = list(_run(red, x, found[1]))
+                run = list(_run(red.adj, x, found[1]))
                 if run[-1] == x:
                     cycles.update(run)
                     return None
@@ -307,6 +307,8 @@ def color_sparse(g: Graph) -> Coloring:
 
 def outerplanar_palette(max_degree: int) -> int:
     """Least k >= 4 with C(k-4, 2) > max_degree + 2."""
+    if type(max_degree) is not int or max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
     return 4 + _least_pairs(max_degree + 3)
 
 
@@ -335,6 +337,8 @@ def color_outerplanar(g: Graph) -> Coloring:
 
 def planar_palette(max_degree: int) -> int:
     """max(41, least k >= 10 with C(k-10, 2) > 2*max_degree + 25)."""
+    if type(max_degree) is not int or max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
     return max(41, 10 + _least_pairs(2 * max_degree + 26))
 
 

@@ -186,12 +186,11 @@ def effective_diameter(g: Graph, cap: int) -> int:
 # Degree-2 runs and cores
 # ---------------------------------------------------------------------------
 
-def _run(g: Graph, x: int, y: int):
+def _run(adj, x: int, y: int):
     """The vertices met walking from x through its neighbor y along
     degree-2 vertices, up to the first one of another degree or x again:
-    the one walk along degree-2 vertices.  g may be a Graph or a
-    Reduction, whose adj holds sorted tuples or sets."""
-    adj = g.adj
+    the one walk along degree-2 vertices.  adj is a Graph's or Reduction's
+    adjacency (sorted tuples or sets) or a core from _core."""
     prev, cur = x, y
     while True:
         yield cur
@@ -207,7 +206,7 @@ def cycle_order(g: Graph):
     adj = g.adj
     if g.n < 3 or any(len(a) != 2 for a in adj):
         return None
-    order = [0, *_run(g, 0, adj[0][0])]
+    order = [0, *_run(adj, 0, adj[0][0])]
     order.pop()                         # the run closes back at 0
     return order if len(order) == g.n else None
 
@@ -222,15 +221,15 @@ def path_order(g: Graph):
     end = next((v for v, a in enumerate(adj) if len(a) == 1), None)
     if end is None:
         return None
-    order = [end, *_run(g, end, adj[end][0])]
+    order = [end, *_run(adj, end, adj[end][0])]
     return order if len(order) == g.n else None
 
 
-def _core(adj, k: int) -> tuple:
-    """(inside, deg): whether each vertex lies in the k-core, the largest
-    subgraph of minimum degree >= k, and the degree there of each vertex
-    inside it.  Each vertex is peeled once, when its degree falls below k:
-    the one core peel."""
+def _core(adj, k: int) -> list:
+    """The k-core's adjacency: for each vertex its neighbors inside the
+    largest subgraph of minimum degree >= k, in adj order, () if outside;
+    for k >= 1 a vertex is inside exactly when its tuple is nonempty.  Each
+    vertex is peeled once, when its degree falls below k: the one core peel."""
     deg = [len(a) for a in adj]
     inside = [d >= k for d in deg]
     peel = [v for v, up in enumerate(inside) if not up]
@@ -241,7 +240,8 @@ def _core(adj, k: int) -> tuple:
                 if deg[u] < k:
                     inside[u] = False
                     peel.append(u)
-    return inside, deg
+    return [tuple(u for u in a if inside[u]) if up else ()
+            for a, up in zip(adj, inside)]
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +401,7 @@ class Density(namedtuple("Density", "numerator denominator")):
     __slots__ = ()
 
     @property
-    def fraction(self) -> Fraction:
+    def fraction(self):
         from fractions import Fraction      # here, so import ttone skips it
         return Fraction(self.numerator, self.denominator)
 
@@ -507,6 +507,9 @@ def _density_exceeds(g: Graph, p: int, q: int):
     positive excesses less twice B's value, so the strict test is flow <
     that sum.  The residual source side of a maximum flow, which
     _min_cut's last BFS levels, is the smallest minimum cut: B, without s.
+    The fold reads the 2-core from _core: a branch vertex has more than two
+    neighbors there, and each thread is walked once by _run along the core,
+    from an end u to its far end z, the walk's last vertex.
 
     Below threshold 1 (p < q) no flow is run: a vertex joined to S by an
     edge adds at least 1 - p/q > 0 to |E(S)| - (p/q)|S|, so the maximizers
@@ -525,8 +528,8 @@ def _density_exceeds(g: Graph, p: int, q: int):
             if q * sum(len(adj[u]) for u in comp) > 2 * p * len(comp):
                 side.update(comp)
         return side or None
-    core, deg = _core(adj, 2)
-    branch = [v for v in range(n) if core[v] and deg[v] > 2]
+    core = _core(adj, 2)
+    branch = [v for v in range(n) if len(core[v]) > 2]
     if not branch:
         return None
     node = {v: i for i, v in enumerate(branch)}
@@ -534,13 +537,10 @@ def _density_exceeds(g: Graph, p: int, q: int):
     pairs, threads = [], []
     walked = [False] * n
     for u in branch:
-        for y in adj[u]:
-            if not core[y] or walked[y] or y < u and y in node:
+        for y in core[u]:
+            if walked[y] or y < u and y in node:
                 continue
-            inner, prev, z = [], u, y
-            while z not in node:
-                inner.append(z)
-                prev, z = z, next(x for x in adj[z] if x != prev and core[x])
+            *inner, z = _run(core, u, y)
             if inner:
                 walked[inner[-1]] = True
             w = q * (len(inner) + 1) - p * len(inner)
@@ -622,7 +622,7 @@ def thread_at(g: Graph, x: int, width: int):
     if len(adj[x]) != 2:
         return None
     for y in sorted(adj[x]):
-        walk = list(islice(_run(g, x, y), width))
+        walk = list(islice(_run(adj, x, y), width))
         if len(walk) < width:
             continue
         far = width == 4 or len(adj[walk[-1]]) < THREAD_HIGH
@@ -640,15 +640,16 @@ def thread_runs(red: Reduction):
     degree is < THREAD_HIGH (or <= 3).  A component stops being 2-regular
     only when one of its vertices leaves degree 2, so a rule that also asks
     whether x's run closes is fed too."""
-    two = [len(a) == 2 for a in red.adj]
+    adj = red.adj
+    two = [len(a) == 2 for a in adj]
 
     def feed(u):
-        d = len(red.adj[u])
+        d = len(adj[u])
         left, two[u] = two[u] and d != 2, d == 2
         if d >= THREAD_HIGH and not left:
             return []
         reach = None if left else 3
-        return [w for y in red.adj[u] for w in islice(_run(red, u, y), reach)]
+        return [w for y in adj[u] for w in islice(_run(adj, u, y), reach)]
     return feed
 
 

@@ -8,6 +8,8 @@ from .graphs import Graph, _core, mad_below_12_5
 
 
 def random_tree(rng: random.Random, n: int) -> Graph:
+    if type(n) is not int or n < 0:
+        raise ValueError("need n >= 0")
     edges = [(rng.randrange(v), v) for v in range(1, n)]
     return Graph(n, edges)
 
@@ -52,6 +54,9 @@ def random_subdivided(rng: random.Random, n_base: int = 8,
     graph, so |F| < 2|U| and 3|F| < 6|U|.  Skipping the check draws
     nothing from rng, so the graphs are those the check would pass.
     """
+    if type(n_base) is not int or n_base < 1 or \
+            type(extra_edges) is not int or extra_edges < 0:
+        raise ValueError("need n_base >= 1 and extra_edges >= 0")
     base = random_tree(rng, n_base)
     edges = set(base.edges())
     for _ in range(extra_edges):
@@ -66,14 +71,14 @@ def random_subdivided(rng: random.Random, n_base: int = 8,
         g = subdivide(base, lambda u, v: 2)
     else:
         g = subdivide(base, lambda u, v: rng.randint(2, 6))
-    if any(_core(base.adj, 3)[0]) and not mad_below_12_5(g):
+    if any(_core(base.adj, 3)) and not mad_below_12_5(g):
         g = subdivide(base, lambda u, v: rng.randint(5, 7))
     return g
 
 
 def random_maximal_outerplanar(rng: random.Random, n: int) -> Graph:
     """A random triangulation of an n-gon (maximal outerplanar graph)."""
-    if n < 3:
+    if type(n) is not int or n < 3:
         raise ValueError("need n >= 3")
     edges = [(i, (i + 1) % n) for i in range(n)]
 
@@ -94,6 +99,8 @@ def random_maximal_outerplanar(rng: random.Random, n: int) -> Graph:
 
 def random_apollonian(rng: random.Random, inserts: int) -> Graph:
     """A stacked triangulation: repeatedly subdivide a face with a new vertex."""
+    if type(inserts) is not int or inserts < 0:
+        raise ValueError("need inserts >= 0")
     edges = [(0, 1), (1, 2), (0, 2)]
     faces = [(0, 1, 2)]
     nid = 3

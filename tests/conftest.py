@@ -497,7 +497,7 @@ def find_thread_config(g):
             if width > 2 and x in cyclic:
                 continue
             for y in sorted(g.adj[x]):
-                walk = list(islice(_run(g, x, y), width))
+                walk = list(islice(_run(g.adj, x, y), width))
                 if len(walk) < width:
                     continue
                 start = next(u for u in g.adj[x] if u != y)
@@ -506,7 +506,7 @@ def find_thread_config(g):
                         kind == "TwoThread" and (d0 > 3 or d1 > 5):
                     continue
                 if width > 2:
-                    run = list(_run(g, x, y))
+                    run = list(_run(g.adj, x, y))
                     if run[-1] == x:
                         cyclic.update(run)
                         break

@@ -59,11 +59,16 @@ def test_palette_roots_match_the_search_they_replaced():
             least_k(lambda k: comb(k, 2) - comb(6, 2) >= 3 * d, lo=6))
         # the PathFormula cap of certificates
         assert _least_pairs(d) == least_k(lambda i: comb(i, 2) >= d)
-    for d in [*range(-40, 0), -10 ** 30, -10 ** 6, 0, *values]:
+    for d in [0, *values]:
         assert outerplanar_palette(d) == least_k(
             lambda k: comb(max(k - 4, 0), 2) > d + 2, lo=4)
         assert planar_palette(d) == max(41, least_k(
             lambda k: comb(max(k - 10, 0), 2) > 2 * d + 25, lo=10))
+    # no graph has a degree below 0: refused, as star_lower refuses it
+    for d in [*range(-40, 0), -10 ** 30, -10 ** 6]:
+        for palette in (outerplanar_palette, planar_palette):
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                palette(d)
 
 
 def test_star_lower_examples():
@@ -179,14 +184,23 @@ def test_bound_argument_guards():
     (lambda: cycle_counting_t3(10.0), "need n >= 3"),
     (lambda: h_t_bounds(True), "need t >= 1"),
     (lambda: h_t_bounds(2.5), "need t >= 1"),
+    (lambda: outerplanar_palette(True), "max_degree must be nonnegative"),
+    (lambda: planar_palette(True), "max_degree must be nonnegative"),
+    (lambda: outerplanar_palette(-5), "max_degree must be nonnegative"),
+    (lambda: planar_palette(-100), "max_degree must be nonnegative"),
+    (lambda: outerplanar_palette(3.0), "max_degree must be nonnegative"),
+    (lambda: planar_palette(3.0), "max_degree must be nonnegative"),
 ], ids=["path-2.5", "path-true", "c4-2.5", "c4-true", "certificates-2.0",
         "certificates-true", "star-minus-1", "counting-t3-n2", "h-t-0",
         "path-n-true", "path-n-2.5", "star-true", "star-2.0",
-        "counting-t3-10.0", "h-t-true", "h-t-2.5"])
+        "counting-t3-10.0", "h-t-true", "h-t-2.5", "outerplanar-true",
+        "planar-true", "outerplanar-minus-5", "planar-minus-100",
+        "outerplanar-3.0", "planar-3.0"])
 def test_bounds_refuse_out_of_range_arguments(call, match):
     # a float or bool is refused where an int is meant, as a value below
     # range is: 2.5 would give a fractional bound or a TypeError, 10.0 a
-    # certificate with float parameters, and True would run as 1
+    # certificate with float parameters, and True would run as 1; a palette
+    # below degree 0 would be that of degree 0
     with pytest.raises(ValueError, match=match):
         call()
 

@@ -28,7 +28,7 @@ from ttone.graphs import (OUTERPLANAR_HIGH, PLANAR_HIGH, Density, Graph,
                           planar_reducible_at, read_edge_list, thread_at,
                           thread_runs, write_edge_list)
 from ttone.instances import (random_apollonian, random_maximal_outerplanar,
-                             random_subdivided, subdivide)
+                             random_subdivided, random_tree, subdivide)
 import random
 
 
@@ -98,6 +98,33 @@ def test_graph_readers_and_generators_refuse_bad_input(call, match):
 def test_random_maximal_outerplanar_needs_three_vertices():
     with pytest.raises(ValueError, match="need n >= 3"):
         random_maximal_outerplanar(random.Random(0), 2)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda rng: random_tree(rng, 5.0), "need n >= 0"),
+    (lambda rng: random_tree(rng, -1), "need n >= 0"),
+    (lambda rng: random_maximal_outerplanar(rng, 12.0), "need n >= 3"),
+    (lambda rng: random_subdivided(rng, 8.0), "need n_base >= 1"),
+    (lambda rng: random_subdivided(rng, True), "need n_base >= 1"),
+    (lambda rng: random_subdivided(rng, 0), "need n_base >= 1"),
+    (lambda rng: random_subdivided(rng, 4, -1), "extra_edges >= 0"),
+    (lambda rng: random_subdivided(rng, 4, 1.0), "extra_edges >= 0"),
+    (lambda rng: random_apollonian(rng, 5.0), "need inserts >= 0"),
+    (lambda rng: random_apollonian(rng, -1), "need inserts >= 0"),
+    (lambda rng: random_apollonian(rng, True), "need inserts >= 0"),
+], ids=["tree-5.0", "tree-minus-1", "outerplanar-12.0", "subdivided-8.0",
+        "subdivided-true", "subdivided-0", "subdivided-extra-minus-1",
+        "subdivided-extra-1.0", "apollonian-5.0", "apollonian-minus-1",
+        "apollonian-true"])
+def test_random_generators_refuse_bad_sizes(call, match):
+    # refused before the first draw, so every seeded graph stays as it was;
+    # unchecked, -1 or True inserts would make a triangle or K4, and -1
+    # extra edges would add none
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=match):
+        call(rng)
+    assert rng.getstate() == state
 
 
 def test_fat_triangle_shape():
@@ -767,7 +794,7 @@ def test_subdivide_helper():
 def test_two_degenerate_base_subdivided_twice_is_below_12_5(base, rnd):
     # random_subdivided's shortcut, against the exact mad: at least two
     # interior vertices per edge of a 2-degenerate base keep mad < 12/5
-    two_degenerate = not any(_core(base.adj, 3)[0])
+    two_degenerate = not any(_core(base.adj, 3))
     assert two_degenerate == (degeneracy_order(base)[1] <= 2)
     g = subdivide(base, lambda u, v: rnd.choice((2, 2, 3, 6)))
     if two_degenerate:
@@ -778,7 +805,7 @@ def test_two_degenerate_bound_is_tight():
     # K5 is 4-degenerate, and subdivided twice per edge it reaches 12/5:
     # 30 edges on 25 vertices
     k5 = Graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
-    assert all(_core(k5.adj, 3)[0])
+    assert all(_core(k5.adj, 3))
     assert mad(subdivide(k5, lambda u, v: 2)).fraction == Fraction(12, 5)
 
 
@@ -786,15 +813,17 @@ def test_two_degenerate_bound_is_tight():
 @settings(max_examples=150, deadline=None)
 def test_core_is_the_largest_subgraph_of_min_degree_k(g, k):
     # the k-core by its definition: the union of the vertex sets whose
-    # induced subgraphs have minimum degree >= k, which is one itself
+    # induced subgraphs have minimum degree >= k, which is one itself; its
+    # adjacency keeps adj's order, and a vertex outside it gets (), as an
+    # isolated vertex inside the 0-core does
     core = set()
     for size in range(g.n + 1):
         for keep in map(set, combinations(range(g.n), size)):
             if all(len(keep.intersection(g.adj[v])) >= k for v in keep):
                 core |= keep
-    inside, deg = _core(g.adj, k)
-    assert [v for v in range(g.n) if inside[v]] == sorted(core)
-    assert all(deg[v] == len(core.intersection(g.adj[v])) for v in core)
+    assert _core(g.adj, k) == [
+        tuple(u for u in g.adj[v] if u in core) if v in core else ()
+        for v in range(g.n)]
 
 
 @given(st.integers(0, 10 ** 6), st.integers(2, 40), st.integers(0, 12))
@@ -864,7 +893,7 @@ def _scan(red, test):
 def _on_cycle(red, v):
     """Whether v's component is 2-regular: v's run closes on v."""
     return len(red.adj[v]) == 2 and \
-        list(_run(red, v, min(red.adj[v])))[-1] == v
+        list(_run(red.adj, v, min(red.adj[v])))[-1] == v
 
 
 def _indexes(red):
@@ -1055,9 +1084,9 @@ def test_thread_index_work_is_linear(monkeypatch, make):
         work += 1
         return real_at(g, x, width)
 
-    def counted_run(g, x, y):
+    def counted_run(adj, x, y):
         nonlocal work
-        for v in real_run(g, x, y):
+        for v in real_run(adj, x, y):
             work += 1
             yield v
 

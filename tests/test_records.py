@@ -1,9 +1,14 @@
-"""The result records callers rely on, what importing the CLI loads, and
-that only the CLI entry point changes the cyclic collector's settings."""
+"""The result records callers rely on, what importing the CLI loads, that
+every annotation in the package resolves, and that only the CLI entry point
+changes the cyclic collector's settings."""
 
+import importlib
+import inspect
 import os
+import pkgutil
 import subprocess
 import sys
+import typing
 
 import pytest
 
@@ -75,6 +80,38 @@ def test_serializing_and_gen_random_load_what_they_use():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert ttone.cli.run(['gen', '--random', 'apollonian']) == 0")
     assert {"random", "ttone.instances"} <= loaded
+
+
+def defined_callables():
+    """(qualified name, object) for each function, class and method, property
+    accessors included, that a module of the package defines at its top
+    level or in a class there."""
+    for info in pkgutil.iter_modules(ttone.__path__):
+        module = importlib.import_module(f"ttone.{info.name}")
+        for name, obj in vars(module).items():
+            obj = inspect.unwrap(obj)
+            if getattr(obj, "__module__", None) != module.__name__ or \
+                    not (inspect.isfunction(obj) or inspect.isclass(obj)):
+                continue
+            yield f"{info.name}.{name}", obj
+            for attr, member in vars(obj).items() if inspect.isclass(obj) \
+                    else ():
+                if isinstance(member, property):
+                    member = member.fget
+                member = getattr(member, "__func__", member)
+                if inspect.isfunction(member):
+                    yield f"{info.name}.{name}.{attr}", member
+
+
+def test_every_annotation_in_the_package_resolves():
+    # get_type_hints evaluates each annotation in its module's globals, so
+    # an annotation naming what the module never imports raises NameError
+    checked = []
+    for name, obj in defined_callables():
+        typing.get_type_hints(obj)
+        checked.append(name)
+    assert {"graphs.Density.fraction", "graphs._core", "exact.tau",
+            "instances.random_subdivided", "cli.main"} <= set(checked)
 
 
 def gc_state_after(code: str) -> tuple:
